@@ -610,9 +610,17 @@ def scale_main(argv: list[str] | None = None) -> int:
                 json.dump(payload, fp, indent=2, sort_keys=True)
             print(f"wrote scale report to {args.json}")
     print(report.format_text())
-    print(f"[{elapsed:.1f}s, {report.events_scheduled} events, "
-          f"{report.events_scheduled / max(elapsed, 1e-9):,.0f} events/s]")
+    print(_throughput_line(report, elapsed))
     return 0
+
+
+def _throughput_line(report, elapsed: float) -> str:
+    """Wall time and player-ticks/s of a scale run (cohort mode
+    schedules about one event per tick, so events/s would not measure
+    its work)."""
+    return (f"[{elapsed:.1f}s, {report.player_ticks:,} player-ticks, "
+            f"{report.player_ticks / max(elapsed, 1e-9):,.0f} "
+            f"player-ticks/s]")
 
 
 def build_dynamics_parser() -> argparse.ArgumentParser:
@@ -729,9 +737,7 @@ def dynamics_main(argv: list[str] | None = None) -> int:
                  else f"{args.preset} @ intensity {args.intensity}")
     print(f"plan:       {plan_desc} ({len(plan)} sources)")
     print(report.format_text())
-    print(f"[{elapsed:.1f}s, {report.scale.events_scheduled} events, "
-          f"{report.scale.events_scheduled / max(elapsed, 1e-9):,.0f} "
-          f"events/s]")
+    print(_throughput_line(report.scale, elapsed))
     return 1 if report.invariants else 0
 
 

@@ -1,39 +1,36 @@
 """Population-scale cohort simulation kernel (DESIGN.md §11).
 
 Orchestrates a :class:`~repro.core.player.PlayerCohort` over the
-discrete-event :class:`~repro.sim.engine.Environment`:
-
-* a **driver** event fires once per tick — it folds the previous tick's
-  aggregates into the run digest, applies region fault transitions,
-  recomputes congestion from the (integer) load counters, and, in cohort
-  mode, advances every non-materialised player in one vectorised call;
-* each **materialised player** has its own per-tick event chain calling
-  the same advance kernel on its length-1 index array; a player that
-  stays convergence-free for ``reabsorb_ticks`` folds back into the
-  batch.
+discrete-event :class:`~repro.sim.engine.Environment`. A **driver**
+event fires once per tick: it folds the previous tick's aggregates
+into the run digest, applies region fault transitions, runs the
+per-tick hook (:meth:`CohortKernel._tick_inputs`; here: congestion
+from the integer load counters), and reschedules itself.
 
 Execution modes
 ---------------
 ``"cohort"``
-    The scale mode: vectorised batch + individually-driven divergents.
+    The scale mode: the driver then advances every active player in
+    one vectorised :meth:`~repro.core.player.PlayerCohort.advance`
+    call. Crashes, tier switches and failovers are just array values
+    inside that call, so the run schedules one event per tick.
 ``"per-player"``
-    Every player is materialised from tick 0 and driven by its own
-    events — the reference execution the cohort mode must match
-    byte-for-byte (same digest), and the event-population stress test
-    for the calendar queue.
+    The reference execution: every player is materialised from tick 0
+    and driven by its own event chain through the scalar mirror
+    :meth:`~repro.core.player.PlayerCohort._advance_one`. Cohort mode
+    must match it byte-for-byte (same digest); it is also the
+    event-population stress test for the calendar queue.
 
 Determinism
 -----------
-The driver is always the first event processed at each tick time: it is
-scheduled before any player chain at construction, and it reschedules
-itself before any player event of the current tick runs, so its sequence
-number stays the lowest by induction. Tick-level inputs it writes
-(outage flags, failover targets, congestion) are therefore visible to
-every advance of that tick in both modes. All cross-player accumulation
-is integer (``bincount``), so per-tick event order cannot perturb state,
-and the digest covers player state and aggregates only — never the
-materialised set, which is the one thing the modes legitimately disagree
-on.
+The driver is always the first event processed at each tick time: it
+is scheduled before any player chain at construction, and it
+reschedules itself before any player event of the current tick runs,
+so its sequence number stays the lowest by induction. Tick-level inputs
+it writes (outage flags, failover targets, congestion) are therefore
+visible to every advance of that tick in both modes. All cross-player
+accumulation is integer (``bincount``), so per-tick event order cannot
+perturb state, and the digest covers player state and aggregates only.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ from repro.sim.rng import RngRegistry, counter_u01
 FAULT_PRESETS = ("none", "outage", "crashes", "mixed")
 
 #: Crash probability per tick used by the crash-bearing presets — high
-#: enough that a 1k-player, ~100-tick equivalence run materialises a
-#: handful of players through the crash path.
+#: enough that a 1k-player, ~100-tick equivalence run sends a handful of
+#: players through the crash path.
 PRESET_CRASH_RATE = 1e-3
 
 
@@ -97,9 +94,6 @@ class ScaleSpec:
     #: Overrides the preset's crash rate when not None.
     crash_rate_per_tick: float | None = None
     params: CohortParams = field(default_factory=CohortParams)
-    #: Extra (tick, player_id) materialisations forced by tests — must
-    #: never change the digest (cohort mode only; no-ops otherwise).
-    forced_materialisations: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in ("cohort", "per-player"):
@@ -138,6 +132,9 @@ class ScaleReport:
     digest: str
     wall_s: float
     events_scheduled: int
+    #: Per-player chains started and still live at the end: 0 in
+    #: cohort mode. ``reabsorptions`` is always 0 and stays only as
+    #: part of the JSON schema.
     materialisations: int
     reabsorptions: int
     final_materialised: int
@@ -156,6 +153,11 @@ class ScaleReport:
         """Stable JSON schema (CLI ``--json`` and external tooling)."""
         return dataclasses.asdict(self)
 
+    @property
+    def player_ticks(self) -> int:
+        """Player advances the run made: the work behind its wall time."""
+        return sum(r.frames for r in self.regions)
+
     def format_text(self) -> str:
         """Human-readable summary for the ``cloudfog scale`` CLI."""
         head = (
@@ -164,9 +166,7 @@ class ScaleReport:
             f"[mode={self.mode} queue={self.queue} faults={self.faults} "
             f"seed={self.seed}]\n"
             f"  wall {self.wall_s:.2f}s · {self.events_scheduled:,} events "
-            f"· {self.materialisations:,} materialised "
-            f"({self.reabsorptions:,} reabsorbed, "
-            f"{self.final_materialised:,} at end)\n"
+            f"· {self.materialisations:,} materialised\n"
             f"  faults: {self.crashes:,} crashes · {self.switches:,} tier "
             f"switches · {self.reconnects:,} reconnects · "
             f"{self.migrations:,} migrations · "
@@ -204,17 +204,15 @@ def resolve_faults(spec: ScaleSpec) -> tuple[tuple[OutageWindow, ...], float]:
 
     The outage presets take region 0 — the most populous under the Zipf
     weights — offline for the middle third of the run, which is the
-    worst case for the failover target's congestion.
+    worst case for the failover target's congestion. A one-tick run has
+    no middle third, so it gets no outage.
     """
     third = max(1, spec.n_ticks // 3)
-    outage = OutageWindow(
-        region=0, start_tick=third,
-        end_tick=min(2 * third, spec.n_ticks))
-    windows: tuple[OutageWindow, ...]
-    if spec.faults in ("outage", "mixed") and spec.n_regions > 1:
-        windows = (outage,)
-    else:
-        windows = ()
+    end = min(2 * third, spec.n_ticks)
+    windows: tuple[OutageWindow, ...] = ()
+    if (spec.faults in ("outage", "mixed") and spec.n_regions > 1
+            and third < end):
+        windows = (OutageWindow(region=0, start_tick=third, end_tick=end),)
     crash = PRESET_CRASH_RATE if spec.faults in ("crashes", "mixed") else 0.0
     if spec.crash_rate_per_tick is not None:
         crash = spec.crash_rate_per_tick
@@ -245,11 +243,8 @@ class CohortKernel:
                           .astype(np.float64))
         self.env = Environment(queue=spec.queue)
         self._digest = hashlib.sha256()
-        self._forced: dict[int, list[int]] = {}
-        for tick, pid in spec.forced_materialisations:
-            self._forced.setdefault(int(tick), []).append(int(pid))
+        #: Per-player event chains started (per-player mode only).
         self.materialisations = 0
-        self.reabsorptions = 0
         self._cohort_mode = spec.mode == "cohort"
         self._salt_failover = 2 * spec.seed + 3
 
@@ -260,29 +255,15 @@ class CohortKernel:
         ev.callbacks.append(lambda _e, t=tick: self._player_fire(mp, t))
 
     def _player_fire(self, mp: MaterialisedPlayer, tick: int) -> None:
-        diverged = mp.advance(tick)
-        if tick + 1 >= self.spec.n_ticks:
-            return
-        if (self._cohort_mode and not diverged
-                and tick - mp.last_divergence_tick
-                >= self.params.reabsorb_ticks):
-            self.cohort.reabsorb(mp.player_id)
-            self.reabsorptions += 1
-            return
-        self._schedule_player(mp, tick + 1, self.params.tick_s)
-
-    def _spawn(self, player_id: int, tick: int) -> None:
-        """Materialise ``player_id``; its chain starts at ``tick + 1``."""
-        mp = self.cohort.materialise(player_id)
-        mp.last_divergence_tick = tick
-        self.materialisations += 1
+        """One tick of a per-player chain (per-player mode only)."""
+        mp.advance(tick)
         if tick + 1 < self.spec.n_ticks:
             self._schedule_player(mp, tick + 1, self.params.tick_s)
 
     def _driver_fire(self, tick: int) -> None:
         self._hash_tick(tick)
         self._apply_fault_transitions(tick)
-        self._update_congestion()
+        self._tick_inputs(tick)
         # Reschedule before any player event of this tick runs, so the
         # driver's sequence number stays the lowest at tick + 1.
         if tick + 1 < self.spec.n_ticks:
@@ -291,12 +272,13 @@ class CohortKernel:
         if self._cohort_mode:
             idx = self.cohort.batch_indices()
             if idx.size:
-                diverged = self.cohort.advance(idx, tick)
-                for pid in idx[diverged]:
-                    self._spawn(int(pid), tick)
-            for pid in self._forced.get(tick, ()):
-                if not self.cohort.materialised[pid]:
-                    self._spawn(pid, tick)
+                self.cohort.advance(idx, tick)
+
+    def _tick_inputs(self, tick: int) -> None:
+        """Per-tick driver hook, run after the fault transitions and
+        before any advance of ``tick``. Subclasses extend it; the base
+        kernel only updates congestion."""
+        self._update_congestion()
 
     # -- tick-level inputs ---------------------------------------------------
     def _failover_target(self, region: int) -> int:
@@ -312,16 +294,15 @@ class CohortKernel:
     def _apply_fault_transitions(self, tick: int) -> None:
         """Region-wide outage start/end — rule-homogeneous, driver-applied.
 
-        A region failing over is not individual divergence: one rule
-        moves every affected player, so the driver rewrites
-        ``served_by`` for the whole block (materialised players
-        included) in both modes, before any advance of this tick. The
-        rule spreads the displaced load across online regions in
-        proportion to capacity — dumping a top region's population onto
-        its single nearest neighbour would melt that neighbour — using
-        the per-player counter hash, so the assignment is deterministic
-        and mode-independent. Individual crash *reconnects* still go to
-        the single nearest online region (``failover_to``).
+        One rule moves every affected player, so the driver rewrites
+        ``served_by`` for the whole block in both modes, before any
+        advance of this tick. The rule spreads the displaced load
+        across online regions in proportion to capacity — dumping a top
+        region's population onto its single nearest neighbour would
+        melt that neighbour — using the per-player counter hash, so the
+        assignment is deterministic and mode-independent. Individual
+        crash *reconnects* still go to the single nearest online region
+        (``failover_to``).
         """
         c = self.cohort
         for w in self.outages:
@@ -406,8 +387,12 @@ class CohortKernel:
         wall = time.perf_counter() - t0
 
         c = self.cohort
-        satisfied = np.count_nonzero(
-            c.on_time_frames >= (1.0 - p.loss_tolerance) * c.frames)
+        # §IV satisfaction over participants: a player who never joined
+        # (possible under population dynamics) played no frames.
+        participants = c.frames > 0
+        n_part = int(np.count_nonzero(participants))
+        satisfied = np.count_nonzero(participants & (
+            c.on_time_frames >= (1.0 - p.loss_tolerance) * c.frames))
         hist = c.lat_hist.reshape(spec.n_regions, p.n_latency_bins)
         p50, p95, p99 = percentiles_from_hist(hist.sum(axis=0),
                                               p.latency_bin_s)
@@ -426,9 +411,10 @@ class CohortKernel:
             queue=spec.queue, faults=spec.faults, digest=digest,
             wall_s=wall, events_scheduled=self.env._seq,
             materialisations=self.materialisations,
-            reabsorptions=self.reabsorptions,
-            final_materialised=c.n_materialised,
-            satisfied_fraction=satisfied / spec.n_players,
+            reabsorptions=0,
+            final_materialised=int(np.count_nonzero(c.materialised)),
+            satisfied_fraction=(
+                float(satisfied / n_part) if n_part else 0.0),
             crashes=int(c.crashes.sum()), switches=int(c.switches.sum()),
             reconnects=int(c.reconnects.sum()),
             migrations=int(c.migrations.sum()),

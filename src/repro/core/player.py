@@ -8,12 +8,14 @@ to the serving server's encoder.
 For population-scale runs the per-object endpoint is replaced by
 :class:`PlayerCohort` — a structure-of-arrays batch holding the *same*
 per-player state (playback position, buffer level, quality tier) for
-every player at once, advanced in vectorised ticks. A player whose
-trajectory diverges from the batch (crash, failover, adaptation switch)
-is *materialised* into a :class:`MaterialisedPlayer`: an individual view
-driven by its own simulation events, but reading and writing the very
-same arrays through the very same advance kernel — which is what makes
-cohort and per-player execution byte-identical (DESIGN.md §11).
+every player at once. In cohort mode the tick driver advances every
+active player in one vectorised :meth:`PlayerCohort.advance` call per
+tick, crashes, tier switches and failovers included. The per-player
+reference mode instead wraps each player in a
+:class:`MaterialisedPlayer` driven by its own simulation events, which
+reads and writes the very same arrays through the scalar mirror
+:meth:`PlayerCohort._advance_one` — which is what makes cohort and
+per-player execution byte-identical (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -195,8 +197,7 @@ class CohortParams:
     #: deadline. At the full jitter amplitude (2 × jitter scale) a
     #: player whose base latency rides a deadline boundary can never
     #: up-switch into a tier it will occasionally miss, so nobody
-    #: oscillates between tiers on jitter noise — the property that
-    #: keeps the materialised set small and re-absorbable.
+    #: oscillates between tiers on jitter noise.
     up_margin_s: float = 0.004
     #: Per-player crash probability per tick.
     crash_rate_per_tick: float = 2e-5
@@ -211,11 +212,6 @@ class CohortParams:
     #: the tail). 512 × 1 ms covers every sane frame latency.
     latency_bin_s: float = 0.001
     n_latency_bins: int = 512
-    #: A materialised player that goes this many ticks without a new
-    #: divergence folds back into the cohort (cohort mode only). Two
-    #: cooldown periods: long enough to see any residual instability,
-    #: short enough that a one-off divergence stays cheap.
-    reabsorb_ticks: int = 32
     #: Loss tolerance for the §IV satisfaction criterion.
     loss_tolerance: float = 0.2
 
@@ -231,13 +227,14 @@ class CohortParams:
 class PlayerCohort:
     """All players' state as a structure of arrays, advanced in ticks.
 
-    The arrays are the single source of truth for *every* player,
-    materialised or not. :meth:`advance` is the one state-transition
-    kernel; the cohort driver calls it with the batch of non-materialised
-    indices, a :class:`MaterialisedPlayer` calls it with its own length-1
-    index array. Because both paths run the same IEEE-exact elementwise
-    code over the same arrays, who drives a player never changes its
-    trajectory — the equivalence the digest tests pin down.
+    The arrays are the single source of truth for every player.
+    :meth:`advance` is the state-transition kernel the cohort driver
+    calls once per tick with every active index; :meth:`_advance_one`
+    is its scalar mirror, which a per-player reference run's
+    :class:`MaterialisedPlayer` calls for its own index. Because both
+    run the same IEEE-exact elementwise operations over the same
+    arrays, who drives a player never changes its trajectory — the
+    equivalence the digest tests pin down.
 
     Cross-player aggregates (`tick_load`, the latency histogram) are
     int64 accumulators fed by ``bincount``, so contributions commute
@@ -278,6 +275,8 @@ class PlayerCohort:
         self.tier = np.full(n, self._top_tier, dtype=np.int64)
         self.last_switch = np.full(
             n, -params.switch_cooldown_ticks, dtype=np.int64)
+        #: Players with a live per-player event chain (per-player mode
+        #: only; all-false in cohort mode).
         self.materialised = np.zeros(n, dtype=bool)
         #: Population-dynamics membership: inactive players are parked in
         #: the join pool and excluded from the batch. All-true outside
@@ -303,21 +302,13 @@ class PlayerCohort:
             n_regions * params.n_latency_bins, dtype=np.int64)
 
     # -- the one state-transition kernel ------------------------------------
-    def advance(self, idx: np.ndarray, tick: int) -> np.ndarray:
+    def advance(self, idx: np.ndarray, tick: int) -> None:
         """Advance the players in ``idx`` through tick ``tick``.
 
-        Returns the divergence mask (crashed or down-switched) aligned
-        with ``idx``. Restricted to IEEE-exact elementwise operations —
-        see :class:`CohortParams`.
-
-        Length-1 calls (a materialised player's tick) dispatch to the
-        scalar mirror :meth:`_advance_one`: the same operations in the
-        same order on Python doubles, which the IEEE-exactness
-        restriction makes bit-identical to the vector path — the
-        equivalence the cohort-vs-per-player digest tests pin down.
+        Restricted to IEEE-exact elementwise operations — see
+        :class:`CohortParams` — so the result for each index is
+        bit-identical to what :meth:`_advance_one` writes for it.
         """
-        if idx.size == 1:
-            return np.array([self._advance_one(int(idx[0]), tick)])
         p = self.params
         region = self.region[idx]
         served = self.served_by[idx]
@@ -355,7 +346,7 @@ class PlayerCohort:
         #    requires this tick's latency to fit the *next* tier's
         #    tighter deadline, otherwise a player whose latency sits
         #    between two tier deadlines would oscillate up and down
-        #    forever (and in cohort mode never re-converge).
+        #    forever.
         can = tick - self.last_switch[idx] >= p.switch_cooldown_ticks
         down = can & ~on_time & (tier > 0)
         up = (can
@@ -384,32 +375,16 @@ class PlayerCohort:
         self.on_time_frames[idx] += on_time
         self.frames[idx] += 1
 
-        # Divergence = crash or down-switch: the events that push a
-        # player *away* from the cohort's homogeneous state. An
-        # up-switch is re-convergence toward it, handled identically
-        # by the batch, so it neither materialises a player nor resets
-        # the re-absorption clock.
-        diverged = crashed | down
-
-        # 8) Order-free integer aggregates. Integer addition commutes
-        #    exactly, so the scatter-add (cheap for the handful of
-        #    indices a materialised advance carries) and the bincount
-        #    (cheap for the cohort batch) produce identical counters —
-        #    a performance branch, never a math branch.
+        # 8) Order-free integer aggregates: integer addition commutes
+        #    exactly, so these counters match the scalar mirror's
+        #    one-at-a-time increments in any order.
         bins = np.minimum((lat * self._inv_bin).astype(np.int64),
                           p.n_latency_bins - 1)
         flat = region * p.n_latency_bins + bins
-        if idx.size <= 64:
-            np.add.at(self.tick_load, served, 1)
-            np.add.at(self.lat_hist, flat, 1)
-        else:
-            self.tick_load += np.bincount(served, minlength=self.n_regions)
-            self.lat_hist += np.bincount(
-                flat, minlength=self.lat_hist.shape[0])
+        self.tick_load += np.bincount(served, minlength=self.n_regions)
+        self.lat_hist += np.bincount(flat, minlength=self.lat_hist.shape[0])
 
-        return diverged
-
-    def _advance_one(self, i: int, tick: int) -> bool:
+    def _advance_one(self, i: int, tick: int) -> None:
         """Scalar mirror of :meth:`advance` for one player.
 
         Every arithmetic step repeats the vector path's operation in the
@@ -489,54 +464,41 @@ class PlayerCohort:
             b = p.n_latency_bins - 1
         self.lat_hist[region * p.n_latency_bins + b] += 1
 
-        # Same divergence rule as the vector path: crash or down-switch.
-        return crashed or down
-
-    # -- materialisation -----------------------------------------------------
+    # -- per-player reference mode --------------------------------------------
     def materialise(self, player_id: int) -> "MaterialisedPlayer":
-        """Promote one player to individually-driven execution."""
+        """Give one player its own event-driven view (per-player mode)."""
         if self.materialised[player_id]:
             raise ValueError(f"player {player_id} is already materialised")
         self.materialised[player_id] = True
         return MaterialisedPlayer(self, player_id)
 
-    def reabsorb(self, player_id: int) -> None:
-        """Fold a re-converged materialised player back into the batch."""
+    def release(self, player_id: int) -> None:
+        """End a player's view when its event chain stops."""
         self.materialised[player_id] = False
 
-    @property
-    def n_materialised(self) -> int:
-        return int(np.count_nonzero(self.materialised))
-
     def batch_indices(self) -> np.ndarray:
-        """Indices the cohort driver advances (active, non-materialised)."""
-        return np.flatnonzero(self.active & ~self.materialised)
+        """Indices the cohort driver advances: every active player."""
+        return np.flatnonzero(self.active)
 
 
 class MaterialisedPlayer:
     """An individually-driven view of one cohort player.
 
-    Holds no state of its own beyond the index: every read and write
-    goes through the cohort arrays, and :meth:`advance` runs the shared
-    kernel on a length-1 index array. ``last_divergence_tick`` is
-    bookkeeping for re-absorption and deliberately not part of any
-    digest.
+    The per-player reference mode drives one of these per player. It
+    holds no state of its own beyond the index: every read and write
+    goes through the cohort arrays, and :meth:`advance` runs the scalar
+    mirror of the batch kernel.
     """
 
-    __slots__ = ("cohort", "player_id", "idx", "last_divergence_tick")
+    __slots__ = ("cohort", "player_id")
 
     def __init__(self, cohort: PlayerCohort, player_id: int):
         self.cohort = cohort
         self.player_id = int(player_id)
-        self.idx = np.array([self.player_id], dtype=np.int64)
-        self.last_divergence_tick = -1
 
-    def advance(self, tick: int) -> bool:
-        """Advance this player one tick; True if it diverged again."""
-        diverged = self.cohort._advance_one(self.player_id, tick)
-        if diverged:
-            self.last_divergence_tick = tick
-        return diverged
+    def advance(self, tick: int) -> None:
+        """Advance this player one tick."""
+        self.cohort._advance_one(self.player_id, tick)
 
     @property
     def buffer_s(self) -> float:

@@ -9,17 +9,23 @@ overload-graceful degradation ladder sharing
 :class:`~repro.core.overload.OverloadParams` with the supernode session
 layer.
 
+All of it runs in the base driver's per-tick hook
+(:meth:`DynamicsKernel._tick_inputs`): membership and mobility are
+array edits, and in cohort mode the one batch advance that follows
+picks up whoever is active. Per-player mode is the reference that
+cohort mode must match.
+
 Determinism contract (same as the base kernel, extended):
 
 * every membership edit happens in the **driver** event, before any
   advance of that tick, identically in both execution modes;
 * who leaves, who is shed and who moves are **counter-hash** draws —
   pure functions of ``(player_id, tick, salt)`` — never functions of
-  the materialised set (which is the one thing the modes disagree on);
+  the execution mode;
 * join counts and mobility batch sizes are **compile-time Poisson
   realisations** from the plan's own seeded stream;
 * the per-player side effects of a migration are disjoint per player
-  and fire at the same simulated instants in both modes.
+  and fire mid-tick, after every advance of that tick, in both modes.
 
 Hence cohort ≡ per-player under any plan, and the empty plan (with
 ``initial_fraction=1.0``) is byte-identical to the static baseline:
@@ -213,9 +219,10 @@ class DynamicsKernel(CohortKernel):
             inst[key].inc(n)
 
     # -- driver --------------------------------------------------------------
-    def _driver_fire(self, tick: int) -> None:
-        self._hash_tick(tick)
-        self._apply_fault_transitions(tick)
+    def _tick_inputs(self, tick: int) -> None:
+        # Events scheduled here land at the current time or mid-tick,
+        # never on a tick boundary, so the driver's reschedule after
+        # this hook still precedes every player event of tick + 1.
         # Previous tick's utilisation, captured before the congestion
         # update zeroes the load counters.
         util = self.cohort.tick_load / self._capacity
@@ -223,28 +230,12 @@ class DynamicsKernel(CohortKernel):
         self._apply_overload(tick, util)
         self._apply_membership(tick, util)
         self._apply_mobility(tick)
-        # Reschedule before the cohort advance spawns any chain at this
-        # tick, keeping the driver's sequence number lowest at tick + 1.
-        # (Membership events above only schedule at the current time or
-        # mid-tick, never at a future tick boundary.)
-        if tick + 1 < self.spec.n_ticks:
-            ev = self.env.timeout(self.params.tick_s)
-            ev.callbacks.append(lambda _e, t=tick + 1: self._driver_fire(t))
-        if self._cohort_mode:
-            idx = self.cohort.batch_indices()
-            if idx.size:
-                diverged = self.cohort.advance(idx, tick)
-                for pid in idx[diverged]:
-                    self._spawn(int(pid), tick)
-            for pid in self._forced.get(tick, ()):
-                if not self.cohort.materialised[pid]:
-                    self._spawn(pid, tick)
 
     def _player_fire(self, mp, tick: int) -> None:
-        # A chain whose player has left folds back silently: no advance,
-        # no reschedule — in either mode. Rejoining re-materialises.
+        # A chain whose player has left ends silently: no advance, no
+        # reschedule. Rejoining starts a new chain.
         if not self.cohort.active[mp.player_id]:
-            self.cohort.reabsorb(mp.player_id)
+            self.cohort.release(mp.player_id)
             return
         super()._player_fire(mp, tick)
 
@@ -394,8 +385,6 @@ class DynamicsKernel(CohortKernel):
                 self._move_target[pid] = int(to_r)
                 self.mobility.on_server_down(
                     pid, int(c.served_by[pid]), self.env.now)
-                if self._cohort_mode:
-                    self._forced.setdefault(tick, []).append(pid)
 
     def _migrate_player(self, pid: int) -> str | None:
         to_r = self._move_target.pop(pid, None)
@@ -452,11 +441,6 @@ class DynamicsKernel(CohortKernel):
                 inst["recovery_time"].observe(dur)
         self._over_prev[:] = False
         c = self.cohort
-        participants = c.frames > 0
-        n_part = int(np.count_nonzero(participants))
-        ok = participants & (
-            c.on_time_frames
-            >= (1.0 - self.params.loss_tolerance) * c.frames)
         rec = self.mobility.recovery_times_s
 
         def _mean(vals):
@@ -476,8 +460,7 @@ class DynamicsKernel(CohortKernel):
             migration_max_s=(max(rec) if rec else None),
             overload_episodes=len(self.overload_episode_s),
             overload_mean_recovery_s=_mean(self.overload_episode_s),
-            satisfied_active_fraction=(
-                float(np.count_nonzero(ok) / n_part) if n_part else 0.0),
+            satisfied_active_fraction=scale.satisfied_fraction,
             invariants=self.check_invariants())
 
 

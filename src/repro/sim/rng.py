@@ -94,9 +94,9 @@ def counter_u01(ids: np.ndarray, step: int, salt: int) -> np.ndarray:
 
     A counter-based generator (splitmix64 finalizer over a mixed key):
     no state to carry or synchronise, so a value depends only on its
-    key — the property that lets a cohort's vectorised draw and a
-    materialised player's individual draw produce the *same* number for
-    the same player at the same tick (DESIGN.md §11). Everything up to
+    key — the property that lets a cohort's vectorised draw and the
+    per-player reference run's individual draw produce the *same* number
+    for the same player at the same tick (DESIGN.md §11). Everything up to
     the final ``* 2⁻⁵³`` is uint64 integer arithmetic, and that product
     is exact, so results are bit-identical across platforms, SIMD
     widths, and numpy builds.

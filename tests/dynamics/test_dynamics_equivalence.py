@@ -130,3 +130,28 @@ class TestSeedDeterminism:
         b = run_dynamics(_spec("cohort", preset="churn",
                                initial_fraction=0.6, seed=3))
         assert a.scale.digest != b.scale.digest
+
+
+class TestSatisfiedFraction:
+    def test_counts_participants_only(self):
+        """Players who never joined played no frames; they are neither
+        satisfied nor unsatisfied, so both reports use the same
+        denominator."""
+        k = DynamicsKernel(_spec("cohort", preset="flash-crowd",
+                                 initial_fraction=0.3))
+        report = k.run_dynamics()
+        frames = k.cohort.frames
+        assert (frames == 0).any()  # some players never joined
+        satisfied = (k.cohort.on_time_frames >= 0.8 * frames) & (frames > 0)
+        assert report.scale.satisfied_fraction == (
+            satisfied.sum() / (frames > 0).sum())
+        assert (report.scale.satisfied_fraction
+                == report.satisfied_active_fraction)
+
+    def test_static_value_unchanged(self):
+        # Every player of a static run plays every tick: participants
+        # are the whole population. Value captured before the fraction
+        # moved to a participants-only denominator.
+        report = run_scale(ScaleSpec(n_players=300, n_regions=3,
+                                     n_ticks=40, seed=1, faults="mixed"))
+        assert report.satisfied_fraction == 0.9766666666666667

@@ -45,6 +45,12 @@ class TestScaleCli:
         with pytest.raises(SystemExit):
             main(["scale", "--players", "0"])
 
+    def test_one_tick_run(self, capsys):
+        assert main(["scale", "--players", "50", "--regions", "3",
+                     "--ticks", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "50 player-ticks" in out
+
 
 class TestScaleSpec:
     def test_registered(self):
