@@ -65,11 +65,8 @@ from repro.experiments.config import (
     COMPRESS_NAMES,
     RunConfig,
 )
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    run_experiment,
-    run_results,
-)
+from repro.experiments.runner import run_experiment, run_results
+from repro.experiments.specs import SPECS
 from repro.metrics.series import print_series
 from repro.streaming.video import QUALITY_LADDER
 
@@ -144,8 +141,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
         choices=COMPRESS_NAMES, metavar="CODEC",
         help="wire-frame compression for the remote backend: auto "
              "negotiates the best codec both peers support (zstd "
-             "where installed, zlib otherwise), none keeps legacy "
-             "uncompressed CFW1 frames (default auto)")
+             "where installed, zlib otherwise), none sends every "
+             "frame raw (default auto)")
     group.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="content-addressed result cache directory; re-runs skip "
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "ladder"],
+        choices=sorted(SPECS) + ["all", "ladder"],
         help="which paper figure to regenerate",
     )
     parser.add_argument(
@@ -802,7 +799,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         "--compress", nargs="?", const="auto", default="auto",
         choices=COMPRESS_NAMES, metavar="CODEC",
         help="wire-frame compression policy negotiated with the "
-             "scheduler (default auto; none = legacy CFW1 frames)")
+             "scheduler (default auto; none = raw frames)")
     parser.add_argument(
         "--scheduler-timeout", type=float,
         default=DEFAULT_SCHEDULER_TIMEOUT_S, metavar="S",
@@ -860,7 +857,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = cfg.cache
 
     t0 = time.time()
-    names = (list(EXPERIMENTS) if args.experiment == "all"
+    names = (list(SPECS) if args.experiment == "all"
              else [args.experiment])
     run_results_by_name = {}
     try:

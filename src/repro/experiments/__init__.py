@@ -38,7 +38,6 @@ from repro.experiments.scenarios import Scenario, peersim_scenario, planetlab_sc
 #: Lazily re-exported execution API: name -> defining module.
 _EXPORTS = {
     "RunConfig": "repro.experiments.config",
-    "coerce_config": "repro.experiments.config",
     "resolve_jobs": "repro.experiments.config",
     "run_spec": "repro.experiments.parallel",
     "run_named": "repro.experiments.parallel",

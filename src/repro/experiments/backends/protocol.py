@@ -1,18 +1,24 @@
 """Wire protocol for the remote sweep fabric.
 
-One frame = one message, length-prefixed over a stream socket. Two
-frame revisions coexist on the same connection (the receiver switches
-on the magic, so a peer may change revision mid-stream)::
+One frame = one message, length-prefixed over a stream socket::
 
-    CFW1:  | 4-byte magic b"CFW1" | >I payload length | pickle |
-    CFW2:  | 4-byte magic b"CFW2" | >B codec | >I body length | body |
+    | 4-byte magic b"CFW2" | >B codec | >I body length | body |
 
-where the CFW1 payload is ``pickle((kind, payload))`` — ``kind`` a
-short string, ``payload`` a dict — and the CFW2 body is that same
-pickle run through the frame's codec (``0`` = raw, ``1`` = zlib,
-``2`` = zstd). Small frames ship raw even on a compressed channel
-(compression below :data:`COMPRESS_MIN_BYTES` costs more than it
-saves), so heartbeats stay a handful of bytes.
+where the body is ``pickle((kind, payload))`` — ``kind`` a short
+string, ``payload`` a dict — run through the frame's codec (``0`` =
+raw, ``1`` = zlib, ``2`` = zstd). Small frames ship raw even on a
+compressed channel (compression below :data:`COMPRESS_MIN_BYTES` costs
+more than it saves), so heartbeats stay a handful of bytes; a
+``compress="none"`` channel sends every frame raw. There is one
+revision: a header with any other magic is a :class:`ProtocolError`,
+so a peer speaking an older framing is refused at its first frame.
+
+Two readers share one decoder. :func:`recv_frame` blocks until one
+whole frame is in (the scheduler's dial-out hello, hand-rolled test
+peers). :meth:`Channel.recv` makes one read of a readable socket and
+returns the frames it completed, keeping a partial frame's bytes for
+the next read — so a ``select`` loop never blocks on a peer that
+stalls mid-frame.
 
 The conversation:
 
@@ -20,14 +26,11 @@ The conversation:
 kind       direction   payload
 ========== =========== ====================================================
 hello      worker → s  ``worker`` id, ``pid``, ``version``, ``slots``,
-                       ``wire`` (protocol revision), ``codecs`` the
-                       worker can decode
-hello      s → worker  the CFW2 acknowledgement: the negotiated
-                       ``codec`` (both directions), the scheduler's
-                       ``codecs``, ``wire``, and ``heartbeat_s`` — the
-                       interval at which the scheduler promises to
-                       pulse, arming the worker's scheduler-silence
-                       deadline. Never sent to a CFW1 peer.
+                       ``codecs`` the worker can decode
+hello      s → worker  the acknowledgement: the negotiated ``codec``
+                       (both directions), the scheduler's ``codecs``,
+                       and ``heartbeat_s`` — the interval at which the
+                       scheduler pulses
 task       s → worker  ``tid``, ``index``, ``task`` (SweepTask), ``scale``,
                        ``seed``, ``capture``, ``digest`` (content
                        address, or None when uncached), ``have`` (the
@@ -41,17 +44,14 @@ cached     worker → s  ``tid``, ``index``, ``digest`` — the worker
                        confirms the task without shipping the blob;
                        the scheduler serves it from its own store
 error      worker → s  ``tid``, ``index``, ``kind`` (taxonomy), ``message``
-heartbeat  either      (empty) — worker → scheduler liveness while a
-                       long task runs; scheduler → worker the promised
-                       pulse behind the silence deadline
+heartbeat  either      (empty) — liveness: worker → scheduler while a
+                       long task runs, scheduler → worker behind the
+                       worker's silence deadline
 bye        either      polite close (a worker serving ``--listen`` goes
                        back to accepting; ``--once`` exits)
 ========== =========== ====================================================
 
-Unknown kinds are ignored by both sides, which is what lets a CFW2
-scheduler speak to a CFW1 worker for the one-release compatibility
-window: negotiation is opt-in (no ``wire`` field in the hello → no
-acknowledgement, no compressed frames, no scheduler heartbeats).
+Unknown kinds are ignored by both sides.
 
 Frames are pickled, so the fabric assumes *mutual trust*: anything that
 can connect to the scheduler's listen port (or that a worker dials) can
@@ -68,13 +68,8 @@ import threading
 import zlib
 from typing import Any, Optional
 
-MAGIC = b"CFW1"
-MAGIC2 = b"CFW2"
-_HEADER = struct.Struct(">4sI")
-_HEADER2 = struct.Struct(">4sBI")
-
-#: Current protocol revision advertised in hellos.
-WIRE_REVISION = 2
+MAGIC = b"CFW2"
+_HEADER = struct.Struct(">4sBI")
 
 #: Refuse frames over this size — a corrupt header read as a length
 #: must not trigger a multi-gigabyte allocation.
@@ -83,6 +78,10 @@ MAX_FRAME_BYTES = 1 << 30
 #: Frames smaller than this ship raw even on a compressed channel:
 #: zlib on a 100-byte heartbeat costs CPU to *grow* the frame.
 COMPRESS_MIN_BYTES = 512
+
+#: Largest single socket read: a header's claimed length never sizes
+#: an allocation before the bytes behind it arrive.
+_RECV_BYTES = 1 << 16
 
 try:  # pragma: no cover - exercised only where zstandard is installed
     import zstandard as _zstd
@@ -190,53 +189,46 @@ def send_frame(sock: socket.socket, kind: str,
                codec: Optional[str] = None) -> int:
     """Serialize and send one ``(kind, payload)`` frame.
 
-    ``codec=None`` emits a legacy CFW1 frame; a codec name emits a
-    CFW2 frame compressed with it (frames under
-    :data:`COMPRESS_MIN_BYTES`, or that compression fails to shrink,
-    ship raw inside the CFW2 envelope). Returns the frame's size in
-    bytes — the wire-byte accounting the fabric benchmarks read.
+    ``codec`` names the channel's compression codec; ``None`` sends the
+    body raw (codec 0), as does a frame under
+    :data:`COMPRESS_MIN_BYTES` or one that compression fails to shrink.
+    Returns the frame's size in bytes — the wire-byte accounting the
+    fabric benchmarks read.
     """
     blob = pickle.dumps((kind, payload or {}),
                         protocol=pickle.HIGHEST_PROTOCOL)
-    if codec is None:
-        header = _HEADER.pack(MAGIC, len(blob))
-    else:
-        codec_id = 0
-        if len(blob) >= COMPRESS_MIN_BYTES:
-            cid, compress, _decomp = _CODECS[codec]
-            packed = compress(blob)
-            if len(packed) < len(blob):
-                blob, codec_id = packed, cid
-        header = _HEADER2.pack(MAGIC2, codec_id, len(blob))
+    codec_id = 0
+    if codec is not None and len(blob) >= COMPRESS_MIN_BYTES:
+        cid, compress, _decomp = _CODECS[codec]
+        packed = compress(blob)
+        if len(packed) < len(blob):
+            blob, codec_id = packed, cid
+    header = _HEADER.pack(MAGIC, codec_id, len(blob))
     _sendall_scatter(sock, header, blob)
     return len(header) + len(blob)
 
 
 def recv_frame(sock: socket.socket) -> tuple[str, dict[str, Any]]:
-    """Receive one frame (either revision); raises :class:`EOFError`
-    on a clean close at a frame boundary, :class:`ProtocolError` on a
-    malformed frame."""
-    kind, payload, _n = recv_frame_sized(sock)
-    return kind, payload
+    """Block until one whole frame is in and decode it; raises
+    :class:`EOFError` on a clean close at a frame boundary,
+    :class:`ProtocolError` on a malformed or truncated frame."""
+    codec_id, length = _parse_header(
+        _recv_exact(sock, _HEADER.size, eof_ok=True))
+    return _decode_body(codec_id, _recv_exact(sock, length))
 
 
-def recv_frame_sized(
-        sock: socket.socket) -> tuple[str, dict[str, Any], int]:
-    """:func:`recv_frame` plus the frame's size in bytes."""
-    header = _recv_exact(sock, _HEADER.size, eof_ok=True)
-    magic = header[:4]
-    if magic == MAGIC:
-        _magic, length = _HEADER.unpack(header)
-        codec_id, size = 0, _HEADER.size + length
-    elif magic == MAGIC2:
-        header += _recv_exact(sock, _HEADER2.size - _HEADER.size)
-        _magic, codec_id, length = _HEADER2.unpack(header)
-        size = _HEADER2.size + length
-    else:
+def _parse_header(buf) -> tuple[int, int]:
+    """``(codec id, body length)`` of the frame header that starts
+    ``buf``, checked before any body byte is read."""
+    magic, codec_id, length = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds limit")
-    blob = _recv_exact(sock, length)
+    return codec_id, length
+
+
+def _decode_body(codec_id: int, body) -> tuple[str, dict[str, Any]]:
     if codec_id:
         entry = _CODEC_BY_ID.get(codec_id)
         if entry is None:
@@ -244,25 +236,25 @@ def recv_frame_sized(
                 f"frame compressed with unknown codec id {codec_id} "
                 f"(decodable here: {', '.join(_CODECS) or 'none'})")
         try:
-            blob = entry[2](blob)
+            body = entry[2](body)
         except Exception as exc:
             raise ProtocolError(
                 f"undecompressable {entry[0]} frame: {exc}") from exc
-        if len(blob) > MAX_FRAME_BYTES:
+        if len(body) > MAX_FRAME_BYTES:
             raise ProtocolError(
-                f"frame decompressed to {len(blob)} bytes, over limit")
+                f"frame decompressed to {len(body)} bytes, over limit")
     try:
-        kind, payload = pickle.loads(blob)
+        kind, payload = pickle.loads(body)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
-    return kind, payload, size
+    return kind, payload
 
 
 def _recv_exact(sock: socket.socket, n: int, eof_ok: bool = False) -> bytes:
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = sock.recv(min(n - got, _RECV_BYTES))
         if not chunk:
             if eof_ok and got == 0:
                 raise EOFError("connection closed")
@@ -279,12 +271,14 @@ class Channel:
     ``send`` is serialized by an internal lock so a worker's heartbeat
     thread, result callbacks and main loop (or the scheduler's idle
     heartbeat pump and select loop) can share the connection without
-    interleaving frames. ``codec`` is the *transmit* codec — receiving
-    is always magic-dispatched, so either side may upgrade the moment
+    interleaving frames. ``codec`` is the *transmit* codec — every
+    frame names its own codec, so either side may switch the moment
     negotiation completes without racing frames already in flight.
+    ``recv`` buffers a partial frame instead of waiting for the rest.
     """
 
-    __slots__ = ("sock", "codec", "bytes_in", "bytes_out", "_lock")
+    __slots__ = ("sock", "codec", "bytes_in", "bytes_out", "_lock",
+                 "_buf")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -292,6 +286,7 @@ class Channel:
         self.bytes_in = 0
         self.bytes_out = 0
         self._lock = threading.Lock()
+        self._buf = bytearray()
 
     def send(self, kind: str, payload: Optional[dict] = None) -> int:
         with self._lock:
@@ -299,10 +294,35 @@ class Channel:
         self.bytes_out += n
         return n
 
-    def recv(self) -> tuple[str, dict[str, Any]]:
-        kind, payload, n = recv_frame_sized(self.sock)
-        self.bytes_in += n
-        return kind, payload
+    def recv(self) -> list[tuple[str, dict[str, Any]]]:
+        """Read once and return the frames that read completed.
+
+        Call it when ``select`` reports the socket readable, so the
+        read returns at once; the list may be empty while a frame is
+        still arriving. Raises :class:`EOFError` when the peer closed
+        at a frame boundary, and :class:`ProtocolError` when it closed
+        mid-frame or sent a malformed frame (a bad header as soon as
+        its bytes are in).
+        """
+        chunk = self.sock.recv(_RECV_BYTES)
+        buf = self._buf
+        if not chunk:
+            if buf:
+                raise ProtocolError(
+                    f"connection closed mid-frame ({len(buf)} bytes "
+                    f"buffered)")
+            raise EOFError("connection closed")
+        self.bytes_in += len(chunk)
+        buf += chunk
+        frames = []
+        while len(buf) >= _HEADER.size:
+            codec_id, length = _parse_header(buf)
+            end = _HEADER.size + length
+            if len(buf) < end:
+                break
+            frames.append(_decode_body(codec_id, buf[_HEADER.size:end]))
+            del buf[:end]
+        return frames
 
     def close(self) -> None:
         try:

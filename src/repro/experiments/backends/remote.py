@@ -17,11 +17,14 @@ each worker holds up to ``slots + prefetch`` tasks — its advertised
 slot count actually executing, plus a primed queue that hides the
 dispatch round-trip, so a worker never idles waiting for the
 scheduler to notice a free slot. Results stream back as slots free
-up; the scheduler merges in task order, never completion order.
+up; the scheduler merges in task order, never completion order. The
+loop never blocks on one peer: a frame that arrives in pieces waits in
+its channel's buffer (:meth:`Channel.recv`), and a dial-in connection
+waits in the select set until its hello is complete — closed if that
+takes longer than ``connect_timeout_s``.
 
-Wire frames are CFW2 with per-channel compression negotiated at
-hello time (zstd where both sides have it, zlib otherwise; legacy
-CFW1 peers get uncompressed CFW1 frames for one release — see
+Wire frames carry per-channel compression negotiated at hello time
+(zstd where both sides have it, zlib otherwise — see
 :mod:`~repro.experiments.backends.protocol`). Task frames carry the
 task's content-address digest, and when the scheduler's store already
 holds the blob (possible only when cache reads are bypassed by an
@@ -29,12 +32,12 @@ attached obs context) the frame says so — the worker then answers
 with a hash-only ``cached`` frame and the scheduler serves the blob
 from its own store, so warm re-runs ship hashes instead of megabytes.
 
-Liveness is two-tier and now two-directional: a dead worker process
+Liveness is two-tier and two-directional: a dead worker process
 closes its socket (immediate EOF detection), a frozen-but-connected
-worker is declared dead when no frame — results *or* heartbeats —
-arrives within ``heartbeat_timeout_s``, and the scheduler itself
+worker — or one stalled mid-frame — is declared dead when no bytes at
+all arrive within ``heartbeat_timeout_s``, and the scheduler itself
 pulses every worker (a background pump thread, so the pulse continues
-between ``execute`` calls while the fabric idles) to arm the workers'
+between ``execute`` calls while the fabric idles) to feed the workers'
 scheduler-silence deadlines. Dead workers' in-flight tasks requeue
 through the ``worker-crash`` arm of the
 :class:`~repro.experiments.resilience.TaskFailure` taxonomy, exactly
@@ -82,7 +85,6 @@ import repro
 from repro import __version__
 from repro.experiments.backends.base import ExecutionBackend, SweepPlan
 from repro.experiments.backends.protocol import (
-    WIRE_REVISION,
     Channel,
     ProtocolError,
     available_codecs,
@@ -90,7 +92,6 @@ from repro.experiments.backends.protocol import (
     negotiate_codec,
     parse_addr,
     recv_frame,
-    send_frame,
 )
 
 #: Default pipelining depth: tasks queued on a worker beyond its
@@ -106,15 +107,13 @@ class RemoteFabricError(RuntimeError):
 class _Worker:
     """Scheduler-side state for one connected worker."""
 
-    __slots__ = ("channel", "id", "pid", "slots", "wire", "inflight",
-                 "last_seen")
+    __slots__ = ("channel", "id", "pid", "slots", "inflight", "last_seen")
 
     def __init__(self, channel: Channel, hello: dict):
         self.channel = channel
         self.id = str(hello.get("worker", "?"))
         self.pid = hello.get("pid")
         self.slots = max(1, int(hello.get("slots", 1)))
-        self.wire = int(hello.get("wire", 1))
         #: tid -> (task index, attempt, deadline or None)
         self.inflight: dict[int, tuple[int, int, Optional[float]]] = {}
         self.last_seen = time.monotonic()
@@ -159,6 +158,9 @@ class RemoteBackend(ExecutionBackend):
 
         self._listener: Optional[socket.socket] = None
         self._workers: dict[socket.socket, _Worker] = {}
+        #: Dial-ins awaiting their hello: socket -> (channel, peer
+        #: address, monotonic deadline).
+        self._joining: dict[socket.socket, tuple[Channel, str, float]] = {}
         self._procs: list[subprocess.Popen] = []
         self._tid = 0
         self._started = False
@@ -221,15 +223,15 @@ class RemoteBackend(ExecutionBackend):
                 raise RemoteFabricError(
                     f"only {joined}/{want_dial_ins} worker(s) joined "
                     f"within {self.connect_timeout_s}s")
-            readable, _, _ = select.select([self._listener], [], [],
-                                           min(0.2, remaining))
-            if readable and self._accept() is not None:
-                joined += 1
+            readable, _, _ = select.select(
+                [self._listener, *self._joining], [], [],
+                min(0.2, remaining))
+            joined += self._admit(readable)
         self._start_pump()
         self._started = True
 
     def _start_pump(self) -> None:
-        """Pulse every CFW2 worker so their scheduler-silence deadlines
+        """Pulse every worker so their scheduler-silence deadlines
         never trip while the fabric is healthy — including the idle
         stretches between ``execute`` calls, when no select loop runs."""
         if self._pump_thread is not None:
@@ -239,11 +241,10 @@ class RemoteBackend(ExecutionBackend):
         def pump() -> None:
             while not stop.wait(self.heartbeat_interval_s):
                 for worker in list(self._workers.values()):
-                    if worker.wire >= WIRE_REVISION:
-                        try:
-                            worker.channel.send("heartbeat")
-                        except OSError:
-                            pass  # the select loop will see the EOF
+                    try:
+                        worker.channel.send("heartbeat")
+                    except OSError:
+                        pass  # the select loop will see the EOF
 
         thread = threading.Thread(target=pump, daemon=True,
                                   name="fabric-heartbeat")
@@ -263,6 +264,9 @@ class RemoteBackend(ExecutionBackend):
                 pass
             self._retire_channel(worker.channel)
         self._workers.clear()
+        for channel, _where, _deadline in self._joining.values():
+            self._retire_channel(channel)
+        self._joining.clear()
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -328,66 +332,97 @@ class RemoteBackend(ExecutionBackend):
             self.close()
             raise RemoteFabricError(
                 f"cannot reach worker at {addr}: {exc}") from exc
-        self._register(sock, where=addr)
-
-    def _accept(self) -> Optional[_Worker]:
-        try:
-            sock, peer = self._listener.accept()
-        except OSError:
-            return None
-        return self._register(sock, where=format_addr(peer[:2]))
-
-    def _register(self, sock: socket.socket,
-                  where: str) -> Optional[_Worker]:
-        """Validate a new connection's hello and adopt the worker."""
-        sock.settimeout(self.connect_timeout_s)
         try:
             kind, hello = recv_frame(sock)
         except (EOFError, ProtocolError, OSError) as exc:
             sock.close()
             raise RemoteFabricError(
-                f"no hello from worker at {where}: {exc}") from exc
+                f"no hello from worker at {addr}: {exc}") from exc
+        self._register(Channel(sock), kind, hello, where=addr)
+
+    def _admit(self, readable) -> int:
+        """Accept dial-ins and read their hellos; returns how many
+        workers joined.
+
+        A new connection waits in :attr:`_joining` (and so in the
+        select set) until its hello is complete. One that closes, sends
+        a refused hello, or is still silent ``connect_timeout_s`` after
+        connecting is closed and skipped.
+        """
+        joined = 0
+        for sock in readable:
+            if sock is self._listener:
+                try:
+                    conn, peer = self._listener.accept()
+                except OSError:
+                    continue
+                self._joining[conn] = (
+                    Channel(conn), format_addr(peer[:2]),
+                    time.monotonic() + self.connect_timeout_s)
+                continue
+            if sock not in self._joining:
+                continue
+            channel, where, _deadline = self._joining[sock]
+            try:
+                frames = channel.recv()
+            except (EOFError, ProtocolError, OSError):
+                del self._joining[sock]
+                self._retire_channel(channel)
+                continue
+            if not frames:
+                continue  # hello still arriving
+            del self._joining[sock]
+            try:
+                self._register(channel, *frames[0], where=where)
+            except RemoteFabricError:
+                continue  # refuse the bad joiner, carry on
+            joined += 1
+        nowm = time.monotonic()
+        for sock, (channel, _where, deadline) in list(
+                self._joining.items()):
+            if nowm >= deadline:
+                del self._joining[sock]
+                self._retire_channel(channel)
+        return joined
+
+    def _register(self, channel: Channel, kind: str, hello: dict,
+                  where: str) -> None:
+        """Validate a new connection's hello, acknowledge it and adopt
+        the worker."""
         if kind != "hello":
-            sock.close()
+            self._retire_channel(channel)
             raise RemoteFabricError(
                 f"worker at {where} opened with {kind!r}, expected hello")
         if hello.get("version") != __version__:
             # A version-skewed worker would compute payloads the cache
             # material says belong to a different code version.
             try:
-                send_frame(sock, "bye")
+                channel.send("bye")
             except OSError:
                 pass
-            sock.close()
+            self._retire_channel(channel)
             raise RemoteFabricError(
                 f"worker {hello.get('worker')!r} at {where} runs version "
                 f"{hello.get('version')!r}, scheduler runs {__version__!r}")
+        sock = channel.sock
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        worker = _Worker(Channel(sock), hello)
-        if worker.wire >= WIRE_REVISION:
-            # CFW2 acknowledgement: settle the channel codec (both
-            # directions) and promise heartbeats, arming the worker's
-            # scheduler-silence deadline. Legacy CFW1 peers get no ack
-            # and keep an uncompressed, unpulsed channel for one
-            # release.
-            codec = negotiate_codec(self.compress,
-                                    hello.get("codecs", ()))
-            try:
-                worker.channel.send("hello", {
-                    "wire": WIRE_REVISION,
-                    "codec": codec,
-                    "codecs": available_codecs(),
-                    "heartbeat_s": self.heartbeat_interval_s,
-                })
-            except OSError as exc:
-                self._retire_channel(worker.channel)
-                raise RemoteFabricError(
-                    f"worker at {where} dropped the connection during "
-                    f"negotiation: {exc}") from exc
-            worker.channel.codec = codec
-        self._workers[sock] = worker
-        return worker
+        # The acknowledgement settles the channel codec (both
+        # directions) and promises the scheduler's heartbeat interval.
+        codec = negotiate_codec(self.compress, hello.get("codecs", ()))
+        try:
+            channel.send("hello", {
+                "codec": codec,
+                "codecs": available_codecs(),
+                "heartbeat_s": self.heartbeat_interval_s,
+            })
+        except OSError as exc:
+            self._retire_channel(channel)
+            raise RemoteFabricError(
+                f"worker at {where} dropped the connection during "
+                f"negotiation: {exc}") from exc
+        channel.codec = codec
+        self._workers[sock] = _Worker(channel, hello)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -462,17 +497,21 @@ class RemoteBackend(ExecutionBackend):
         def inflight_total() -> int:
             return sum(len(w.inflight) for w in self._workers.values())
 
-        def handle_frame(worker: _Worker) -> None:
+        def handle_readable(worker: _Worker) -> None:
             try:
-                kind, payload = worker.channel.recv()
+                frames = worker.channel.recv()
             except (EOFError, ProtocolError, OSError):
                 drop_worker(worker, "died (connection lost)")
                 return
+            # Any bytes count as life: a large frame arriving slowly
+            # keeps its worker, one stalled mid-frame does not.
             worker.last_seen = time.monotonic()
-            if kind == "heartbeat":
-                return
+            for kind, payload in frames:
+                handle_frame(worker, kind, payload)
+
+        def handle_frame(worker: _Worker, kind: str, payload: dict) -> None:
             if kind not in ("result", "error", "cached"):
-                return
+                return  # heartbeat / unknown kinds
             entry = worker.inflight.pop(payload.get("tid"), None)
             if entry is None:  # reply for a task we already requeued
                 return
@@ -537,23 +576,18 @@ class RemoteBackend(ExecutionBackend):
                     if deadlines:
                         timeout = min(timeout, max(
                             0.0, min(deadlines) - time.monotonic()))
-                rlist = list(self._workers)
+                rlist = [*self._workers, *self._joining]
                 if self._listener is not None:
                     rlist.append(self._listener)
                 readable, _, _ = select.select(rlist, [], [], timeout)
 
                 for sock in readable:
-                    if sock is self._listener:
-                        try:
-                            worker = self._accept()
-                        except RemoteFabricError:
-                            worker = None  # reject bad joiner, carry on
-                        if worker is not None:
-                            plan.stats["workers_joined"] += 1
-                        continue
                     worker = self._workers.get(sock)
                     if worker is not None:
-                        handle_frame(worker)
+                        handle_readable(worker)
+                # Joiners after workers: one adopted here has already
+                # had this round's read.
+                plan.stats["workers_joined"] += self._admit(readable)
 
                 nowm = time.monotonic()
                 if cfg.timeout_s:

@@ -46,15 +46,15 @@ trace events).
 
 **Liveness, both directions.** A background thread heartbeats
 worker → scheduler so the scheduler can tell "busy with a long task"
-from "frozen". Since CFW2 the scheduler pulses back: its hello
-acknowledgement promises a heartbeat interval, which arms the
-worker's *scheduler-silence deadline* — if no frame at all arrives
-within ``scheduler_timeout_s`` the worker declares the scheduler dead,
-abandons the connection and (under ``--listen``) returns to accepting
-instead of hanging on a socket whose peer vanished without a FIN. The
-deadline is only armed by the acknowledgement, so a legacy CFW1
-scheduler that goes quiet while waiting for results is never
-false-dropped.
+from "frozen". The scheduler pulses back (its hello acknowledgement
+names the interval), which feeds the worker's *scheduler-silence
+deadline*: it runs from the moment the connection opens, and if no
+bytes at all arrive within ``scheduler_timeout_s`` the worker declares
+the scheduler dead, abandons the connection and (under ``--listen``)
+returns to accepting — instead of hanging on a socket whose peer
+vanished without a FIN, stalled mid-frame, or connected and never
+spoke. Frames are read through :meth:`Channel.recv`, which buffers a
+partial frame, so the select loop never blocks on one.
 
 A task that raises is reported as an ``error`` frame (the scheduler
 maps it onto the ``exception`` failure kind and retries elsewhere); a
@@ -79,7 +79,6 @@ from typing import Optional
 from repro import __version__
 from repro.experiments.backends.base import execute_task
 from repro.experiments.backends.protocol import (
-    WIRE_REVISION,
     Channel,
     ProtocolError,
     available_codecs,
@@ -96,9 +95,9 @@ DEFAULT_HEARTBEAT_S = 2.0
 #: How long a dialing worker keeps retrying an unreachable scheduler.
 DEFAULT_DIAL_RETRY_S = 15.0
 
-#: Scheduler-silence deadline: armed once the scheduler's hello
-#: acknowledgement promises heartbeats, tripped when no frame of any
-#: kind arrives for this long.
+#: Scheduler-silence deadline: tripped when no bytes arrive from the
+#: scheduler for this long, counted from the moment the connection
+#: opens.
 DEFAULT_SCHEDULER_TIMEOUT_S = 30.0
 
 #: Reconnect backoff (``--reconnect``): first delay, doubling per
@@ -156,7 +155,6 @@ def serve_connection(sock: socket.socket, worker_id: str,
         "pid": os.getpid(),
         "version": __version__,
         "slots": slots,
-        "wire": WIRE_REVISION,
         "codecs": (available_codecs()
                    if compress not in (None, "none") else ()),
     })
@@ -174,8 +172,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
 
     pool = PoolManager(slots) if slots > 1 else None
     inflight: dict = {}  # future -> task frame payload
-    acked = False  # scheduler sent a CFW2 hello-ack (it will pulse)
-    last_frame = time.monotonic()
+    last_heard = time.monotonic()
 
     def reply(payload: dict) -> Optional[tuple[str, dict]]:
         """Resolve a task frame without executing, if possible."""
@@ -238,25 +235,32 @@ def serve_connection(sock: socket.socket, worker_id: str,
         while True:
             if pool is not None and inflight:
                 pump_pool()
-            timeout = 0.05 if inflight else (0.25 if acked else 1.0)
+            timeout = 0.05 if inflight else 0.25
             try:
                 readable, _, _ = select.select([sock], [], [], timeout)
             except OSError:
                 return "eof"
-            if readable:
-                try:
-                    kind, payload = channel.recv()
-                except (EOFError, ProtocolError, OSError):
-                    return "eof"
-                last_frame = time.monotonic()
+            if not readable:
+                # Checked only after a wait that heard nothing: bytes
+                # that queued while tasks ran are not silence.
+                if (scheduler_timeout_s
+                        and time.monotonic() - last_heard
+                        > scheduler_timeout_s):
+                    return "silent"
+                continue
+            try:
+                frames = channel.recv()
+            except (EOFError, ProtocolError, OSError):
+                return "eof"
+            last_heard = time.monotonic()
+            for kind, payload in frames:
                 if kind == "bye":
                     return "bye"
                 if kind == "hello":
-                    # CFW2 acknowledgement: adopt the negotiated
-                    # transmit codec and arm the silence deadline.
+                    # The acknowledgement: adopt the negotiated
+                    # transmit codec.
                     channel.codec = negotiate_codec(
                         compress, (payload.get("codec"),))
-                    acked = True
                     continue
                 if kind != "task":
                     continue  # heartbeat / future frame kinds
@@ -270,10 +274,6 @@ def serve_connection(sock: socket.socket, worker_id: str,
                     )] = payload
                 else:
                     channel.send(*_run_task(payload, finish))
-            if (acked and scheduler_timeout_s
-                    and time.monotonic() - last_frame
-                    > scheduler_timeout_s):
-                return "silent"
     except OSError:
         return "eof"
     finally:

@@ -1,26 +1,23 @@
 """Unified execution configuration for the sweep engine.
 
-:class:`RunConfig` collapses the ``jobs / cache / cache_dir /
-resilience / resume`` keyword sprawl that used to thread through
-:func:`~repro.experiments.parallel.run_spec`,
+:class:`RunConfig` is the one frozen value object that carries how a
+sweep executes — backend, parallelism, cache, resilience and resume —
+into :func:`~repro.experiments.parallel.run_spec`,
+:func:`~repro.experiments.parallel.run_named`,
 :func:`~repro.experiments.runner.run_results`,
 :func:`~repro.experiments.runner.run_experiment` and
-:func:`~repro.experiments.runner.run_all` into one frozen value object,
-and adds the execution-backend selection the distributed fabric needs::
+:func:`~repro.experiments.runner.run_all`::
 
     run_spec(spec, scale, seed, config=RunConfig(jobs=4, cache_dir=...))
     run_spec(spec, scale, seed,
              config=RunConfig(backend="remote", launch=2))
 
-The legacy keyword arguments still work for one release through
-:func:`coerce_config`, which emits exactly one :class:`DeprecationWarning`
-per call site and builds the equivalent :class:`RunConfig`.
-
-Validation happens in one place — :meth:`RunConfig.__post_init__` — so
-every entry point (library keywords, ``RunConfig.from_args`` on a parsed
-CLI namespace, direct construction) rejects bad combinations with the
-same message: negative ``jobs``, ``resume`` without a cache, an unknown
-backend name, or a remote backend with no way to reach workers.
+Each entry point reads ``config=None`` as ``RunConfig()``. Validation
+happens in one place — :meth:`RunConfig.__post_init__` — so direct
+construction and ``RunConfig.from_args`` on a parsed CLI namespace
+reject bad combinations with the same message: negative ``jobs``,
+``resume`` without a cache, an unknown backend name, or a remote
+backend with no way to reach workers.
 
 ``jobs`` semantics (documented here once, enforced by
 :func:`resolve_jobs`): ``None`` and ``0`` both mean "use every core
@@ -31,7 +28,6 @@ negative values are rejected.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -42,24 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.backends.base import ExecutionBackend
 
 
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-#: Default for the deprecated legacy keywords on ``run_spec`` and friends.
-_UNSET = _Unset()
-
 #: Accepted ``backend=`` names (``"auto"`` picks inline for one worker,
 #: pool otherwise).
 BACKEND_NAMES = ("auto", "inline", "pool", "remote")
 
 #: Accepted ``compress=`` policies for the remote fabric's wire
 #: frames. ``"auto"`` negotiates the best codec both peers support
-#: (zstd where installed, zlib otherwise); ``"none"`` keeps legacy
-#: uncompressed CFW1 frames.
+#: (zstd where installed, zlib otherwise); ``"none"`` sends every
+#: frame raw (codec 0).
 COMPRESS_NAMES = ("auto", "none", "zlib", "zstd")
 
 
@@ -278,32 +264,3 @@ class RunConfig:
                       else args.prefetch),
             compress=getattr(args, "compress", "auto") or "auto",
         )
-
-
-def coerce_config(config: Optional[RunConfig], *, stacklevel: int = 3,
-                  **legacy) -> RunConfig:
-    """Resolve a ``config=`` argument against deprecated legacy kwargs.
-
-    ``legacy`` values equal to :data:`_UNSET` were not passed. Passing
-    both a config and legacy keywords is an error; passing only legacy
-    keywords emits exactly one :class:`DeprecationWarning` (per call)
-    and builds the equivalent :class:`RunConfig`.
-    """
-    given = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if config is not None:
-        if given:
-            raise TypeError(
-                "pass execution options either through config=RunConfig(...) "
-                f"or the deprecated keywords ({', '.join(sorted(given))}), "
-                "not both")
-        return config
-    if not given:
-        return RunConfig()
-    warnings.warn(
-        "the jobs=/cache=/cache_dir=/resilience=/resume= keyword "
-        "arguments are deprecated; pass config=RunConfig(backend=..., "
-        "jobs=..., cache=..., resilience=..., resume=...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    if given.get("resume") is None:
-        given["resume"] = False
-    return RunConfig(**given)

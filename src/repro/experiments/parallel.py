@@ -48,10 +48,6 @@ are content-addressed, not backend-addressed. Harness-level telemetry
 ``harness.workers_lost``, ...) is emitted to the ambient
 :mod:`repro.obs` context and deliberately kept *out* of the merged
 :class:`RunResult` metrics, which stay inside the determinism envelope.
-
-The pre-``RunConfig`` keyword arguments (``jobs=``, ``cache=``,
-``resilience=``, ``resume=``) still work for one release and emit a
-single :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -67,14 +63,9 @@ from repro.experiments.api import (
     now,
     series_digest,
 )
-from repro.experiments.backends.base import SweepPlan, execute_task  # noqa: F401 (re-export)
+from repro.experiments.backends.base import SweepPlan
 from repro.experiments.cache import material_digest
-from repro.experiments.config import (
-    _UNSET,
-    RunConfig,
-    coerce_config,
-    resolve_jobs,  # noqa: F401 (re-export; canonical home is config)
-)
+from repro.experiments.config import RunConfig
 from repro.experiments.resilience import (
     RunJournal,
     SweepFailure,
@@ -99,26 +90,19 @@ def run_spec(
     *,
     config: Optional[RunConfig] = None,
     obs: Optional["obs_mod.Observability"] = None,
-    jobs=_UNSET,
-    cache=_UNSET,
-    resilience=_UNSET,
-    resume=_UNSET,
 ) -> RunResult:
     """Execute one experiment spec and merge its tasks deterministically.
 
     ``config`` selects the backend, parallelism, cache and resilience
-    policy (default: :class:`RunConfig`'s defaults — inline execution,
+    policy (``None``: :class:`RunConfig`'s defaults — inline execution,
     no cache). ``resume=True`` on the config requires a cache and
     replays the run's journal so only tasks not checkpointed by an
     earlier (killed) invocation execute; the final result is
     byte-identical to an uninterrupted run on any backend.
-
-    ``jobs=`` / ``cache=`` / ``resilience=`` / ``resume=`` keywords are
-    deprecated shims for the same fields on :class:`RunConfig`.
     """
     t_run = now()
-    config = coerce_config(config, jobs=jobs, cache=cache,
-                           resilience=resilience, resume=resume)
+    if config is None:
+        config = RunConfig()
     cfg = config.resolved_resilience
     cache = config.cache
     resume = config.resume
@@ -287,13 +271,7 @@ def run_named(
     *,
     config: Optional[RunConfig] = None,
     obs: Optional["obs_mod.Observability"] = None,
-    jobs=_UNSET,
-    cache=_UNSET,
-    resilience=_UNSET,
-    resume=_UNSET,
 ) -> RunResult:
     """:func:`run_spec` by exact experiment key."""
     from repro.experiments.specs import get_spec
-    config = coerce_config(config, jobs=jobs, cache=cache,
-                           resilience=resilience, resume=resume)
     return run_spec(get_spec(name), scale, seed, config=config, obs=obs)

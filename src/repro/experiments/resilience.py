@@ -20,8 +20,8 @@ produces the paper's figures the same discipline. The pieces:
   :class:`~repro.experiments.cache.ResultCache` that checkpoints every
   completed task by its content-addressed digest (each record is
   flushed and fsynced, so a crash can tear at most the final line).
-  ``run_spec(..., resume=True)`` replays the journal against the cache
-  and executes only the remaining tasks;
+  ``run_spec(..., config=RunConfig(resume=True, ...))`` replays the
+  journal against the cache and executes only the remaining tasks;
 * :class:`PoolManager` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   wrapper that transparently rebuilds the pool after
   ``BrokenProcessPool`` (a SIGKILLed worker) and terminates hung

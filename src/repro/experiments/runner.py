@@ -1,51 +1,33 @@
-"""One-stop experiment runner (back-compat shims over the typed API).
+"""One-stop experiment runner over the typed spec registry.
 
-The experiment catalogue now lives in typed
+The experiment catalogue lives in typed
 :class:`~repro.experiments.api.ExperimentSpec` entries
-(:mod:`repro.experiments.specs`) executed by the backend-agnostic sweep
-scheduler (:mod:`repro.experiments.parallel`). This module keeps the
-historical surface alive:
+(:data:`repro.experiments.specs.SPECS`) executed by the
+backend-agnostic sweep scheduler (:mod:`repro.experiments.parallel`).
+This module resolves user-facing names onto those keys and runs them:
 
-* :data:`EXPERIMENTS` — **deprecated**: the old bare-callable registry,
-  kept as thin shims; iterate :data:`repro.experiments.specs.SPECS` (or
-  call :func:`repro.experiments.parallel.run_named`) instead to get
-  typed results with metrics, digests and caching.
-* :func:`run_experiment` / :func:`run_all` — same signatures and return
-  types as before. Execution options are one
-  :class:`~repro.experiments.config.RunConfig` (``config=RunConfig(
-  backend=..., jobs=..., cache=..., resilience=..., resume=...)``); the
-  pre-RunConfig keyword sprawl (``jobs=``, ``cache_dir=``, ``cache=``,
-  ``resilience=``, ``resume=``) still works for one release and emits a
-  single :class:`DeprecationWarning` per call.
+* :func:`resolve_experiments` — an exact key, or a whole-figure prefix
+  (``"fig8"`` → ``fig8a``, ``fig8b``);
+* :func:`run_results` — typed :class:`RunResult` per key (what the CLI
+  uses);
+* :func:`run_experiment` / :func:`run_all` — the plotted
+  :class:`FigureSeries` only.
+
+Execution options are one :class:`~repro.experiments.config.RunConfig`
+passed as ``config=`` (``None`` = ``RunConfig()``).
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Optional
+from typing import Optional
 
 import repro.obs as obs_mod
 from repro.experiments.api import RunResult
-from repro.experiments.config import _UNSET, RunConfig, coerce_config
+from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_spec
 from repro.experiments.specs import SPECS, get_spec
 from repro.metrics.series import FigureSeries
-
-
-def _legacy_entry(name: str) -> Callable[[float, int], list[FigureSeries]]:
-    def _run(scale: float, seed: int) -> list[FigureSeries]:
-        return run_spec(get_spec(name), scale, seed).series
-    _run.__name__ = f"run_{name}"
-    _run.__doc__ = (f"Deprecated shim for {name!r}; use "
-                    f"repro.experiments.parallel.run_named instead.")
-    return _run
-
-
-#: **Deprecated** bare-callable registry, preserved for callers of the
-#: pre-spec API. Prefer :data:`repro.experiments.specs.SPECS`.
-EXPERIMENTS: dict[str, Callable[[float, int], list[FigureSeries]]] = {
-    name: _legacy_entry(name) for name in SPECS
-}
 
 
 def resolve_experiments(name: str) -> list[str]:
@@ -56,16 +38,16 @@ def resolve_experiments(name: str) -> list[str]:
     else — including ambiguous numeric prefixes like ``"fig1"``, which
     used to silently expand to fig10+fig11 — raises with suggestions.
     """
-    if name in EXPERIMENTS:
+    if name in SPECS:
         return [name]
     panels = sorted(
-        k for k in EXPERIMENTS
+        k for k in SPECS
         if len(k) == len(name) + 1 and k.startswith(name)
         and k[-1].isalpha()
     )
     if panels:
         return panels
-    candidates = sorted(EXPERIMENTS)
+    candidates = sorted(SPECS)
     suggestions = difflib.get_close_matches(name, candidates, n=3,
                                             cutoff=0.4)
     suggestions.extend(k for k in candidates
@@ -82,11 +64,6 @@ def run_results(
     obs: Optional["obs_mod.Observability"] = None,
     *,
     config: Optional[RunConfig] = None,
-    jobs=_UNSET,
-    cache_dir=_UNSET,
-    cache=_UNSET,
-    resilience=_UNSET,
-    resume=_UNSET,
 ) -> dict[str, RunResult]:
     """Run ``name`` (exact key or whole-figure prefix) and return the
     full typed :class:`RunResult` per experiment key.
@@ -97,9 +74,6 @@ def run_results(
     for partial results. All experiment keys share ``config``'s cache
     and backend (a remote fabric's workers serve every key).
     """
-    config = coerce_config(config, jobs=jobs, cache_dir=cache_dir,
-                           cache=cache, resilience=resilience,
-                           resume=resume)
     keys = resolve_experiments(name)
     results: dict[str, RunResult] = {}
     for key in keys:
@@ -115,13 +89,8 @@ def run_experiment(
     obs: Optional["obs_mod.Observability"] = None,
     *,
     config: Optional[RunConfig] = None,
-    jobs=_UNSET,
-    cache_dir=_UNSET,
-    cache=_UNSET,
-    resilience=_UNSET,
-    resume=_UNSET,
 ) -> list[FigureSeries]:
-    """Regenerate one figure's data; ``name`` is a key of ``EXPERIMENTS``
+    """Regenerate one figure's data; ``name`` is a key of ``SPECS``
     or a whole-figure prefix (``"fig8"`` runs fig8a + fig8b).
 
     With ``obs`` given, it is installed as the run's observability
@@ -130,13 +99,8 @@ def run_experiment(
     snapshots, and any attached invariant checkers validate the event
     stream. ``config`` picks the execution backend, parallelism, cache
     and resilience policy; the result (series, digests, metrics) is
-    byte-identical whichever backend runs it. The legacy ``jobs=`` /
-    ``cache_dir=`` / ``cache=`` / ``resilience=`` / ``resume=`` keywords
-    still work and emit one :class:`DeprecationWarning`.
+    byte-identical whichever backend runs it.
     """
-    config = coerce_config(config, jobs=jobs, cache_dir=cache_dir,
-                           cache=cache, resilience=resilience,
-                           resume=resume)
     results = run_results(name, scale, seed, obs, config=config)
     series: list[FigureSeries] = []
     for result in results.values():
@@ -148,17 +112,9 @@ def run_all(
     scale: float = 0.1, seed: int = 42,
     *,
     config: Optional[RunConfig] = None,
-    jobs=_UNSET,
-    cache_dir=_UNSET,
-    cache=_UNSET,
-    resilience=_UNSET,
-    resume=_UNSET,
 ) -> dict[str, list[FigureSeries]]:
     """Regenerate every figure's data (optionally parallel and cached)."""
-    config = coerce_config(config, jobs=jobs, cache_dir=cache_dir,
-                           cache=cache, resilience=resilience,
-                           resume=resume)
     return {
         name: run_experiment(name, scale, seed, config=config)
-        for name in EXPERIMENTS
+        for name in SPECS
     }

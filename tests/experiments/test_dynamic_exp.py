@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.infrastructure import SessionConfig, SystemVariant
+from repro.dynamics.plan import DiurnalLoad, DynamicsPlan
 from repro.experiments.dynamic import DynamicSimulation, run_dynamic
 from repro.experiments.scenarios import peersim_scenario
+
+
+def diurnal_plan(horizon_s):
+    """One evening-peaked day compressed into the horizon."""
+    return DynamicsPlan(sources=(DiurnalLoad(day_length_s=horizon_s),))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +83,7 @@ class TestDynamicRun:
         horizon (afternoon/evening) sees more joins than the front
         (night/morning trough sits in the first half)."""
         sim = DynamicSimulation(pop, SystemVariant.CLOUDFOG_B,
-                                horizon_s=60.0, diurnal=True)
+                                horizon_s=60.0, plan=diurnal_plan(60.0))
         res = sim.run()
         assert res.joins > 0
         # Peak hour 20:00 maps to t = 50 s of 60; online count near the
@@ -87,7 +93,7 @@ class TestDynamicRun:
     def test_diurnal_same_daily_volume(self, pop):
         flat = run_dynamic(pop, SystemVariant.CLOUDFOG_B, horizon_s=60.0)
         sim = DynamicSimulation(pop, SystemVariant.CLOUDFOG_B,
-                                horizon_s=60.0, diurnal=True)
+                                horizon_s=60.0, plan=diurnal_plan(60.0))
         diurnal = sim.run()
         # Thinning preserves the daily average rate (Poisson noise aside).
         assert diurnal.joins == pytest.approx(flat.joins, rel=0.5)

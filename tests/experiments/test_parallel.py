@@ -13,7 +13,6 @@ from repro.experiments.api import ExperimentSpec, RunResult, SweepTask
 from repro.experiments.cache import ResultCache, material_digest
 from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_named, run_spec
-from repro.experiments.runner import EXPERIMENTS
 from repro.experiments.specs import SPECS, TASK_RUNNERS, get_spec
 from repro.metrics.series import FigureSeries
 from repro.obs import Observability, TraceRecorder, default_checkers
@@ -27,9 +26,6 @@ def series_dicts(result: RunResult) -> list[dict]:
 
 
 class TestSpecRegistry:
-    def test_specs_cover_legacy_registry(self):
-        assert set(SPECS) == set(EXPERIMENTS)
-
     def test_specs_are_typed(self):
         for spec in SPECS.values():
             assert isinstance(spec, ExperimentSpec)
@@ -92,11 +88,6 @@ class TestParallelEqualsSerial:
     def test_metrics_identical(self, runs, name):
         serial, parallel = runs(name)
         assert serial.metrics == parallel.metrics
-
-    def test_matches_legacy_registry_entry(self, runs, name):
-        serial, _ = runs(name)
-        legacy = EXPERIMENTS[name](SCALE, SEED)
-        assert series_dicts(serial) == [s.to_dict() for s in legacy]
 
 
 class TestTracedParallelEqualsSerial:

@@ -8,8 +8,10 @@ results versus inline execution, and recovery (requeue through the
 """
 
 import os
+import pickle
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -20,7 +22,6 @@ import pytest
 from repro import __version__
 from repro.experiments import RunConfig, run_named
 from repro.experiments.api import ExperimentSpec, SweepTask
-from repro.experiments.backends.base import execute_task
 from repro.experiments.backends.protocol import (
     COMPRESS_MIN_BYTES,
     Channel,
@@ -64,6 +65,43 @@ def clean_params(n=6):
     return [{"index": i, "value": float(i * 3)} for i in range(n)]
 
 
+def run_bounded(fn, timeout_s=30.0):
+    """Run ``fn`` in a thread; fail (instead of hanging the suite) if
+    it is still running after ``timeout_s``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised in the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"still blocked after {timeout_s}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def listening_worker(*args):
+    """Start a ``cloudfog worker --listen`` daemon on an ephemeral port;
+    returns the process and the address it printed."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker",
+         "--listen", "127.0.0.1:0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    line = proc.stdout.readline()
+    match = re.search(r"listening on (\S+)", line)
+    if not match:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        pytest.fail(f"no address line from worker: {line!r}")
+    return proc, match.group(1)
+
+
 class TestProtocol:
     def test_parse_and_format_addr(self):
         assert parse_addr("10.0.0.7:781") == ("10.0.0.7", 781)
@@ -86,7 +124,7 @@ class TestProtocol:
     def test_negotiate_codec(self):
         assert "zlib" in available_codecs()
         assert negotiate_codec("auto", ("zlib",)) == "zlib"
-        assert negotiate_codec("auto", ()) is None  # CFW1 peer
+        assert negotiate_codec("auto", ()) is None  # peer sends raw
         assert negotiate_codec("none", ("zlib",)) is None
         assert negotiate_codec(None, ("zlib",)) is None
         assert negotiate_codec("zlib", ("zstd", "zlib")) == "zlib"
@@ -98,7 +136,7 @@ class TestProtocol:
         try:
             payload = {"blob": "x" * (COMPRESS_MIN_BYTES * 8)}
             n2 = send_frame(a, "result", payload, codec="zlib")
-            n1 = send_frame(a, "result", payload)  # CFW1, uncompressed
+            n1 = send_frame(a, "result", payload)  # raw (codec 0)
             assert n2 < n1  # the compressible payload actually shrank
             assert recv_frame(b) == ("result", payload)
             assert recv_frame(b) == ("result", payload)
@@ -109,11 +147,11 @@ class TestProtocol:
     def test_small_frames_ship_raw_on_compressed_channel(self):
         a, b = socket.socketpair()
         try:
-            # Below COMPRESS_MIN_BYTES the CFW2 frame is raw: exactly
-            # one byte (the codec id) larger than its CFW1 twin.
+            # Below COMPRESS_MIN_BYTES a frame on a compressed channel
+            # is raw: byte for byte the frame an uncompressed one sends.
             n2 = send_frame(a, "heartbeat", codec="zlib")
             n1 = send_frame(a, "heartbeat")
-            assert n2 == n1 + 1
+            assert n2 == n1
             assert recv_frame(b) == ("heartbeat", {})
             assert recv_frame(b) == ("heartbeat", {})
         finally:
@@ -138,7 +176,7 @@ class TestProtocol:
         try:
             tx.codec = "zlib"
             sent = tx.send("task", {"data": "y" * 4096})
-            assert rx.recv() == ("task", {"data": "y" * 4096})
+            assert rx.recv() == [("task", {"data": "y" * 4096})]
             assert tx.bytes_out == sent == rx.bytes_in
             assert sent < 4096  # compressed on the wire
         finally:
@@ -268,41 +306,93 @@ class TestWorkerLoss:
         # A connected-but-frozen peer: says hello, accepts tasks, then
         # never sends another frame. The scheduler must declare it dead
         # after heartbeat_timeout_s and requeue its task elsewhere.
+        self._assert_frozen_peer_dropped(mid_frame=False)
+
+    def test_mid_frame_worker_is_dropped_on_heartbeat_timeout(self):
+        # The same, but the peer writes 6 of a frame header's 9 bytes
+        # after its first task and stops: the scheduler must not block
+        # on the half-sent frame.
+        self._assert_frozen_peer_dropped(mid_frame=True)
+
+    def _assert_frozen_peer_dropped(self, mid_frame):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.bind(("127.0.0.1", 0))
         srv.listen(1)
         addr = format_addr(srv.getsockname()[:2])
+        release = threading.Event()
 
-        def silent_peer():
+        def frozen_peer():
             sock, _ = srv.accept()
             with sock:
                 send_frame(sock, "hello", {"worker": "frozen", "pid": 0,
                                            "version": __version__,
                                            "slots": 1})
                 try:
+                    while recv_frame(sock)[0] != "task":
+                        pass
+                    if mid_frame:
+                        sock.sendall(b"CFW2\x00\x00")  # 6 of 9 bytes
+                        release.wait(60)
+                        return
                     while recv_frame(sock):
                         pass  # swallow tasks, never reply
                 except (EOFError, ProtocolError, OSError):
                     pass
 
-        thread = threading.Thread(target=silent_peer, daemon=True)
+        thread = threading.Thread(target=frozen_peer, daemon=True)
         thread.start()
         backend = RemoteBackend(
             workers=(addr,), launch=1, launcher=FAST_LAUNCHER,
             heartbeat_timeout_s=1.0, poll_interval_s=0.02)
         clean = run_spec(probe_spec(clean_params()), SCALE, SEED)
-        t0 = time.monotonic()
-        with RunConfig(
-                backend=backend,
-                resilience=ResilienceConfig(max_retries=2,
-                                            backoff_base_s=0.01)) as cfg:
-            result = run_spec(probe_spec(clean_params()), SCALE, SEED,
-                              config=cfg)
-        srv.close()
+
+        def sweep():
+            with RunConfig(
+                    backend=backend,
+                    resilience=ResilienceConfig(
+                        max_retries=2, backoff_base_s=0.01)) as cfg:
+                return run_spec(probe_spec(clean_params()), SCALE, SEED,
+                                config=cfg)
+
+        try:
+            result = run_bounded(sweep)
+        finally:
+            release.set()
+            srv.close()
         assert result.ok
         assert result.tasks_retried >= 1
         assert result.digest == clean.digest
-        assert time.monotonic() - t0 < 30
+
+    def test_silent_dial_in_does_not_stall_the_sweep(self):
+        # Half a second into a sweep, a client connects to the
+        # scheduler's listener and never speaks. It must wait in the
+        # select set while the launched workers carry on: a blocking
+        # hello read would age both past the 3 s heartbeat deadline.
+        backend = RemoteBackend(launch=2, connect_timeout_s=6.0,
+                                heartbeat_timeout_s=3.0,
+                                poll_interval_s=0.02)
+        # sleep_s shapes timing only; the payloads match the clean run.
+        params = [dict(p, sleep_s=0.5) for p in clean_params(8)]
+        clean = run_spec(probe_spec(clean_params(8)), SCALE, SEED)
+        probes = []
+        obs = Observability()
+        with RunConfig(backend=backend) as cfg:
+            backend.start()
+            timer = threading.Timer(0.5, lambda: probes.append(
+                socket.create_connection(
+                    parse_addr(backend.bound_address))))
+            timer.start()
+            try:
+                result = run_bounded(lambda: run_spec(
+                    probe_spec(params), SCALE, SEED, config=cfg, obs=obs))
+            finally:
+                timer.join(5)
+                for probe in probes:
+                    probe.close()
+        assert probes, "the silent client never connected"
+        assert result.ok
+        assert result.digest == clean.digest
+        assert "harness.workers_lost" not in obs.metrics.snapshot()
 
     def test_slot_crash_requeues_without_losing_daemon(self, tmp_path):
         # Task 2 SIGKILLs its *slot process* inside a 2-slot worker.
@@ -407,55 +497,73 @@ class TestThroughputFabric:
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
 
-    def test_mixed_wire_revision_fabric_matches_inline(self):
-        # A hand-rolled CFW1 peer (no ``wire`` in its hello, speaks
-        # only uncompressed legacy frames) serving alongside a launched
-        # CFW2 worker under a compressing scheduler. Both must receive
-        # frames they understand and the merged run must stay
-        # byte-identical to inline.
+    def test_cfw1_peer_is_refused_at_its_first_frame(self):
+        # A worker from before the single-revision protocol opens with
+        # a CFW1 frame (b"CFW1" + >I length + pickle). Its version
+        # string matches, so only the framing can turn it away.
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.bind(("127.0.0.1", 0))
         srv.listen(1)
         addr = format_addr(srv.getsockname()[:2])
-        served: list[int] = []
 
         def legacy_peer():
             sock, _ = srv.accept()
             with sock:
-                send_frame(sock, "hello", {"worker": "legacy", "pid": 0,
-                                           "version": __version__})
+                sock.settimeout(10)
+                blob = pickle.dumps(("hello", {"worker": "legacy",
+                                               "pid": 0,
+                                               "version": __version__}))
+                sock.sendall(b"CFW1" + struct.pack(">I", len(blob)) + blob)
                 try:
-                    while True:
-                        kind, payload = recv_frame(sock)
-                        if kind == "bye":
-                            return
-                        if kind != "task":
-                            continue
-                        out = execute_task(
-                            payload["task"], payload["scale"],
-                            payload["seed"],
-                            payload.get("capture", False))
-                        send_frame(sock, "result",
-                                   {"tid": payload["tid"],
-                                    "index": payload["index"],
-                                    "payload": out})
-                        served.append(payload["index"])
-                except (EOFError, ProtocolError, OSError):
-                    return
+                    sock.recv(1)  # until the scheduler hangs up
+                except OSError:
+                    pass
 
         thread = threading.Thread(target=legacy_peer, daemon=True)
         thread.start()
-        inline = run_named("fig5a", SCALE, SEED)
-        backend = RemoteBackend(workers=(addr,), launch=1,
-                                compress="auto")
+        backend = RemoteBackend(workers=(addr,))
         try:
-            with RunConfig(backend=backend) as cfg:
-                remote = run_named("fig5a", SCALE, SEED, config=cfg)
+            with pytest.raises(RemoteFabricError,
+                               match="bad frame magic b'CFW1'"):
+                backend.start()
         finally:
+            backend.close()
             srv.close()
+        thread.join(10)
+        assert not thread.is_alive()
+
+    def test_mixed_codec_fabric_matches_inline(self, tmp_path):
+        # A raw-framed daemon (--compress none) dialed beside a launched
+        # compressing worker under a compress="auto" scheduler: each
+        # channel keeps its own codec, and the merged run must stay
+        # byte-identical to inline. Each worker banks what it computed
+        # in its own --cache-dir, which shows both served tasks.
+        raw_cache, auto_cache = tmp_path / "raw", tmp_path / "auto"
+        proc, addr = listening_worker("--id", "raw", "--compress", "none",
+                                      "--cache-dir", str(raw_cache))
+        try:
+            inline = run_named("fig5a", SCALE, SEED)
+            backend = RemoteBackend(
+                workers=(addr,), launch=1, compress="auto",
+                launcher=(f"{sys.executable} -m repro.cli worker "
+                          f"--connect {{addr}} --cache-dir {auto_cache}"))
+            with RunConfig(backend=backend,
+                           cache_dir=str(tmp_path / "store")) as cfg:
+                remote = run_named("fig5a", SCALE, SEED, config=cfg)
+                codecs = sorted(str(w.channel.codec)
+                                for w in backend._workers.values())
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
-        assert served  # the CFW1 peer really carried some of the sweep
+        assert codecs[0] == "None" and codecs[1] in ("zlib", "zstd")
+        banked = [len([f for _d, _s, files in os.walk(root)
+                       for f in files if f.endswith(".pkl")])
+                  for root in (raw_cache, auto_cache)]
+        assert min(banked) >= 1
+        assert sum(banked) == remote.tasks_total
 
     def test_warm_rerun_ships_hashes_not_blobs(self, tmp_path):
         # Cold run fills the scheduler store; a warm re-run with a
@@ -515,28 +623,30 @@ class TestThroughputFabric:
             proc.stdout.close()
 
     def test_scheduler_silence_returns_worker_to_accepting(self):
-        # A fake scheduler acks the worker's CFW2 hello (arming the
-        # silence deadline) then goes mute without closing the socket.
-        # The worker must abandon the connection on its own and return
-        # to accepting, where a real scheduler then gets a full sweep.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker",
-             "--listen", "127.0.0.1:0", "--id", "patient",
-             "--scheduler-timeout", "1.0",
-             "--heartbeat-interval", "0.2"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        try:
-            line = proc.stdout.readline()
-            match = re.search(r"listening on (\S+)", line)
-            assert match, f"no address line from worker: {line!r}"
-            addr = match.group(1)
+        # A fake scheduler acks the worker's hello, then goes mute
+        # without closing the socket. The worker must abandon the
+        # connection on its own and return to accepting, where a real
+        # scheduler then gets a full sweep.
+        self._assert_worker_abandons_stalled_scheduler(half_frame=False)
 
+    def test_half_frame_scheduler_returns_worker_to_accepting(self):
+        # The same, but the fake scheduler first writes 6 of a frame
+        # header's 9 bytes: the worker must not block on the rest.
+        self._assert_worker_abandons_stalled_scheduler(half_frame=True)
+
+    def _assert_worker_abandons_stalled_scheduler(self, half_frame):
+        proc, addr = listening_worker(
+            "--id", "patient", "--scheduler-timeout", "1.0",
+            "--heartbeat-interval", "0.2")
+        try:
             fake = socket.create_connection(parse_addr(addr), timeout=10)
             fake.settimeout(10)
-            kind, hello = recv_frame(fake)
-            assert kind == "hello" and hello["wire"] >= 2
-            send_frame(fake, "hello", {"wire": 2, "codec": None,
-                                       "codecs": (), "heartbeat_s": 0.2})
+            kind, _hello = recv_frame(fake)
+            assert kind == "hello"
+            send_frame(fake, "hello", {"codec": None, "codecs": (),
+                                       "heartbeat_s": 0.2})
+            if half_frame:
+                fake.sendall(b"CFW2\x00\x00")
             t0 = time.monotonic()
             dropped = False
             try:
@@ -578,8 +688,8 @@ class TestThroughputFabric:
             # on the daemon so the slot pool actually spawns children.
             fake = socket.create_connection(parse_addr(addr), timeout=10)
             recv_frame(fake)  # the worker's hello
-            send_frame(fake, "hello", {"wire": 2, "codec": None,
-                                       "codecs": (), "heartbeat_s": 2.0})
+            send_frame(fake, "hello", {"codec": None, "codecs": (),
+                                       "heartbeat_s": 2.0})
             send_frame(fake, "task", {
                 "tid": 1, "index": 0,
                 "task": SweepTask("doom", (0,), "flaky_probe",

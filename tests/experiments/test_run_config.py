@@ -1,14 +1,11 @@
 """RunConfig: the unified execution-options surface.
 
-Validation lives in one place (``RunConfig.__post_init__``), the CLI
-maps onto it through ``RunConfig.from_args``, and the pre-RunConfig
-keyword sprawl keeps working for one release through ``coerce_config``
-with exactly one :class:`DeprecationWarning` per call.
+Validation lives in one place (``RunConfig.__post_init__``) and the CLI
+maps onto it through ``RunConfig.from_args``.
 """
 
 import argparse
 import os
-import warnings
 
 import pytest
 
@@ -19,10 +16,7 @@ from repro.experiments import (
     ResultCache,
     RunConfig,
     resolve_jobs,
-    run_experiment,
-    run_named,
 )
-from repro.experiments.config import coerce_config
 
 
 class TestResolveJobs:
@@ -231,49 +225,3 @@ class TestFromArgs:
         add_execution_args(parser)
         args = parser.parse_args(["--compress", "none"])
         assert RunConfig.from_args(args).compress == "none"
-
-
-class TestLegacyKeywordShim:
-    def test_config_passthrough(self):
-        cfg = RunConfig(jobs=2)
-        assert coerce_config(cfg) is cfg
-
-    def test_no_arguments_builds_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning expected
-            cfg = coerce_config(None)
-        assert cfg.jobs == 1
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_config(RunConfig(), jobs=4)
-
-    def test_legacy_kwargs_warn_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            cfg = coerce_config(None, jobs=4, resume=None)
-        assert len(record) == 1
-        assert "deprecated" in str(record[0].message)
-        assert cfg.jobs == 4
-        assert cfg.resume is False  # legacy None coerces to False
-
-    def test_run_experiment_legacy_kwargs_warn_exactly_once(
-            self, tmp_path):
-        with pytest.warns(DeprecationWarning) as record:
-            series = run_experiment("fig5a", scale=0.01, seed=3,
-                                    jobs=2, cache_dir=str(tmp_path))
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
-        assert series
-
-    def test_run_experiment_config_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            series = run_experiment("fig5a", scale=0.01, seed=3,
-                                    config=RunConfig(jobs=2))
-        assert series
-
-    def test_legacy_and_config_results_identical(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_named("fig5a", 0.01, 3, jobs=2)
-        modern = run_named("fig5a", 0.01, 3, config=RunConfig(jobs=2))
-        assert legacy.digest == modern.digest

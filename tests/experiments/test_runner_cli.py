@@ -5,11 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    resolve_experiments,
-    run_experiment,
-)
+from repro.experiments.runner import resolve_experiments, run_experiment
+from repro.experiments.specs import SPECS
 
 
 class TestRunner:
@@ -19,7 +16,7 @@ class TestRunner:
                     "economics", "churn", "cooperation", "gameworld",
                     "security", "dynamic", "chaos", "scale",
                     "orchestration", "dynamics"}
-        assert set(EXPERIMENTS) == expected
+        assert set(SPECS) == expected
 
     def test_gameworld_runs_tiny(self):
         series = run_experiment("gameworld", scale=0.05, seed=1)

@@ -113,8 +113,8 @@ class TestExplicitPlan:
 
 class TestChaosSpec:
     def test_registered_with_runner(self):
-        from repro.experiments.runner import EXPERIMENTS
-        assert "chaos" in EXPERIMENTS
+        from repro.experiments.specs import SPECS
+        assert "chaos" in SPECS
 
     def test_decomposes_into_preset_x_intensity_grid(self):
         from repro.experiments.specs import get_spec

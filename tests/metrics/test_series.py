@@ -36,14 +36,6 @@ class TestFigureSeries:
         assert fs.x == [1.0, 2.0]
         assert fs.y == [0.5, 0.7]
 
-    def test_as_dict_roundtrip(self):
-        fs = FigureSeries("l", "xa", "ya")
-        fs.add(1, 2)
-        d = fs.as_dict()
-        assert d["label"] == "l"
-        assert d["x"] == [1.0]
-        assert d["y"] == [2.0]
-
     def test_to_dict_stable_schema(self):
         fs = FigureSeries("l", "xa", "ya")
         fs.add(1, 2)
