@@ -88,9 +88,12 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     """Install the shared execution flags (backend, parallelism, cache,
     resilience) on ``parser``.
 
-    Every sweep-running subcommand gets the identical option surface;
+    The two sweep-running commands — the figure runner and ``trace`` —
+    get the identical option surface;
     :meth:`repro.experiments.config.RunConfig.from_args` turns the
-    parsed namespace into a :class:`RunConfig`.
+    parsed namespace into a :class:`RunConfig`. The single-run
+    subcommands (``scale``, ``dynamics``, ``chaos``, ``orchestrate``)
+    run no sweep and take none of these flags.
     """
     group = parser.add_argument_group(
         "execution",
@@ -339,7 +342,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    add_execution_args(parser)
     return parser
 
 
@@ -352,10 +354,6 @@ def chaos_main(argv: list[str] | None = None) -> int:
 
     parser = build_chaos_parser()
     args = parser.parse_args(argv)
-    # Chaos runs one session rather than a sweep; the shared execution
-    # flags are accepted and validated so every subcommand speaks the
-    # same language, but only --cache-dir-independent checks matter.
-    _config_from_args(parser, args).close()
     plan = None
     if args.plan:
         with open(args.plan, encoding="utf-8") as fp:
@@ -453,7 +451,6 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    add_execution_args(parser)
     return parser
 
 
@@ -469,9 +466,6 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
 
     parser = build_orchestrate_parser()
     args = parser.parse_args(argv)
-    # One comparison run rather than a sweep; shared execution flags are
-    # accepted and validated so every subcommand speaks the same language.
-    _config_from_args(parser, args).close()
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in STRATEGY_NAMES:
@@ -574,7 +568,6 @@ def build_scale_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
         help="emit the report as JSON to PATH ('-' = stdout)")
-    add_execution_args(parser)
     return parser
 
 
@@ -584,9 +577,6 @@ def scale_main(argv: list[str] | None = None) -> int:
 
     parser = build_scale_parser()
     args = parser.parse_args(argv)
-    # Single-kernel run (no sweep); accept + validate the shared
-    # execution flags so all subcommands take identical options.
-    _config_from_args(parser, args).close()
     try:
         spec = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
@@ -676,7 +666,6 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
         help="emit the report as JSON to PATH ('-' = stdout)")
-    add_execution_args(parser)
     return parser
 
 
@@ -694,9 +683,6 @@ def dynamics_main(argv: list[str] | None = None) -> int:
 
     parser = build_dynamics_parser()
     args = parser.parse_args(argv)
-    # One kernel run, not a sweep; validate the shared execution flags
-    # so every subcommand accepts the same options.
-    _config_from_args(parser, args).close()
     try:
         base = ScaleSpec(
             n_players=args.players, n_regions=args.regions,

@@ -8,6 +8,8 @@ that part of the taxonomy).
 
 from __future__ import annotations
 
+import time
+
 from repro.experiments.backends.base import (
     ExecutionBackend,
     SweepPlan,
@@ -21,7 +23,6 @@ class InlineBackend(ExecutionBackend):
     name = "inline"
 
     def execute(self, plan: SweepPlan) -> None:
-        cfg = plan.resilience
         for i in plan.todo:
             attempt = 1
             while True:
@@ -35,7 +36,7 @@ class InlineBackend(ExecutionBackend):
                                          f"{type(exc).__name__}: {exc}")
                     if delay is None:
                         break
-                    cfg.sleep(delay)
+                    time.sleep(delay)
                     attempt += 1
                 else:
                     plan.record(i, payload)

@@ -1,14 +1,15 @@
-"""Process-pool execution: the watchdog event loop behind ``--jobs N``.
+"""Process-pool execution: the backend behind ``--jobs N``.
 
-This is the PR-4 resilient pool loop, lifted out of ``parallel.py``
-behind the :class:`~repro.experiments.backends.base.ExecutionBackend`
-interface: per-task deadlines with in-flight capped at the worker
-count, timeout cancellation via pool terminate, transparent rebuild
-after ``BrokenProcessPool`` (salvaging futures that finished despite
-the breakage and requeueing innocent in-flight tasks without attempt
-penalty), a backoff queue for retries, and graceful SIGINT draining
-(completed futures are recorded — and journalled by the scheduler —
-before the interrupt propagates).
+The transport is futures on a
+:class:`~repro.experiments.resilience.PoolManager`, with in-flight
+submissions capped at the worker count (submit time ≈ start time, so
+a deadline measures the run, not a queue). Everything else is the
+shared :class:`~repro.experiments.backends.base.SchedulerCore`: retry
+backoff, per-task deadlines, requeue-or-fail and the SIGINT drain. The
+whole pool is one unit: a timeout terminates it, and its innocent
+in-flight tasks requeue without attempt penalty — salvaged instead
+when they finished first. A broken pool (a SIGKILLed process) is
+settled and rebuilt by ``PoolManager.collect``.
 
 With one effective worker (or one remaining task) it degenerates to
 the inline backend, which is also what ``backend="auto"`` with the
@@ -17,14 +18,9 @@ default ``jobs=1`` resolves to — so tier-1 tests never pay for a pool.
 
 from __future__ import annotations
 
-import signal
-import threading
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-
 from repro.experiments.backends.base import (
     ExecutionBackend,
+    SchedulerCore,
     SweepPlan,
     execute_task,
 )
@@ -47,138 +43,23 @@ class PoolBackend(ExecutionBackend):
         if workers <= 1 or len(plan.todo) <= 1:
             InlineBackend().execute(plan)
             return
-        _run_pooled(plan, workers)
-
-
-def _run_pooled(plan: SweepPlan, workers: int) -> None:
-    """Pooled execution with watchdog timeouts, retry/backoff, pool
-    rebuild after worker crashes, and graceful SIGINT draining."""
-    tasks, scale, seed = plan.tasks, plan.scale, plan.seed
-    capture, cfg, stats = plan.capture, plan.resilience, plan.stats
-    record, dispose = plan.record, plan.dispose
-
-    pending = deque((i, 1) for i in plan.todo)
-    backoff: list[tuple[float, int, int]] = []  # (ready_at, index, attempt)
-    inflight: dict = {}  # future -> (index, attempt, deadline)
-    mgr = PoolManager(workers)
-
-    interrupted: list[bool] = []
-    prev_handler = None
-    if threading.current_thread() is threading.main_thread():
+        mgr = PoolManager(workers)
         try:
-            prev_handler = signal.signal(
-                signal.SIGINT, lambda _s, _f: interrupted.append(True))
-        except ValueError:  # pragma: no cover - non-main interpreter
-            prev_handler = None
-
-    def requeue_or_fail(i, attempt, kind, message):
-        delay = dispose(i, attempt, kind, message)
-        if delay is not None:
-            backoff.append((time.monotonic() + delay, i, attempt + 1))
-
-    def salvage_or(fut, fallback):
-        """Collect a future that finished despite pool trouble, else
-        apply ``fallback`` to its task."""
-        i, attempt, _deadline = inflight.pop(fut)
-        if fut.done() and not fut.cancelled():
-            try:
-                record(i, fut.result())
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException:
-                pass
-        fallback(i, attempt)
-
-    try:
-        while pending or backoff or inflight:
-            if interrupted:
-                raise KeyboardInterrupt
-            nowm = time.monotonic()
-            if backoff:
-                ready = sorted(b for b in backoff if b[0] <= nowm)
-                backoff = [b for b in backoff if b[0] > nowm]
-                pending.extend((i, att) for _t, i, att in ready)
-            while pending and len(inflight) < workers:
-                i, attempt = pending.popleft()
-                fut = mgr.submit(execute_task, tasks[i], scale, seed,
-                                 capture)
-                deadline = (time.monotonic() + cfg.timeout_s
-                            if cfg.timeout_s else None)
-                inflight[fut] = (i, attempt, deadline)
-            if not inflight:
-                wake = min(b[0] for b in backoff)
-                cfg.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            timeout = cfg.poll_interval_s
-            deadlines = [d for (_i, _a, d) in inflight.values()
-                         if d is not None]
-            if deadlines:
-                timeout = max(0.0, min(timeout,
-                                       min(deadlines) - time.monotonic()))
-            done, _ = wait(list(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-
-            crashed = False
-            for fut in done:
-                i, attempt, _deadline = inflight.pop(fut)
-                try:
-                    payload = fut.result()
-                except BrokenExecutor as exc:
-                    crashed = True
-                    requeue_or_fail(
-                        i, attempt, "worker-crash",
-                        f"worker process died "
-                        f"({exc if str(exc) else 'BrokenProcessPool'})")
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:
-                    requeue_or_fail(i, attempt, "exception",
-                                    f"{type(exc).__name__}: {exc}")
-                else:
-                    record(i, payload)
-
-            if crashed:
-                # The pool is broken: every in-flight future is dead
-                # with it. Requeue them and stand up a fresh pool.
-                for fut in list(inflight):
-                    salvage_or(fut, lambda i, att: requeue_or_fail(
-                        i, att, "worker-crash",
-                        "worker process died (pool broke mid-task)"))
-                mgr.rebuild()
-                stats["pool_rebuilds"] = mgr.rebuilds
-
-            if cfg.timeout_s and inflight:
-                nowm = time.monotonic()
-                expired = [fut for fut, (_i, _a, d) in inflight.items()
-                           if d is not None and nowm >= d
-                           and not fut.done()]
-                if expired:
-                    # A hung worker cannot be cancelled individually:
-                    # fail the expired tasks, requeue the innocent
-                    # in-flight ones (no attempt penalty) and rebuild.
-                    for fut in expired:
-                        i, attempt, _deadline = inflight.pop(fut)
-                        requeue_or_fail(
-                            i, attempt, "timeout",
-                            f"exceeded per-task timeout of "
-                            f"{cfg.timeout_s}s")
-                    for fut in list(inflight):
-                        salvage_or(fut,
-                                   lambda i, att: pending.append((i, att)))
-                    mgr.rebuild()
-                    stats["pool_rebuilds"] = mgr.rebuilds
-
-            if interrupted:
-                # Graceful drain: completed futures above were already
-                # recorded (and journalled); abandon the rest.
-                raise KeyboardInterrupt
-    except BaseException:
-        mgr.shutdown(terminate=True)
-        raise
-    else:
+            with SchedulerCore(plan) as core:
+                while core.busy():
+                    core.release()
+                    while core.pending and core.load(mgr) < workers:
+                        i, attempt = core.pending.popleft()
+                        fut = mgr.submit(execute_task, plan.tasks[i],
+                                         plan.scale, plan.seed,
+                                         plan.capture)
+                        core.start(mgr, fut, i, attempt)
+                    for fut, failure, value in mgr.collect(
+                            core.tokens(mgr), core.wait_s()):
+                        core.resolve(mgr, fut, failure, value)
+                    core.expire(lambda _pool: mgr.rebuild(), mgr.salvage)
+                    plan.stats["pool_rebuilds"] = mgr.rebuilds
+        except BaseException:
+            mgr.shutdown(terminate=True)
+            raise
         mgr.shutdown()
-    finally:
-        if prev_handler is not None:
-            signal.signal(signal.SIGINT, prev_handler)

@@ -1,67 +1,46 @@
 """Socket scheduler dispatching sweep tasks to remote worker daemons.
 
-The fabric has three ways to acquire workers, combinable freely:
+Workers come three ways, combinable freely: ``workers=("host:port",
+...)`` dials daemons already listening (``cloudfog worker --listen``);
+``listen="host:port"`` accepts dial-in workers (``cloudfog worker
+--connect``), mid-run joiners included; ``launch=N`` spawns N workers
+through ``launcher`` — by default this interpreter running ``repro.cli
+worker --connect <addr>`` against an ephemeral loopback listener, or a
+template such as ``"ssh gpu1 cloudfog worker --connect {addr}"``.
 
-* ``workers=("host:port", ...)`` — dial worker daemons already
-  listening (``cloudfog worker --listen HOST:PORT``);
-* ``listen="host:port"`` — bind and accept dial-in workers
-  (``cloudfog worker --connect HOST:PORT``), including ones that join
-  mid-run;
-* ``launch=N`` — spawn N workers through ``launcher`` (default: this
-  interpreter running ``repro.cli worker --connect <addr>`` against an
-  ephemeral loopback listener; SSH-compatible via a template like
-  ``"ssh gpu1 cloudfog worker --connect {addr}"``).
-
-Scheduling is a single-threaded ``select`` loop built for throughput:
-each worker holds up to ``slots + prefetch`` tasks — its advertised
-slot count actually executing, plus a primed queue that hides the
-dispatch round-trip, so a worker never idles waiting for the
-scheduler to notice a free slot. Results stream back as slots free
-up; the scheduler merges in task order, never completion order. The
-loop never blocks on one peer: a frame that arrives in pieces waits in
-its channel's buffer (:meth:`Channel.recv`), and a dial-in connection
-waits in the select set until its hello is complete — closed if that
-takes longer than ``connect_timeout_s``.
-
-Wire frames carry per-channel compression negotiated at hello time
-(zstd where both sides have it, zlib otherwise — see
+The transport is a single-threaded ``select`` loop. Each worker holds
+up to ``slots + prefetch`` tasks, so a freed slot finds its next task
+already queued instead of one round-trip away. The loop never blocks
+on one peer: a frame arriving in pieces waits in its channel's buffer
+(:meth:`Channel.recv`), and a dial-in waits in the select set until
+its hello is complete (closed after ``connect_timeout_s``). Frames are
+compressed per channel as negotiated at hello time (see
 :mod:`~repro.experiments.backends.protocol`). Task frames carry the
-task's content-address digest, and when the scheduler's store already
-holds the blob (possible only when cache reads are bypassed by an
-attached obs context) the frame says so — the worker then answers
-with a hash-only ``cached`` frame and the scheduler serves the blob
-from its own store, so warm re-runs ship hashes instead of megabytes.
+task's content-address digest; when the scheduler's store already
+holds the blob the frame says so (``have``) and the worker answers
+with a hash-only ``cached`` frame. Results are written through
+``plan.record``, the same atomic cache path every backend uses, so a
+run journalled under one backend resumes under any other.
 
-Liveness is two-tier and two-directional: a dead worker process
-closes its socket (immediate EOF detection), a frozen-but-connected
-worker — or one stalled mid-frame — is declared dead when no bytes at
-all arrive within ``heartbeat_timeout_s``, and the scheduler itself
-pulses every worker (a background pump thread, so the pulse continues
-between ``execute`` calls while the fabric idles) to feed the workers'
-scheduler-silence deadlines. Dead workers' in-flight tasks requeue
-through the ``worker-crash`` arm of the
-:class:`~repro.experiments.resilience.TaskFailure` taxonomy, exactly
-like a SIGKILLed pool worker. Per-task deadlines (the resilience
-config's ``timeout_s``) map onto ``timeout``: the offending worker's
-connection is dropped (a remote task cannot be preempted) and its
-innocent in-flight tasks requeue without attempt penalty. Note the
-deadline clock starts at dispatch, so with ``prefetch > 0`` it also
-covers time spent queued on the worker — set ``prefetch=0`` when
-running under tight per-task timeouts.
+Liveness: a dead worker closes its socket (EOF); a frozen one — or one
+stalled mid-frame — is dropped when no bytes at all arrive within
+``heartbeat_timeout_s``; and a pump thread pulses every worker, also
+between :meth:`execute` calls, to feed the workers' scheduler-silence
+deadlines.
 
-The content-addressed result cache is the fabric's shared artifact
-store: workers push result blobs back inside their ``result`` frames
-and the scheduler writes them through ``plan.record`` — the same
-atomic :meth:`~repro.experiments.cache.ResultCache.put` path every
-backend uses — so checkpoints are backend-agnostic and a run journal
-written under one backend resumes under any other.
-
-Determinism: workers compute with the same ``execute_task`` as inline
-and pool execution, and the scheduler merges payloads in task order,
-never completion or dispatch order — so a remote run's series, trace
-and metrics digests are byte-identical to an inline run of the same
-spec, regardless of worker count, slot count, pipelining depth,
-compression codec, join order, crashes or requeues.
+Retries, backoff and per-task deadlines are the
+:class:`~repro.experiments.backends.base.SchedulerCore` the pool
+backend drives too, with one worker connection as the unit. A dropped
+worker's in-flight tasks requeue as ``worker-crash``; a task past
+``timeout_s`` fails as ``timeout``, its worker is dropped and the
+worker's other tasks requeue penalty-free. The deadline runs from
+dispatch, so with ``prefetch > 0`` it also covers time queued on the
+worker — use ``prefetch=0`` under tight timeouts. A dropped worker
+this scheduler launched — its hello ``pid`` is one of the launched
+processes, as with the default launcher or a template that execs the
+worker directly — is terminated and replaced by a fresh launch, so a
+hung task cannot starve the fabric. A worker behind ``ssh`` reports a
+remote pid and is not replaced.
 
 The fabric persists across :meth:`execute` calls (one worker set
 serves a whole ``run_all``); :meth:`close` says bye to dialed daemons
@@ -78,12 +57,15 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from typing import Optional
 
 import repro
 from repro import __version__
-from repro.experiments.backends.base import ExecutionBackend, SweepPlan
+from repro.experiments.backends.base import (
+    ExecutionBackend,
+    SchedulerCore,
+    SweepPlan,
+)
 from repro.experiments.backends.protocol import (
     Channel,
     ProtocolError,
@@ -107,16 +89,17 @@ class RemoteFabricError(RuntimeError):
 class _Worker:
     """Scheduler-side state for one connected worker."""
 
-    __slots__ = ("channel", "id", "pid", "slots", "inflight", "last_seen")
+    __slots__ = ("channel", "id", "pid", "slots", "last_seen")
 
     def __init__(self, channel: Channel, hello: dict):
         self.channel = channel
         self.id = str(hello.get("worker", "?"))
         self.pid = hello.get("pid")
         self.slots = max(1, int(hello.get("slots", 1)))
-        #: tid -> (task index, attempt, deadline or None)
-        self.inflight: dict[int, tuple[int, int, Optional[float]]] = {}
         self.last_seen = time.monotonic()
+
+    def __str__(self) -> str:
+        return f"worker {self.id}"
 
     @property
     def sock(self) -> socket.socket:
@@ -135,8 +118,7 @@ class RemoteBackend(ExecutionBackend):
                  compress: Optional[str] = "auto",
                  connect_timeout_s: float = 30.0,
                  heartbeat_timeout_s: float = 15.0,
-                 heartbeat_interval_s: float = 2.0,
-                 poll_interval_s: float = 0.05):
+                 heartbeat_interval_s: float = 2.0):
         if not (workers or listen or launch):
             raise ValueError("remote backend needs workers=, listen= "
                              "or launch=")
@@ -154,7 +136,6 @@ class RemoteBackend(ExecutionBackend):
         self.connect_timeout_s = connect_timeout_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.poll_interval_s = poll_interval_s
 
         self._listener: Optional[socket.socket] = None
         self._workers: dict[socket.socket, _Worker] = {}
@@ -315,6 +296,16 @@ class RemoteBackend(ExecutionBackend):
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         return subprocess.Popen(cmd, env=env)
 
+    def _replace(self, worker: _Worker) -> None:
+        """Terminate a dropped worker this scheduler launched and launch
+        a replacement, which dials back in like the original. Dialed
+        workers, dial-ins and ssh launches match no local pid."""
+        for proc in [p for p in self._procs if p.pid == worker.pid]:
+            proc.terminate()
+            # poll() reaps exited launches: a recycled pid never matches.
+            self._procs = [p for p in self._procs if p.poll() is None]
+            self._procs.append(self._spawn(self.bound_address))
+
     def _reap_dead_launches(self) -> None:
         dead = [p for p in self._procs if p.poll() is not None]
         if dead:
@@ -430,192 +421,127 @@ class RemoteBackend(ExecutionBackend):
 
     def execute(self, plan: SweepPlan) -> None:
         self.start()
-        cfg = plan.resilience
-        pending = deque((i, 1) for i in plan.todo)
-        backoff: list[tuple[float, int, int]] = []
+        core = SchedulerCore(plan)
+        stats = plan.stats
         #: Indices whose "scheduler has the blob" promise failed to
         #: redeem (entry torn/evicted between probe and cached frame):
         #: redispatched with the full-result path.
         distrust: set[int] = set()
         wire0 = self.wire_stats()
+        stats["workers_joined"] = (stats.get("workers_joined", 0)
+                                   + len(self._workers))
 
-        plan.stats.setdefault("workers_joined", 0)
-        plan.stats["workers_joined"] += len(self._workers)
-
-        def requeue_or_fail(i, attempt, kind, message):
-            delay = plan.dispose(i, attempt, kind, message)
-            if delay is not None:
-                backoff.append((time.monotonic() + delay, i, attempt + 1))
-
-        def drop_worker(worker: _Worker, reason: str,
-                        skip_tids=(), penalty: bool = True) -> None:
-            """Forget a dead/expired worker and requeue its tasks."""
+        def drop(worker: _Worker, failure: Optional[str] = None,
+                 message: str = "") -> None:
+            """Forget a worker: fail its in-flight tasks as ``failure``
+            (penalty-free requeue when None), replace it if launched."""
+            core.condemn(worker, failure, message)
             self._workers.pop(worker.sock, None)
             self._retire_channel(worker.channel)
-            plan.stats["workers_lost"] = (
-                plan.stats.get("workers_lost", 0) + 1)
-            for tid, (i, attempt, _dl) in worker.inflight.items():
-                if tid in skip_tids:
-                    continue
-                if penalty:
-                    requeue_or_fail(i, attempt, "worker-crash",
-                                    f"worker {worker.id} {reason}")
-                else:
-                    pending.append((i, attempt))
-            worker.inflight.clear()
+            stats["workers_lost"] = stats.get("workers_lost", 0) + 1
+            self._replace(worker)
 
-        def assign() -> None:
-            for worker in list(self._workers.values()):
-                # Fill the executing slots plus the prefetch queue, so
-                # a freed slot always finds its next task already on
-                # the worker instead of one round-trip away.
-                capacity = worker.slots + self.prefetch
-                while pending and len(worker.inflight) < capacity:
-                    i, attempt = pending.popleft()
-                    self._tid += 1
-                    tid = self._tid
-                    deadline = (time.monotonic() + cfg.timeout_s
-                                if cfg.timeout_s else None)
-                    worker.inflight[tid] = (i, attempt, deadline)
-                    digest = (plan.digests[i]
-                              if plan.digests is not None else None)
-                    have = (plan.known is not None and i in plan.known
-                            and i not in distrust)
-                    try:
-                        worker.channel.send("task", {
-                            "tid": tid, "index": i,
-                            "task": plan.tasks[i],
-                            "scale": plan.scale, "seed": plan.seed,
-                            "capture": plan.capture,
-                            "digest": digest, "have": have,
-                        })
-                    except OSError:
-                        drop_worker(worker, "dropped the connection "
-                                            "at dispatch")
-                        break
+        def fill(worker: _Worker) -> None:
+            # Fill the executing slots plus the prefetch queue, so a
+            # freed slot always finds its next task already on the
+            # worker instead of one round-trip away.
+            while (core.pending
+                   and core.load(worker) < worker.slots + self.prefetch):
+                i, attempt = core.pending.popleft()
+                self._tid += 1
+                core.start(worker, self._tid, i, attempt)
+                try:
+                    worker.channel.send("task", {
+                        "tid": self._tid, "index": i,
+                        "task": plan.tasks[i],
+                        "scale": plan.scale, "seed": plan.seed,
+                        "capture": plan.capture,
+                        "digest": (plan.digests[i]
+                                   if plan.digests is not None else None),
+                        "have": (plan.known is not None
+                                 and i in plan.known
+                                 and i not in distrust),
+                    })
+                except OSError:
+                    drop(worker, "worker-crash",
+                         f"{worker} dropped the connection at dispatch")
+                    return
 
-        def inflight_total() -> int:
-            return sum(len(w.inflight) for w in self._workers.values())
-
-        def handle_readable(worker: _Worker) -> None:
+        def read(worker: _Worker) -> None:
             try:
                 frames = worker.channel.recv()
             except (EOFError, ProtocolError, OSError):
-                drop_worker(worker, "died (connection lost)")
+                drop(worker, "worker-crash", f"{worker} died "
+                                             "(connection lost)")
                 return
             # Any bytes count as life: a large frame arriving slowly
             # keeps its worker, one stalled mid-frame does not.
             worker.last_seen = time.monotonic()
             for kind, payload in frames:
-                handle_frame(worker, kind, payload)
+                if kind == "result":
+                    core.resolve(worker, payload.get("tid"), None,
+                                 payload["payload"])
+                elif kind == "error":
+                    core.resolve(worker, payload.get("tid"),
+                                 payload.get("kind", "exception"),
+                                 payload.get("message", "worker error"))
+                elif kind == "cached":
+                    # Hash-only confirmation: serve the blob from our
+                    # own store. A broken promise (entry vanished since
+                    # the probe) redispatches the task penalty-free
+                    # with the full-result path forced.
+                    entry = core.take(worker, payload.get("tid"))
+                    if entry is None:
+                        continue
+                    blob = plan.lookup(entry[0]) if plan.lookup else None
+                    if blob is not None:
+                        stats["cached_frames"] = (
+                            stats.get("cached_frames", 0) + 1)
+                        plan.record(entry[0], blob)
+                    else:
+                        distrust.add(entry[0])
+                        core.pending.append(entry)
 
-        def handle_frame(worker: _Worker, kind: str, payload: dict) -> None:
-            if kind not in ("result", "error", "cached"):
-                return  # heartbeat / unknown kinds
-            entry = worker.inflight.pop(payload.get("tid"), None)
-            if entry is None:  # reply for a task we already requeued
-                return
-            i, attempt, _deadline = entry
-            if kind == "result":
-                plan.record(i, payload["payload"])
-            elif kind == "cached":
-                # Hash-only confirmation: redeem the blob from our own
-                # store. A broken promise (entry vanished since the
-                # probe) redispatches the task penalty-free with the
-                # full-result path forced.
-                redeemed = (plan.lookup(i)
-                            if plan.lookup is not None else None)
-                if redeemed is not None:
-                    plan.stats["cached_frames"] = (
-                        plan.stats.get("cached_frames", 0) + 1)
-                    plan.record(i, redeemed)
-                else:
-                    distrust.add(i)
-                    pending.append((i, attempt))
-            else:
-                requeue_or_fail(i, attempt, payload.get("kind",
-                                                        "exception"),
-                                payload.get("message", "worker error"))
-
-        no_worker_since: Optional[float] = None
+        lost_since: Optional[float] = None
         try:
-            while pending or backoff or inflight_total():
-                nowm = time.monotonic()
-                if backoff:
-                    ready = sorted(b for b in backoff if b[0] <= nowm)
-                    backoff = [b for b in backoff if b[0] > nowm]
-                    pending.extend((i, att) for _t, i, att in ready)
-
-                if not self._workers:
-                    # Fabric lost. Dial-in joiners may still save the
-                    # run; otherwise fail loudly rather than spin.
-                    if self._listener is None:
+            with core:
+                while core.busy():
+                    core.release()
+                    if self._workers:
+                        lost_since = None
+                    elif self._listener is None:
                         raise RemoteFabricError(
                             "all remote workers died with tasks "
                             "outstanding and no listener is open for "
                             "replacements")
-                    if no_worker_since is None:
-                        no_worker_since = nowm
-                    elif nowm - no_worker_since > self.connect_timeout_s:
+                    elif lost_since is None:
+                        lost_since = time.monotonic()
+                    elif (time.monotonic() - lost_since
+                          > self.connect_timeout_s):
                         raise RemoteFabricError(
                             f"all remote workers died; none rejoined "
                             f"within {self.connect_timeout_s}s")
-                else:
-                    no_worker_since = None
-
-                assign()
-
-                timeout = self.poll_interval_s
-                if backoff:
-                    timeout = min(timeout, max(
-                        0.0, min(b[0] for b in backoff) - nowm))
-                if cfg.timeout_s:
-                    deadlines = [d for w in self._workers.values()
-                                 for (_i, _a, d) in w.inflight.values()
-                                 if d is not None]
-                    if deadlines:
-                        timeout = min(timeout, max(
-                            0.0, min(deadlines) - time.monotonic()))
-                rlist = [*self._workers, *self._joining]
-                if self._listener is not None:
-                    rlist.append(self._listener)
-                readable, _, _ = select.select(rlist, [], [], timeout)
-
-                for sock in readable:
-                    worker = self._workers.get(sock)
-                    if worker is not None:
-                        handle_readable(worker)
-                # Joiners after workers: one adopted here has already
-                # had this round's read.
-                plan.stats["workers_joined"] += self._admit(readable)
-
-                nowm = time.monotonic()
-                if cfg.timeout_s:
                     for worker in list(self._workers.values()):
-                        expired = [
-                            (tid, entry)
-                            for tid, entry in worker.inflight.items()
-                            if entry[2] is not None and nowm >= entry[2]]
-                        if not expired:
-                            continue
-                        # A hung remote task cannot be preempted: fail
-                        # it, drop the worker, requeue its innocent
-                        # in-flight tasks without attempt penalty.
-                        for tid, (i, attempt, _dl) in expired:
-                            requeue_or_fail(
-                                i, attempt, "timeout",
-                                f"exceeded per-task timeout of "
-                                f"{cfg.timeout_s}s on worker {worker.id}")
-                        drop_worker(
-                            worker, "timed out",
-                            skip_tids={tid for tid, _ in expired},
-                            penalty=False)
-                for worker in list(self._workers.values()):
-                    if nowm - worker.last_seen > self.heartbeat_timeout_s:
-                        drop_worker(
-                            worker,
-                            f"missed heartbeats for "
-                            f"{self.heartbeat_timeout_s:g}s")
+                        fill(worker)
+                    rlist = [*self._workers, *self._joining]
+                    if self._listener is not None:
+                        rlist.append(self._listener)
+                    readable, _, _ = select.select(rlist, [], [],
+                                                   core.wait_s())
+                    for sock in readable:
+                        worker = self._workers.get(sock)
+                        if worker is not None:
+                            read(worker)
+                    # Joiners after workers: one adopted here has
+                    # already had this round's read.
+                    stats["workers_joined"] += self._admit(readable)
+                    core.expire(drop)
+                    nowm = time.monotonic()
+                    for worker in list(self._workers.values()):
+                        if nowm - worker.last_seen > self.heartbeat_timeout_s:
+                            drop(worker, "worker-crash",
+                                 f"{worker} missed heartbeats for "
+                                 f"{self.heartbeat_timeout_s:g}s")
         except BaseException:
             # Run-fatal exit (SweepFailure, fabric loss, interrupt):
             # tear the fabric down so launched workers never outlive a
@@ -625,9 +551,7 @@ class RemoteBackend(ExecutionBackend):
             raise
         finally:
             wire1 = self.wire_stats()
-            plan.stats["wire_bytes_sent"] = (
-                plan.stats.get("wire_bytes_sent", 0)
-                + wire1["sent"] - wire0["sent"])
-            plan.stats["wire_bytes_recv"] = (
-                plan.stats.get("wire_bytes_recv", 0)
-                + wire1["recv"] - wire0["recv"])
+            stats["wire_bytes_sent"] = (stats.get("wire_bytes_sent", 0)
+                                        + wire1["sent"] - wire0["sent"])
+            stats["wire_bytes_recv"] = (stats.get("wire_bytes_recv", 0)
+                                        + wire1["recv"] - wire0["recv"])

@@ -21,18 +21,20 @@ Two connection modes, mirroring the scheduler's
 **Slots.** With ``slots=1`` (the default) tasks run strictly
 sequentially in the worker's main thread. With ``slots=N`` the worker
 runs an in-process pool of N slot processes
-(:class:`~repro.experiments.resilience.PoolManager`), advertises the
-count in its hello so the scheduler keeps N tasks in flight, and
-streams results back the moment each slot frees up. Either way every
-task runs through
+(:class:`~repro.experiments.resilience.PoolManager`, the same slot
+pool the pool backend drives), advertises the count in its hello so
+the scheduler keeps N tasks in flight, and streams results back the
+moment each slot frees up. Either way every task runs through
 :func:`~repro.experiments.backends.base.execute_task` — the same
 function the inline and pool backends call, which is half of the
 determinism argument (the other half is the scheduler's task-order
-merge). A slot process that dies (SIGKILL, OOM) is reported per
-in-flight task as a ``worker-crash`` error frame and the pool is
-rebuilt — the daemon itself survives, unlike the single-slot case
-where a crashing task takes the whole worker (and its connection)
-with it.
+merge). A slot process that dies (SIGKILL, OOM) breaks the slot pool:
+tasks that finished first are still sent back, the rest are reported
+as ``worker-crash`` error frames, and the pool is rebuilt — the
+daemon itself survives, unlike the single-slot case where a crashing
+task takes the whole worker (and its connection) with it. Slot
+processes die on SIGTERM, not through the daemon's SystemExit
+handler, so a terminated daemon reaps them.
 
 **Local result cache.** With ``cache_dir=`` the worker keeps a
 :class:`~repro.experiments.cache.BlobCache` of full task payloads
@@ -73,7 +75,6 @@ import socket
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from typing import Optional
 
 from repro import __version__
@@ -190,46 +191,26 @@ def serve_connection(sock: socket.socket, worker_id: str,
                 return "result", {**head, "payload": hit}
         return None
 
-    def finish(payload: dict, result) -> tuple[str, dict]:
-        """Package a computed payload, warming the local cache."""
+    def outcome(payload: dict, failure: Optional[str],
+                value) -> tuple[str, dict]:
+        """Package a finished task: its result, warming the local cache,
+        or — ``failure`` naming the kind — an error frame."""
+        head = {"tid": payload["tid"], "index": payload["index"]}
+        if failure is not None:
+            return "error", {**head, "kind": failure, "message": value}
         digest = payload.get("digest")
         if digest and cache is not None and not payload.get("capture"):
-            cache.put(digest, result)
-        return "result", {"tid": payload["tid"],
-                          "index": payload["index"], "payload": result}
+            cache.put(digest, value)
+        return "result", {**head, "payload": value}
 
     def pump_pool() -> None:
-        """Stream completed slot results back; absorb slot crashes."""
-        for fut in [f for f in inflight if f.done()]:
-            payload = inflight.pop(fut, None)
-            if payload is None:
-                continue
-            head = {"tid": payload["tid"], "index": payload["index"]}
-            try:
-                result = fut.result()
-            except BrokenExecutor:
-                # One dead slot process breaks the whole pool: report
-                # every in-flight task as a worker-crash (the scheduler
-                # requeues them through the usual taxonomy) and stand
-                # up a fresh pool. The daemon itself survives.
-                doomed = [payload] + list(inflight.values())
-                inflight.clear()
-                pool.rebuild()
-                for p in doomed:
-                    channel.send("error", {
-                        "tid": p["tid"], "index": p["index"],
-                        "kind": "worker-crash",
-                        "message": f"slot process died on worker "
-                                   f"{worker_id} (pool rebuilt)"})
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                channel.send("error", {
-                    **head, "kind": "exception",
-                    "message": f"{type(exc).__name__}: {exc}"})
-            else:
-                channel.send(*finish(payload, result))
+        """Stream finished slot results back. A dead slot process breaks
+        the pool: ``collect`` salvages what finished, reports the rest as
+        ``worker-crash`` and rebuilds — the daemon itself survives."""
+        for fut, failure, value in pool.collect(list(inflight), 0.0):
+            if failure == "worker-crash":
+                value += f" on worker {worker_id}"
+            channel.send(*outcome(inflight.pop(fut), failure, value))
 
     try:
         while True:
@@ -273,7 +254,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
                         payload["seed"], payload.get("capture", False),
                     )] = payload
                 else:
-                    channel.send(*_run_task(payload, finish))
+                    channel.send(*outcome(payload, *_run_task(payload)))
     except OSError:
         return "eof"
     finally:
@@ -282,20 +263,17 @@ def serve_connection(sock: socket.socket, worker_id: str,
             pool.shutdown(terminate=True)
 
 
-def _run_task(payload: dict, finish) -> tuple[str, dict]:
-    """Execute one task frame; package the result or the failure."""
+def _run_task(payload: dict) -> tuple[Optional[str], object]:
+    """Execute one task frame in this process: ``(None, result)`` or
+    ``("exception", message)``, like a slot pool's outcomes."""
     try:
-        result = execute_task(payload["task"], payload["scale"],
-                              payload["seed"],
-                              payload.get("capture", False))
+        return None, execute_task(payload["task"], payload["scale"],
+                                  payload["seed"],
+                                  payload.get("capture", False))
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:
-        return "error", {"tid": payload["tid"],
-                         "index": payload["index"],
-                         "kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}"}
-    return finish(payload, result)
+        return "exception", f"{type(exc).__name__}: {exc}"
 
 
 def _exit_on_sigterm(signum, frame):  # pragma: no cover - signal path

@@ -22,10 +22,13 @@ produces the paper's figures the same discipline. The pieces:
   flushed and fsynced, so a crash can tear at most the final line).
   ``run_spec(..., config=RunConfig(resume=True, ...))`` replays the
   journal against the cache and executes only the remaining tasks;
-* :class:`PoolManager` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  wrapper that transparently rebuilds the pool after
-  ``BrokenProcessPool`` (a SIGKILLed worker) and terminates hung
-  workers the watchdog gave up on;
+* :class:`PoolManager` — the slot pool the pool backend and
+  multi-slot workers share: a
+  :class:`~concurrent.futures.ProcessPoolExecutor` wrapper that
+  collects finished futures, salvages the ones that finished before a
+  ``BrokenProcessPool`` (a SIGKILLed slot), reports the rest as
+  ``worker-crash``, rebuilds, and terminates hung slots the watchdog
+  gave up on;
 * :func:`flaky_probe` — the test-only fault-injection runner (crash /
   hang / raise / kill-parent on the Nth attempt, tracked in a shared
   state directory) that the resilience test-suite and the CI smoke use
@@ -38,9 +41,14 @@ import json
 import os
 import signal
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.experiments.cache import material_digest
 
@@ -100,8 +108,8 @@ class SweepFailure(RuntimeError):
 class ResilienceConfig:
     """Retry/timeout/salvage policy for one :func:`run_spec` call.
 
-    ``timeout_s`` is enforced by the pooled path only (``jobs > 1``):
-    an inline task cannot be preempted, while a hung worker process can
+    ``timeout_s`` is enforced by the pool and remote backends: an
+    inline task cannot be preempted, while a hung worker process can
     be terminated and its task rescheduled. Backoff before attempt
     ``n+1`` after ``n`` failures is ``backoff_base_s * backoff_factor**(n-1)``.
     """
@@ -117,10 +125,9 @@ class ResilienceConfig:
     #: Salvage completed tasks and report failures on the RunResult
     #: instead of raising :class:`SweepFailure`.
     keep_going: bool = False
-    #: Watchdog poll granularity.
+    #: Longest wait of the pool and remote scheduling loops between
+    #: deadline and backoff checks.
     poll_interval_s: float = 0.05
-    #: Injectable sleep (tests pin backoff wall-time to ~0).
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def backoff_s(self, failed_attempts: int) -> float:
         """Delay before the attempt following ``failed_attempts`` failures."""
@@ -232,13 +239,23 @@ class RunJournal:
         os.fsync(self._fp.fileno())
 
 
+def _default_sigterm() -> None:
+    """Slot-process initializer: let SIGTERM kill the slot. A slot
+    forked from a worker daemon would otherwise inherit the daemon's
+    SystemExit handler, and :meth:`PoolManager._reap`'s ``terminate()``
+    would unwind the slot's work loop instead of ending the process."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class PoolManager:
     """A self-healing :class:`ProcessPoolExecutor` handle.
 
-    ``rebuild`` terminates the old pool's workers (dead after a crash,
-    or hung past the watchdog budget — either way unusable) and lazily
-    creates a fresh pool; ``submit`` retries through a broken executor
-    so callers never see ``BrokenProcessPool`` at submission time.
+    :meth:`collect` turns finished futures into outcomes and absorbs a
+    broken pool; ``rebuild`` terminates the old pool's processes (dead
+    after a crash, or hung past the watchdog budget — either way
+    unusable) and lazily creates a fresh pool; ``submit`` retries
+    through a broken executor so callers never see
+    ``BrokenProcessPool`` at submission time.
     """
 
     def __init__(self, max_workers: int):
@@ -246,10 +263,14 @@ class PoolManager:
         self.rebuilds = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
+    def __str__(self) -> str:
+        return f"a {self.max_workers}-process pool"
+
     @property
     def pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers,
+                                             initializer=_default_sigterm)
         return self._pool
 
     def submit(self, fn, *args):
@@ -258,6 +279,56 @@ class PoolManager:
         except BrokenExecutor:
             self.rebuild()
             return self.pool.submit(fn, *args)
+
+    def collect(self, futures: list, timeout: float) -> list[tuple]:
+        """Wait up to ``timeout`` s for any of ``futures`` to finish.
+
+        Returns ``(future, failure, value)`` per finished future:
+        ``failure`` None with the result as ``value``, or ``exception``
+        / ``worker-crash`` with a message. One dead process breaks the
+        whole pool, so on a ``BrokenExecutor`` every future in
+        ``futures`` is settled — salvaged when it finished before the
+        break, else a ``worker-crash`` — and the pool is rebuilt.
+        """
+        if not futures:
+            time.sleep(timeout)
+            return []
+        done, _ = wait(futures, timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        out, broken = [], None
+        for fut in done:
+            try:
+                out.append((fut, None, fut.result()))
+            except BrokenExecutor as exc:
+                broken = exc
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:
+                out.append((fut, "exception",
+                            f"{type(exc).__name__}: {exc}"))
+        if broken is None:
+            return out
+        message = f"worker process died ({broken or 'BrokenProcessPool'})"
+        settled = {fut for fut, _failure, _value in out}
+        for fut in futures:
+            if fut not in settled:
+                payload = self.salvage(fut)
+                out.append((fut, None, payload) if payload is not None
+                           else (fut, "worker-crash", message))
+        self.rebuild()
+        return out
+
+    @staticmethod
+    def salvage(fut) -> Any:
+        """``fut``'s result if it finished cleanly, else None."""
+        if fut.done() and not fut.cancelled():
+            try:
+                return fut.result()
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException:
+                pass
+        return None
 
     def rebuild(self) -> None:
         pool, self._pool = self._pool, None

@@ -343,7 +343,7 @@ class TestWorkerLoss:
         thread.start()
         backend = RemoteBackend(
             workers=(addr,), launch=1, launcher=FAST_LAUNCHER,
-            heartbeat_timeout_s=1.0, poll_interval_s=0.02)
+            heartbeat_timeout_s=1.0)
         clean = run_spec(probe_spec(clean_params()), SCALE, SEED)
 
         def sweep():
@@ -369,8 +369,7 @@ class TestWorkerLoss:
         # select set while the launched workers carry on: a blocking
         # hello read would age both past the 3 s heartbeat deadline.
         backend = RemoteBackend(launch=2, connect_timeout_s=6.0,
-                                heartbeat_timeout_s=3.0,
-                                poll_interval_s=0.02)
+                                heartbeat_timeout_s=3.0)
         # sleep_s shapes timing only; the payloads match the clean run.
         params = [dict(p, sleep_s=0.5) for p in clean_params(8)]
         clean = run_spec(probe_spec(clean_params(8)), SCALE, SEED)

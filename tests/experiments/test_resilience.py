@@ -12,6 +12,7 @@ run resumed from its journal executes only the remaining tasks.
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.experiments.cache import ResultCache, material_digest
 from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_spec as _run_spec
 from repro.experiments.resilience import (
+    PoolManager,
     ResilienceConfig,
     RunJournal,
     SweepFailure,
@@ -36,12 +38,18 @@ SEED = 11
 
 
 def run_spec(spec, scale, seed, *, jobs=1, resilience=None, cache=None,
-             resume=False, obs=None):
-    """This module's historical kwargs, expressed as a RunConfig (the
-    deprecation shim itself is covered in test_run_config.py)."""
-    return _run_spec(spec, scale, seed, obs=obs,
-                     config=RunConfig(jobs=jobs, resilience=resilience,
-                                      cache=cache, resume=resume))
+             resume=False, obs=None, **fabric):
+    """This module's historical kwargs, expressed as a RunConfig;
+    ``fabric`` passes the remote backend's fields through."""
+    with RunConfig(jobs=jobs, resilience=resilience, cache=cache,
+                   resume=resume, **fabric) as config:
+        return _run_spec(spec, scale, seed, obs=obs, config=config)
+
+
+#: The parallel backends, which must agree on the failure taxonomy: a
+#: two-process pool and one launched remote worker.
+PARALLEL = {"pool": {"jobs": 2},
+            "remote": {"backend": "remote", "launch": 1}}
 
 
 def fast_cfg(**kw):
@@ -90,10 +98,13 @@ def reference_run(n=4, delegate=None, **run_kw) -> RunResult:
 
 
 class TestRetryOnException:
-    def test_parallel_recovers_and_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize("backend", PARALLEL)
+    def test_parallel_recovers_and_matches_uninterrupted(self, tmp_path,
+                                                         backend):
         spec = flaky_spec(tmp_path / "state",
                           modes={1: {"mode": "raise", "fail_attempts": 1}})
-        result = run_spec(spec, SCALE, SEED, jobs=2, resilience=fast_cfg())
+        result = run_spec(spec, SCALE, SEED, **PARALLEL[backend],
+                          resilience=fast_cfg())
         assert result.ok
         assert result.tasks_retried >= 1
         assert result.digest == reference_run().digest
@@ -109,11 +120,13 @@ class TestRetryOnException:
         assert result.tasks_retried == 2
         assert result.digest == reference_run().digest
 
-    def test_retries_exhausted_raises_structured_failure(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["inline", *PARALLEL])
+    def test_retries_exhausted_raises_structured_failure(self, tmp_path,
+                                                         backend):
         spec = flaky_spec(tmp_path / "state",
                           modes={0: {"mode": "raise", "fail_attempts": 99}})
         with pytest.raises(SweepFailure) as exc_info:
-            run_spec(spec, SCALE, SEED, jobs=1,
+            run_spec(spec, SCALE, SEED, **PARALLEL.get(backend, {}),
                      resilience=fast_cfg(max_retries=1))
         (failure,) = exc_info.value.failures
         assert failure.kind == "exception"
@@ -124,33 +137,46 @@ class TestRetryOnException:
 
 
 class TestWorkerCrashRecovery:
-    def test_sigkilled_worker_is_transparent(self, tmp_path):
+    # One slot: the crash kills the only launched worker, which the
+    # scheduler must replace; two slots: it kills a slot, not the daemon.
+    @pytest.mark.parametrize("backend, slots", [
+        ("pool", 1), ("remote", 2), ("remote", 1)],
+        ids=["pool", "remote", "remote-1slot"])
+    def test_sigkilled_worker_is_transparent(self, tmp_path, backend,
+                                             slots):
         from repro.obs import Observability
         spec = flaky_spec(tmp_path / "state",
                           modes={1: {"mode": "crash", "fail_attempts": 1}})
         obs = Observability()
-        result = run_spec(spec, SCALE, SEED, jobs=2,
-                          resilience=fast_cfg(), obs=obs)
+        result = run_spec(spec, SCALE, SEED, **PARALLEL[backend],
+                          slots=slots, resilience=fast_cfg(), obs=obs)
         assert result.ok
         assert result.digest == reference_run().digest
         snap = obs.metrics.snapshot()
         assert snap["harness.worker_crashes"]["value"] >= 1
-        assert snap["harness.pool_rebuilds"]["value"] >= 1
         assert snap["harness.retries"]["value"] >= 1
+        # Only the pool backend's scheduler owns a pool to rebuild.
+        assert ("harness.pool_rebuilds" in snap) == (backend == "pool")
 
-    def test_crash_with_no_retries_reports_worker_crash(self, tmp_path):
+    @pytest.mark.parametrize("backend", PARALLEL)
+    def test_crash_with_no_retries_reports_worker_crash(self, tmp_path,
+                                                        backend):
         spec = flaky_spec(tmp_path / "state",
                           modes={0: {"mode": "crash", "fail_attempts": 99}},
                           n=2)
         with pytest.raises(SweepFailure) as exc_info:
-            run_spec(spec, SCALE, SEED, jobs=2,
+            run_spec(spec, SCALE, SEED, **PARALLEL[backend], slots=2,
                      resilience=fast_cfg(max_retries=0))
         assert any(f.kind == "worker-crash"
                    for f in exc_info.value.failures)
 
 
 class TestTimeoutWatchdog:
-    def test_hung_task_is_cancelled_and_retried(self, tmp_path):
+    @pytest.mark.parametrize("backend", PARALLEL)
+    def test_hung_task_is_cancelled_and_retried(self, tmp_path, backend):
+        # On the remote fabric the hung worker is the only one: the
+        # scheduler must terminate and replace it, not wait for a
+        # rejoin that never comes.
         import time
         from repro.obs import Observability
         spec = flaky_spec(
@@ -158,7 +184,7 @@ class TestTimeoutWatchdog:
             modes={1: {"mode": "hang", "fail_attempts": 1, "hang_s": 60.0}})
         obs = Observability()
         t0 = time.monotonic()
-        result = run_spec(spec, SCALE, SEED, jobs=2,
+        result = run_spec(spec, SCALE, SEED, **PARALLEL[backend],
                           resilience=fast_cfg(timeout_s=1.0), obs=obs)
         elapsed = time.monotonic() - t0
         assert result.ok
@@ -167,18 +193,36 @@ class TestTimeoutWatchdog:
         snap = obs.metrics.snapshot()
         assert snap["harness.timeouts"]["value"] >= 1
 
-    def test_hang_beyond_budget_fails_as_timeout(self, tmp_path):
+    @pytest.mark.parametrize("backend", PARALLEL)
+    def test_hang_beyond_budget_fails_as_timeout(self, tmp_path, backend):
         spec = flaky_spec(
             tmp_path / "state", n=2,
             modes={0: {"mode": "hang", "fail_attempts": 99,
                        "hang_s": 60.0}})
         with pytest.raises(SweepFailure) as exc_info:
-            run_spec(spec, SCALE, SEED, jobs=2,
+            run_spec(spec, SCALE, SEED, **PARALLEL[backend],
                      resilience=fast_cfg(max_retries=0, timeout_s=0.5))
         (failure,) = [f for f in exc_info.value.failures
                       if f.kind == "timeout"]
         assert failure.key == (0,)
         assert "0.5" in failure.message
+
+
+class TestPoolManager:
+    def test_slot_processes_die_on_sigterm(self):
+        # A worker daemon turns SIGTERM into SystemExit; its forked slot
+        # processes must not inherit that, or terminate() would unwind a
+        # slot's work loop instead of killing the process.
+        from repro.experiments.backends.worker import _exit_on_sigterm
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+        mgr = PoolManager(1)
+        try:
+            disposition = mgr.submit(signal.getsignal,
+                                     signal.SIGTERM).result(timeout=30)
+        finally:
+            mgr.shutdown(terminate=True)
+            signal.signal(signal.SIGTERM, previous)
+        assert disposition == signal.SIG_DFL
 
 
 class TestKeepGoing:

@@ -173,3 +173,15 @@ class TestCliParallelFlags:
             main(["fig5a", "--jobs", "many"])
         assert exc_info.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["scale", "dynamics", "chaos", "orchestrate"])
+    def test_single_run_subcommands_reject_execution_flags(
+            self, command, capsys):
+        # These run one simulation, not a sweep: an execution flag
+        # would be silently ignored, so the parser refuses it.
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--jobs", "4", "--launch", "2"])
+        assert exc_info.value.code == 2
+        assert ("unrecognized arguments: --jobs 4 --launch 2"
+                in capsys.readouterr().err)
