@@ -129,10 +129,10 @@ def test_cohort_step_cost_sublinear(benchmark):
 
     The small operating point (250 players) is deliberately below the
     amortisation knee — per-player cost there is dominated by the fixed
-    per-call overhead of the ~30 numpy kernels a step issues, so a
-    vectorised batch 64× larger lands well under 64× the time (~19× on
-    a laptop-class core). Comparing two already-amortised sizes would
-    instead measure memory bandwidth, which is linear.
+    per-call overhead of the ~100 numpy kernels a step issues, so a
+    vectorised batch 64× larger lands well under 64× the time (9–16×
+    on a 2-vCPU x86 cloud host). Comparing two already-amortised sizes
+    would instead measure memory bandwidth, which is linear.
     """
     def step_time(n_players, ticks=30):
         kernel = CohortKernel(ScaleSpec(

@@ -272,13 +272,13 @@ def trace_main(argv: list[str] | None = None) -> int:
         checkers=[] if args.no_check else default_checkers(),
         trace_kernel=args.kernel,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         run_experiment(args.figure, scale=args.scale, seed=args.seed,
                        obs=obs, config=cfg)
     finally:
         cfg.close()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     if args.out:
         n = obs.trace.save(args.out)
@@ -362,13 +362,13 @@ def chaos_main(argv: list[str] | None = None) -> int:
         trace=TraceRecorder(),
         checkers=[] if args.no_check else default_checkers(),
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     with obs_mod.use(obs):
         report = run_chaos(
             args.scale, args.seed, preset=args.preset,
             intensity=args.intensity, plan=plan,
             config=ChaosConfig(duration_s=args.duration))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     if args.out:
         n = obs.trace.save(args.out)
@@ -473,7 +473,7 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
                          f"choose from {STRATEGY_NAMES}")
     cfg = OrchestrationConfig(duration_s=args.duration)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports: dict[str, dict] = {}
     digests: dict[str, str] = {}
     for strategy in strategies:
@@ -486,7 +486,7 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
                 args.scale, args.seed, strategy=strategy,
                 skew=args.skew, churn=args.churn, config=cfg)
         digests[strategy] = obs.digest()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     if args.json:
         payload = {
@@ -584,9 +584,9 @@ def scale_main(argv: list[str] | None = None) -> int:
             queue=args.queue, faults=args.faults)
     except ValueError as exc:
         parser.error(str(exc))
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_scale(spec)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.json is not None:
         payload = report.to_dict()
         if args.json == "-":
@@ -703,10 +703,10 @@ def dynamics_main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     obs = Observability()
-    t0 = time.time()
+    t0 = time.perf_counter()
     with obs_mod.use(obs):
         report = run_dynamics(dspec, obs=obs)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.json is not None:
         payload = report.to_dict()
         if args.json == "-":
@@ -842,7 +842,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _config_from_args(parser, args)
     cache = cfg.cache
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = (list(SPECS) if args.experiment == "all"
              else [args.experiment])
     run_results_by_name = {}
@@ -904,7 +904,7 @@ def main(argv: list[str] | None = None) -> int:
               f"journal, {retried} retried")
     failures = [f for r in run_results_by_name.values()
                 for f in r.failures]
-    print(f"\n[{time.time() - t0:.1f}s, scale={args.scale}, "
+    print(f"\n[{time.perf_counter() - t0:.1f}s, scale={args.scale}, "
           f"seed={args.seed}, jobs={args.jobs}]")
     if failures:
         print(f"partial results: {len(failures)} sweep task(s) failed "

@@ -264,6 +264,14 @@ class PlayerCohort:
         self._fill_s = params.fill_rate * params.tick_s
         self._inv_bin = 1.0 / params.latency_bin_s
         self._top_tier = params.n_tiers - 1
+        # Per-tier deadline and upgrade limit, each entry the same IEEE
+        # expression :meth:`_advance_one` evaluates inline for its tier.
+        tiers = np.arange(params.n_tiers, dtype=np.int64)
+        self._deadline_s = (params.frame_deadline_s
+                            + params.tier_deadline_step_s
+                            * (self._top_tier - tiers).astype(np.float64))
+        self._up_limit_s = (self._deadline_s - params.tier_deadline_step_s
+                            - params.up_margin_s)
 
         # -- per-player state (player id is the array index) ----------------
         self.player_id = np.arange(n, dtype=np.int64)
@@ -303,21 +311,27 @@ class PlayerCohort:
 
     # -- the one state-transition kernel ------------------------------------
     def advance(self, idx: np.ndarray, tick: int) -> None:
-        """Advance the players in ``idx`` through tick ``tick``.
+        """Advance the players in ``idx`` (distinct indices) through
+        tick ``tick``.
 
         Restricted to IEEE-exact elementwise operations — see
         :class:`CohortParams` — so the result for each index is
         bit-identical to what :meth:`_advance_one` writes for it.
         """
         p = self.params
-        region = self.region[idx]
-        served = self.served_by[idx]
-        pid = self.player_id[idx]
+        # Every player active (every static run, every dynamics tick
+        # with nobody pooled): a basic slice makes each read below a
+        # view and each ``+=`` an in-place update, where ``idx`` would
+        # copy every array out and back.
+        sel = slice(None) if idx.size == self.n_players else idx
+        region = self.region[sel]
+        served = self.served_by[sel]
+        pid = self.player_id[sel]
 
         # 1) This tick's frame latency: access + propagation + congestion
         #    + uniform jitter from the counter generator.
         u_jit = counter_u01(pid, tick, self._salt_jitter)
-        lat = (self.access_s[idx]
+        lat = (self.access_s[sel]
                + self.latency.gather_s(served, region)
                + self.congestion_s[served]
                + (2.0 * p.jitter_scale_s) * u_jit)
@@ -327,18 +341,15 @@ class PlayerCohort:
             < p.crash_rate_per_tick
 
         # 3) Delivery against the tier-dependent deadline.
-        tier = self.tier[idx]
-        deadline = (p.frame_deadline_s
-                    + p.tier_deadline_step_s
-                    * (self._top_tier - tier).astype(np.float64))
-        on_time = lat <= deadline
+        tier = self.tier[sel]
+        on_time = lat <= self._deadline_s[tier]
         ok = on_time & ~crashed
 
         # 4) Playback buffer: fill on delivery, drain by playing.
-        buf = self.buffer_s[idx] + np.where(ok, self._fill_s, 0.0)
+        buf = self.buffer_s[sel] + np.where(ok, self._fill_s, 0.0)
         playing = buf >= p.tick_s
         consumed = np.where(playing, p.tick_s, 0.0)
-        self.position_s[idx] += consumed
+        self.position_s[sel] += consumed
         buf = np.minimum(buf - consumed, p.max_buffer_s)
 
         # 5) Adaptation: down on a missed deadline, up on a full buffer —
@@ -347,10 +358,9 @@ class PlayerCohort:
         #    tighter deadline, otherwise a player whose latency sits
         #    between two tier deadlines would oscillate up and down
         #    forever.
-        can = tick - self.last_switch[idx] >= p.switch_cooldown_ticks
+        can = tick - self.last_switch[sel] >= p.switch_cooldown_ticks
         down = can & ~on_time & (tier > 0)
-        up = (can
-              & (lat <= deadline - p.tier_deadline_step_s - p.up_margin_s)
+        up = (can & (lat <= self._up_limit_s[tier])
               & (buf > p.up_buffer_s) & (tier < self._top_tier))
         new_tier = tier + up.astype(np.int64) - down.astype(np.int64)
         switched = new_tier != tier
@@ -362,18 +372,21 @@ class PlayerCohort:
         buf = np.where(crashed, 0.0, buf)
         new_tier = np.where(crashed, 0, new_tier)
 
-        # 7) Write back.
-        self.buffer_s[idx] = buf
-        self.tier[idx] = new_tier
-        self.last_switch[idx] = np.where(
-            switched | crashed, tick, self.last_switch[idx])
-        self.served_by[idx] = np.where(crashed, reconnect_to, served)
-        self.rebuffer_ticks[idx] += ~playing
-        self.crashes[idx] += crashed
-        self.switches[idx] += switched
-        self.reconnects[idx] += crashed & (reconnect_to != served)
-        self.on_time_frames[idx] += on_time
-        self.frames[idx] += 1
+        # 7) Write back. ``served`` may be a view of ``served_by``: keep
+        #    its old values for the reconnect count and the load
+        #    bincount, which read them after the overwrite.
+        served = served.copy()
+        self.buffer_s[sel] = buf
+        self.tier[sel] = new_tier
+        self.last_switch[sel] = np.where(
+            switched | crashed, tick, self.last_switch[sel])
+        self.served_by[sel] = np.where(crashed, reconnect_to, served)
+        self.rebuffer_ticks[sel] += ~playing
+        self.crashes[sel] += crashed
+        self.switches[sel] += switched
+        self.reconnects[sel] += crashed & (reconnect_to != served)
+        self.on_time_frames[sel] += on_time
+        self.frames[sel] += 1
 
         # 8) Order-free integer aggregates: integer addition commutes
         #    exactly, so these counters match the scalar mirror's

@@ -260,9 +260,10 @@ class RegionalLatency:
     quantities — unusable for a million players. At scale the latency of
     a served player decomposes into a per-player access term plus a
     region-to-region propagation term, so this model keeps only region
-    centroids and computes each region's propagation *row* on first use,
-    caching it. Memory is O(regions²) in the worst case (every row
-    touched) and O(regions × rows_touched) typically — never O(players²).
+    centroids and one ``(regions, regions)`` propagation table. Each
+    row of the table is computed on first use; :meth:`gather_s` then
+    answers a whole batch with one 2-D lookup. Memory is one regions²
+    table of float64 — never O(players²).
 
     All row math uses ``sqrt(dx² + dy²)`` and exact ``+ * /`` only (no
     ``hypot``, no libm), so cached rows — and the digests of every run
@@ -275,7 +276,13 @@ class RegionalLatency:
         self.centers_km = np.asarray(centers_km, dtype=np.float64)
         if self.centers_km.ndim != 2 or self.centers_km.shape[1] != 2:
             raise ValueError("centers_km must be (n_regions, 2)")
-        self._rows: dict[int, np.ndarray] = {}
+        n = self.n_regions
+        self._table = np.zeros((n, n), dtype=np.float64)
+        #: Read-only alias of the table: the rows handed out.
+        self._rows = self._table.view()
+        self._rows.flags.writeable = False
+        #: ``_cached[r]``: row ``r`` of the table has been computed.
+        self._cached = np.zeros(n, dtype=bool)
 
     @property
     def n_regions(self) -> int:
@@ -284,20 +291,22 @@ class RegionalLatency:
     @property
     def cached_rows(self) -> int:
         """Propagation rows computed so far (memory-bound observability)."""
-        return len(self._rows)
+        return int(np.count_nonzero(self._cached))
+
+    def _compute_row(self, region: int) -> None:
+        d = self.centers_km - self.centers_km[region]
+        dist_km = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        self._table[region] = (self.params.route_inflation * dist_km
+                               / FIBRE_KM_PER_S)
+        self._cached[region] = True
 
     def propagation_row_s(self, region: int) -> np.ndarray:
         """Propagation delay from ``region`` to every region (cached)."""
-        row = self._rows.get(region)
-        if row is None:
-            if not 0 <= region < self.n_regions:
-                raise IndexError(f"region {region} out of range")
-            d = self.centers_km - self.centers_km[region]
-            dist_km = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-            row = self.params.route_inflation * dist_km / FIBRE_KM_PER_S
-            row.flags.writeable = False
-            self._rows[region] = row
-        return row
+        if not 0 <= region < self.n_regions:
+            raise IndexError(f"region {region} out of range")
+        if not self._cached[region]:
+            self._compute_row(region)
+        return self._rows[region]
 
     def propagation_s(self, i: int, j: int) -> float:
         """Propagation delay between two regions."""
@@ -307,18 +316,19 @@ class RegionalLatency:
                  dst_regions: np.ndarray) -> np.ndarray:
         """Elementwise propagation ``src[i] → dst[i]`` for aligned arrays.
 
-        Touches only the rows of regions present in ``src_regions``;
-        cost is O(len + regions), independent of the population size.
+        Computes only the rows of regions present in ``src_regions``,
+        then answers with one table lookup; cost is O(len + regions),
+        independent of the population size. A negative source raises
+        ``ValueError``; a region ``>= n_regions`` on either side raises
+        ``IndexError``.
         """
         src = np.asarray(src_regions)
         dst = np.asarray(dst_regions)
-        out = np.empty(src.shape, dtype=np.float64)
         present = np.flatnonzero(
             np.bincount(src, minlength=self.n_regions))
-        for r in present:
-            mask = src == r
-            out[mask] = self.propagation_row_s(int(r))[dst[mask]]
-        return out
+        for r in present[~self._cached[present]]:
+            self._compute_row(int(r))
+        return self._table[src, dst]
 
     def full_matrix_s(self) -> np.ndarray:
         """All-pairs region propagation (O(regions²); reporting only)."""

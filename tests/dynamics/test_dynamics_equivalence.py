@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.cohort import ScaleSpec, run_scale
 from repro.dynamics import (
+    ChurnSource,
     DynamicsKernel,
     DynamicsPlan,
     DynamicsSpec,
@@ -80,6 +81,15 @@ class TestZeroPlanEquivalence:
         assert a.scale.digest == b.scale.digest == GOLDEN_ZERO_PLAN
 
 
+def assert_modes_agree(cohort, per_player):
+    assert cohort.scale.digest == per_player.scale.digest
+    assert cohort.invariants == [] and per_player.invariants == []
+    assert (cohort.joins, cohort.leaves, cohort.refused,
+            cohort.shed, cohort.evicted, cohort.moves) == (
+        per_player.joins, per_player.leaves, per_player.refused,
+        per_player.shed, per_player.evicted, per_player.moves)
+
+
 class TestModeParity:
     @pytest.mark.parametrize("preset,faults", [
         ("churn", "none"),
@@ -91,12 +101,24 @@ class TestModeParity:
                                     initial_fraction=0.6))
         per_player = run_dynamics(_spec("per-player", faults, preset,
                                         initial_fraction=0.6))
-        assert cohort.scale.digest == per_player.scale.digest
-        assert cohort.invariants == [] and per_player.invariants == []
-        assert (cohort.joins, cohort.leaves, cohort.refused,
-                cohort.shed, cohort.evicted, cohort.moves) == (
-            per_player.joins, per_player.leaves, per_player.refused,
-            per_player.shed, per_player.evicted, per_player.moves)
+        assert_modes_agree(cohort, per_player)
+
+    @pytest.mark.parametrize("faults", ["none", "mixed"])
+    def test_full_population_then_subset(self, faults):
+        """Everyone plays the first 10 ticks (the cohort's full-population
+        advance), then churn from 5 s on pools some players and the
+        last 30 ticks advance a subset. No preset does this: churn's
+        leaves at tick 0 run before the first advance."""
+        plan = DynamicsPlan(sources=(ChurnSource(
+            join_rate_per_s=4.0, mean_session_s=20.0, start_s=5.0,
+            duration_s=5.0),))
+        cohort, per_player = (
+            run_dynamics(DynamicsSpec(
+                base=ScaleSpec(mode=mode, **{**BASE, "faults": faults}),
+                plan=plan, initial_fraction=1.0))
+            for mode in ("cohort", "per-player"))
+        assert cohort.leaves > 0
+        assert_modes_agree(cohort, per_player)
 
     def test_mobility_migrates_in_both_modes(self):
         cohort = run_dynamics(_spec("cohort", preset="launch-day",

@@ -93,17 +93,37 @@ def spec_from_params(params):
         merge=lambda scale, seed, ordered: merge_series_fragments(ordered))
 
 
-def launch_harness(tmp_path, params):
-    params_file = tmp_path / "params.json"
-    params_file.write_text(json.dumps(params))
-    script = HARNESS.format(src=os.path.abspath(SRC),
-                            params=str(params_file),
-                            scale=SCALE, seed=SEED,
-                            cache=str(tmp_path / "cache"),
-                            pid_file=str(tmp_path / "harness.pid"))
-    return subprocess.Popen([sys.executable, "-c", script],
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+@pytest.fixture
+def launch_harness():
+    """Start harness subprocesses, each in a session of its own.
+
+    A SIGKILLed harness leaves its pool workers behind, reparented to
+    init. They stay in the harness's process group, so teardown kills
+    each group, whether the test passed or failed.
+    """
+    procs = []
+
+    def launch(tmp_path, params):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        script = HARNESS.format(src=os.path.abspath(SRC),
+                                params=str(params_file),
+                                scale=SCALE, seed=SEED,
+                                cache=str(tmp_path / "cache"),
+                                pid_file=str(tmp_path / "harness.pid"))
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE,
+                                start_new_session=True)
+        procs.append(proc)
+        return proc
+
+    yield launch
+    for proc in procs:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def journal_file(tmp_path):
@@ -123,7 +143,8 @@ def uninterrupted_digest(tmp_path, n=4):
 
 
 class TestParentKillResume:
-    def test_sigkilled_harness_resumes_to_identical_digest(self, tmp_path):
+    def test_sigkilled_harness_resumes_to_identical_digest(
+            self, tmp_path, launch_harness):
         params = build_params(tmp_path, killer=2)
         proc = launch_harness(tmp_path, params)
         proc.wait(timeout=120)
@@ -150,7 +171,8 @@ class TestParentKillResume:
         # And the journal now records the whole run.
         assert len(RunJournal.load_completed(jpath, run_id)) == 4
 
-    def test_second_kill_then_resume_still_converges(self, tmp_path):
+    def test_second_kill_then_resume_still_converges(
+            self, tmp_path, launch_harness):
         params = build_params(tmp_path, killer=2)
         # fail_attempts=2: the killer strikes on resume as well.
         params[2]["fail_attempts"] = 2
@@ -170,7 +192,8 @@ class TestParentKillResume:
 
 
 class TestSigintDrain:
-    def test_sigint_flushes_journal_and_resume_completes(self, tmp_path):
+    def test_sigint_flushes_journal_and_resume_completes(
+            self, tmp_path, launch_harness):
         params = build_params(tmp_path, sleep_s=0.8)
         proc = launch_harness(tmp_path, params)
         time.sleep(1.2)  # first worker batch done, second in flight

@@ -1,11 +1,11 @@
 """Tests for the region-granular lazy latency model and scale population.
 
 At a million players the old all-pairs host machinery is off the table;
-the scale path keeps O(regions²) propagation state at most, computed one
-row at a time on first use. These tests pin the laziness (rows appear
-only when touched), the memory bound, the fast-path/batch-path equality
-of ``gather_s``, and the determinism of the region builder and the
-access-latency sampler.
+the scale path keeps one regions² propagation table, its rows computed
+one at a time on first use. These tests pin the laziness (rows appear
+only when touched), the memory bound, ``gather_s`` against the scalar
+row lookup and its rejection of out-of-range regions, and the
+determinism of the region builder and the access-latency sampler.
 """
 
 import numpy as np
@@ -56,8 +56,7 @@ class TestLaziness:
             0, 8, size=100_000).astype(np.int64)
         model.gather_s(players, np.roll(players, 1))
         assert model.cached_rows <= 8
-        total_floats = sum(row.size for row in model._rows.values())
-        assert total_floats <= 8 * 8
+        assert model._table.size == 8 * 8
 
     def test_rows_are_immutable(self):
         model = make_model()
@@ -78,16 +77,43 @@ class TestCorrectness:
         assert model.propagation_s(0, 1) == model.propagation_s(1, 0)
 
     def test_gather_fast_path_matches_batch_path(self):
-        model = make_model(n_regions=7, seed=3)
+        # The oracle is a separate model's scalar row lookup, so the
+        # batch table is never compared with itself: once gathering
+        # from an empty cache, once into a full one.
         rng = np.random.default_rng(4)
         src = rng.integers(0, 7, size=200).astype(np.int64)
         dst = rng.integers(0, 7, size=200).astype(np.int64)
-        batch = model.gather_s(src, dst)
+        oracle = make_model(n_regions=7, seed=3)
         singles = np.array([
-            model.gather_s(src[i:i + 1], dst[i:i + 1])[0]
-            for i in range(src.size)
+            oracle.propagation_row_s(int(s))[int(d)]
+            for s, d in zip(src, dst)
         ])
-        assert np.array_equal(batch, singles)  # bitwise, not approx
+        for warm in (False, True):
+            model = make_model(n_regions=7, seed=3)
+            if warm:
+                model.full_matrix_s()
+                assert model.cached_rows == 7
+            batch = model.gather_s(src, dst)
+            assert batch.dtype == np.float64
+            # bitwise, not approx
+            assert batch.tobytes() == singles.tobytes(), warm
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("src,dst,error", [
+        ([0, -1], [0, 1], ValueError),
+        ([0, 4], [0, 1], IndexError),
+        ([0, 1], [0, 4], IndexError),
+        ([4], [0], IndexError),
+        ([0], [9], IndexError),
+    ])
+    def test_gather_rejects_out_of_range_regions(self, warm, src, dst,
+                                                 error):
+        model = make_model(n_regions=4)
+        if warm:
+            model.full_matrix_s()
+        with pytest.raises(error):
+            model.gather_s(np.array(src, dtype=np.int64),
+                           np.array(dst, dtype=np.int64))
 
     def test_full_matrix_matches_rows(self):
         model = make_model(n_regions=5)

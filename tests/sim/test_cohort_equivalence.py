@@ -169,6 +169,13 @@ def build_cohort(state):
     return cohort
 
 
+def assert_same_state(batch, scalar):
+    for name in (*PLAYER_ARRAYS, "tick_load", "lat_hist"):
+        a, b = getattr(batch, name), getattr(scalar, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestAdvanceMirror:
     @given(cohort_states())
     @settings(max_examples=150, deadline=None)
@@ -180,7 +187,17 @@ class TestAdvanceMirror:
         batch.advance(idx, tick)
         for i in order:
             scalar._advance_one(int(i), tick)
-        for name in (*PLAYER_ARRAYS, "tick_load", "lat_hist"):
-            a, b = getattr(batch, name), getattr(scalar, name)
-            assert a.dtype == b.dtype, name
-            assert a.tobytes() == b.tobytes(), name
+        assert_same_state(batch, scalar)
+
+    @given(cohort_states())
+    @settings(max_examples=150, deadline=None)
+    def test_full_population_advance_equals_scalar_mirror(self, case):
+        """The same property with every player in the batch: the
+        advance then works on views of the cohort arrays instead of
+        index copies, which the random subsets above rarely reach."""
+        state, tick, _, _ = case
+        batch, scalar = build_cohort(state), build_cohort(state)
+        batch.advance(np.arange(batch.n_players, dtype=np.int64), tick)
+        for i in range(scalar.n_players):
+            scalar._advance_one(i, tick)
+        assert_same_state(batch, scalar)
