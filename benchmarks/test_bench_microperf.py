@@ -46,33 +46,6 @@ def test_event_loop_throughput(benchmark):
     assert benchmark(run) == N
 
 
-def test_process_switch_throughput(benchmark):
-    """Producer/consumer handoff through a Store."""
-    from repro.sim.resources import Store
-    N = 5_000
-
-    def run():
-        env = Environment()
-        store = Store(env)
-        got = [0]
-
-        def producer(env):
-            for i in range(N):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(N):
-                yield store.get()
-                got[0] += 1
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return got[0]
-
-    assert benchmark(run) == N
-
-
 def test_scheduler_enqueue_throughput(benchmark):
     """Deadline buffer enqueue + Eq. 14 rebalance under backlog."""
     from repro.core.scheduling import DeadlineSenderBuffer

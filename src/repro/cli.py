@@ -248,9 +248,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    parser.add_argument(
-        "--kernel", action="store_true",
-        help="also trace raw kernel schedule/step events (verbose)")
     add_execution_args(parser)
     return parser
 
@@ -270,7 +267,6 @@ def trace_main(argv: list[str] | None = None) -> int:
     obs = Observability(
         trace=TraceRecorder(),
         checkers=[] if args.no_check else default_checkers(),
-        trace_kernel=args.kernel,
     )
     t0 = time.perf_counter()
     try:
@@ -535,7 +531,6 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
 
 def build_scale_parser() -> argparse.ArgumentParser:
     from repro.core.cohort import FAULT_PRESETS
-    from repro.sim.engine import QUEUE_KINDS
 
     parser = argparse.ArgumentParser(
         prog="cloudfog scale",
@@ -559,9 +554,6 @@ def build_scale_parser() -> argparse.ArgumentParser:
         "--mode", choices=("cohort", "per-player"), default="cohort",
         help="execution mode; traces are byte-identical (default cohort)")
     parser.add_argument(
-        "--queue", choices=QUEUE_KINDS, default="calendar",
-        help="event-queue kind (default calendar)")
-    parser.add_argument(
         "--faults", choices=FAULT_PRESETS, default="outage",
         help="fault preset (default outage: one region fails over "
              "for the middle third of the run)")
@@ -581,7 +573,7 @@ def scale_main(argv: list[str] | None = None) -> int:
         spec = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
             n_ticks=args.ticks, seed=args.seed, mode=args.mode,
-            queue=args.queue, faults=args.faults)
+            faults=args.faults)
     except ValueError as exc:
         parser.error(str(exc))
     t0 = time.perf_counter()
@@ -613,7 +605,6 @@ def _throughput_line(report, elapsed: float) -> str:
 def build_dynamics_parser() -> argparse.ArgumentParser:
     from repro.core.cohort import FAULT_PRESETS
     from repro.dynamics import DYNAMICS_PRESETS, DYNAMICS_STRATEGIES
-    from repro.sim.engine import QUEUE_KINDS
 
     parser = argparse.ArgumentParser(
         prog="cloudfog dynamics",
@@ -647,9 +638,6 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode", choices=("cohort", "per-player"), default="cohort",
         help="execution mode; traces are byte-identical (default cohort)")
-    parser.add_argument(
-        "--queue", choices=QUEUE_KINDS, default="calendar",
-        help="event-queue kind (default calendar)")
     parser.add_argument(
         "--faults", choices=FAULT_PRESETS, default="none",
         help="fault preset layered under the dynamics (default none)")
@@ -687,7 +675,7 @@ def dynamics_main(argv: list[str] | None = None) -> int:
         base = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
             n_ticks=args.ticks, seed=args.seed, mode=args.mode,
-            queue=args.queue, faults=args.faults)
+            faults=args.faults)
         if args.plan:
             with open(args.plan, encoding="utf-8") as fp:
                 plan = DynamicsPlan.from_dict(json.load(fp))

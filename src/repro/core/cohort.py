@@ -1,10 +1,12 @@
 """Population-scale cohort simulation kernel (DESIGN.md §11).
 
-Orchestrates a :class:`~repro.core.player.PlayerCohort` over the
-discrete-event :class:`~repro.sim.engine.Environment`. A **driver**
-event fires once per tick: it folds the previous tick's aggregates
-into the run digest, applies region fault transitions, runs the
-per-tick hook (:meth:`CohortKernel._tick_inputs`; here: congestion
+Orchestrates a :class:`~repro.core.player.PlayerCohort` over a
+calendar-queue :class:`~repro.sim.engine.Environment`. A **driver**
+event fires once per tick: it finishes the previous tick
+(:meth:`CohortKernel._finish_tick`; nothing in the base kernel, landed
+migrations under population dynamics), folds the previous tick's
+aggregates into the run digest, applies region fault transitions, runs
+the per-tick hook (:meth:`CohortKernel._tick_inputs`; here: congestion
 from the integer load counters), and reschedules itself.
 
 Execution modes
@@ -79,9 +81,9 @@ class OutageWindow:
 class ScaleSpec:
     """Configuration of one scale run.
 
-    ``mode`` and ``queue`` select the execution strategy; everything
-    else shapes the population and workload. Two specs differing only
-    in ``mode`` or ``queue`` must produce the same digest.
+    ``mode`` selects the execution strategy; everything else shapes the
+    population and workload. Two specs differing only in ``mode`` must
+    produce the same digest.
     """
 
     n_players: int = 100_000
@@ -89,7 +91,6 @@ class ScaleSpec:
     n_ticks: int = 240
     seed: int = 0
     mode: str = "cohort"  # or "per-player"
-    queue: str = "calendar"  # or "heap"
     faults: str = "outage"  # one of FAULT_PRESETS
     #: Overrides the preset's crash rate when not None.
     crash_rate_per_tick: float | None = None
@@ -127,7 +128,6 @@ class ScaleReport:
     n_ticks: int
     seed: int
     mode: str
-    queue: str
     faults: str
     digest: str
     wall_s: float
@@ -163,7 +163,7 @@ class ScaleReport:
         head = (
             f"scale run: {self.n_players:,} players / {self.n_regions} "
             f"regions / {self.n_ticks} ticks  "
-            f"[mode={self.mode} queue={self.queue} faults={self.faults} "
+            f"[mode={self.mode} faults={self.faults} "
             f"seed={self.seed}]\n"
             f"  wall {self.wall_s:.2f}s · {self.events_scheduled:,} events "
             f"· {self.materialisations:,} materialised\n"
@@ -241,7 +241,7 @@ class CohortKernel:
         self._capacity = (self.params.capacity_factor
                           * np.maximum(self.regions.player_counts(), 1)
                           .astype(np.float64))
-        self.env = Environment(queue=spec.queue)
+        self.env = Environment(queue="calendar")
         self._digest = hashlib.sha256()
         #: Per-player event chains started (per-player mode only).
         self.materialisations = 0
@@ -261,6 +261,7 @@ class CohortKernel:
             self._schedule_player(mp, tick + 1, self.params.tick_s)
 
     def _driver_fire(self, tick: int) -> None:
+        self._finish_tick()
         self._hash_tick(tick)
         self._apply_fault_transitions(tick)
         self._tick_inputs(tick)
@@ -273,6 +274,12 @@ class CohortKernel:
             idx = self.cohort.batch_indices()
             if idx.size:
                 self.cohort.advance(idx, tick)
+
+    def _finish_tick(self) -> None:
+        """Driver hook run after every advance of the previous tick and
+        before its state is folded into the digest: at the head of each
+        driver event, and once more after the last tick. The base kernel
+        has nothing to finish."""
 
     def _tick_inputs(self, tick: int) -> None:
         """Per-tick driver hook, run after the fault transitions and
@@ -382,6 +389,7 @@ class CohortKernel:
                 self.materialisations += 1
                 self._schedule_player(mp, 0, 0.0)
         self.env.run()
+        self._finish_tick()
         self._hash_tick(spec.n_ticks)
         digest = self._hash_final()
         wall = time.perf_counter() - t0
@@ -408,7 +416,7 @@ class CohortKernel:
         return ScaleReport(
             n_players=spec.n_players, n_regions=spec.n_regions,
             n_ticks=spec.n_ticks, seed=spec.seed, mode=spec.mode,
-            queue=spec.queue, faults=spec.faults, digest=digest,
+            faults=spec.faults, digest=digest,
             wall_s=wall, events_scheduled=self.env._seq,
             materialisations=self.materialisations,
             reabsorptions=0,

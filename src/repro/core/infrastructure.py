@@ -209,8 +209,13 @@ class GamingSession:
         #: the experiment driver installed via ``repro.obs.use(...)``.
         self.obs = obs if obs is not None else obs_mod.current()
         self.env = Environment()
+        self._sim_counters = None
         if self.obs is not None:
-            obs_mod.attach_kernel_probes(self.env, self.obs)
+            # Registered first so they lead the metrics snapshot; filled
+            # from the kernel's run-end counts in run().
+            self._sim_counters = (
+                self.obs.metrics.counter("sim.events_scheduled"),
+                self.obs.metrics.counter("sim.events_processed"))
             # Reset per-run invariant state (checkers may span several
             # back-to-back sessions in one recorder) and fence the trace.
             self.obs.emit(self.env.now, "session", "session.start",
@@ -531,6 +536,10 @@ class GamingSession:
         cfg = self.config
         # Extra drain time so in-flight segments arrive and count.
         self.env.run(until=cfg.duration_s + 2.0)
+        if self._sim_counters is not None:
+            scheduled, processed = self._sim_counters
+            scheduled.inc(self.env._seq)
+            processed.inc(self.env._seq - self.env.pending)
 
         outcomes = []
         for pid, endpoint in self._endpoints.items():

@@ -1,19 +1,21 @@
-"""Population dynamics on the cohort event kernel (DESIGN.md §14).
+"""Population dynamics on the cohort tick kernel (DESIGN.md §14).
 
 :class:`DynamicsKernel` extends :class:`~repro.core.cohort.CohortKernel`
 with membership: a compiled :class:`~repro.dynamics.plan.DynamicsPlan`
 turns into per-tick joins (pool pops), leaves (counter-hash draws
-against the compiled hazard), inter-region mobility (live migration
-through a :class:`~repro.faults.failover.FailoverController`) and an
-overload-graceful degradation ladder sharing
-:class:`~repro.core.overload.OverloadParams` with the supernode session
-layer.
+against the compiled hazard), inter-region mobility (live migrations
+that land once the tick's advances are done) and an overload-graceful
+degradation ladder sharing :class:`~repro.core.overload.OverloadParams`
+with the supernode session layer.
 
-All of it runs in the base driver's per-tick hook
-(:meth:`DynamicsKernel._tick_inputs`): membership and mobility are
-array edits, and in cohort mode the one batch advance that follows
-picks up whoever is active. Per-player mode is the reference that
-cohort mode must match.
+All of it runs in the base driver's hooks, as array edits that add no
+events: membership, overload and the choice of movers in the per-tick
+hook (:meth:`DynamicsKernel._tick_inputs`), before any advance of that
+tick; the moves themselves in :meth:`DynamicsKernel._finish_tick`,
+after every advance of that tick and before the next tick's digest
+fold and fault transitions. In cohort mode the one batch advance picks
+up whoever is active. Per-player mode is the reference that cohort
+mode must match.
 
 Determinism contract (same as the base kernel, extended):
 
@@ -25,11 +27,11 @@ Determinism contract (same as the base kernel, extended):
 * join counts and mobility batch sizes are **compile-time Poisson
   realisations** from the plan's own seeded stream;
 * the per-player side effects of a migration are disjoint per player
-  and fire mid-tick, after every advance of that tick, in both modes.
+  and land after every advance of that tick, in both modes.
 
 Hence cohort ≡ per-player under any plan, and the empty plan (with
 ``initial_fraction=1.0``) is byte-identical to the static baseline:
-no pools are touched, no draws are made, no events are added.
+no pools are touched, no draws are made.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.core.cohort import (
 )
 from repro.core.overload import OVERLOAD_BUCKETS, OverloadParams
 from repro.dynamics.plan import CompiledDynamics, DynamicsPlan, compile_plan
-from repro.faults.failover import FailoverController, FailoverParams
+from repro.faults.failover import RECOVERY_BUCKETS
 from repro.network.latency import LatencyParams
 from repro.sim.rng import counter_u01
 
@@ -56,6 +58,10 @@ from repro.sim.rng import counter_u01
 #: fall-over (admit everything, shed nothing — congestion does the
 #: punishing).
 DYNAMICS_STRATEGIES = ("graceful", "none")
+
+#: How long a live migration takes, in ticks: the failover path's
+#: detection timeout (0.22 tick) plus its switch delay (0.14 tick).
+MIGRATION_TICKS = 0.36
 
 
 @dataclass(frozen=True)
@@ -177,24 +183,11 @@ class DynamicsKernel(CohortKernel):
         self._over_prev = np.zeros(base.n_regions, dtype=bool)
         self._episode_start = np.zeros(base.n_regions, dtype=np.int64)
         self._inst: dict | None = None
-
-        # Live migration runs through the standard failover path with
-        # timings scaled to land strictly inside a tick (detection at
-        # 0.22·tick, switch 0.14·tick later) so no controller event ever
-        # collides with a tick boundary in either mode.
-        tick_s = self.params.tick_s
-        self._move_target: dict[int, int] = {}
-        self.mobility = FailoverController(
-            self.env,
-            FailoverParams(detection_timeout_s=0.22 * tick_s,
-                           base_backoff_s=0.1 * tick_s,
-                           max_retries=0,
-                           switch_delay_s=0.14 * tick_s),
-            is_up=lambda host: False,
-            reattach=lambda pid, host: False,
-            migrate=self._migrate_player,
-            obs=obs,
-            component="dynamics.mobility")
+        #: Moves chosen this tick, ``(player, target region)``, landed
+        #: by :meth:`_finish_tick`.
+        self._pending_moves: list[tuple[int, int]] = []
+        self.migration_times_s: list[float] = []
+        self._migration_hist = None
 
     # -- lazy overload instruments ------------------------------------------
     def _instruments(self) -> dict | None:
@@ -220,9 +213,6 @@ class DynamicsKernel(CohortKernel):
 
     # -- driver --------------------------------------------------------------
     def _tick_inputs(self, tick: int) -> None:
-        # Events scheduled here land at the current time or mid-tick,
-        # never on a tick boundary, so the driver's reschedule after
-        # this hook still precedes every player event of tick + 1.
         # Previous tick's utilisation, captured before the congestion
         # update zeroes the load counters.
         util = self.cohort.tick_load / self._capacity
@@ -314,7 +304,10 @@ class DynamicsKernel(CohortKernel):
         c.tier[pid] = p.n_tiers - 1
         c.last_switch[pid] = tick
         self.joins += 1
-        if not self._cohort_mode:
+        # A player evicted earlier in this hook still has its tick-t
+        # chain event pending; that event advances the re-admitted
+        # player, as the batch does, so no second chain starts.
+        if not self._cohort_mode and not c.materialised[pid]:
             mp = self.cohort.materialise(pid)
             self.materialisations += 1
             self._schedule_player(mp, tick, 0.0)
@@ -374,28 +367,34 @@ class DynamicsKernel(CohortKernel):
         c = self.cohort
         for from_r, to_r, count in batch:
             cand = np.flatnonzero(c.active & (c.region == from_r))
-            if self._move_target:
-                cand = cand[~np.isin(cand, list(self._move_target))]
+            if self._pending_moves:
+                # Exclude players an earlier batch of this tick picked.
+                picked = [pid for pid, _ in self._pending_moves]
+                cand = cand[~np.isin(cand, picked)]
             if cand.size == 0:
                 continue
             u = counter_u01(c.player_id[cand], tick, self._salt_move)
             take = cand[np.argsort(u, kind="stable")[:count]]
-            for pid in take:
-                pid = int(pid)
-                self._move_target[pid] = int(to_r)
-                self.mobility.on_server_down(
-                    pid, int(c.served_by[pid]), self.env.now)
+            self._pending_moves.extend((int(pid), int(to_r)) for pid in take)
 
-    def _migrate_player(self, pid: int) -> str | None:
-        to_r = self._move_target.pop(pid, None)
-        if to_r is None:  # pragma: no cover - defensive
-            return None
+    def _finish_tick(self) -> None:
+        """Land the moves chosen in the previous tick's hook."""
+        if not self._pending_moves:
+            return
         c = self.cohort
-        c.region[pid] = to_r
-        c.served_by[pid] = int(c.failover_to[to_r])
-        c.migrations[pid] += 1
-        self.moves_done += 1
-        return "supernode"
+        duration = MIGRATION_TICKS * self.params.tick_s
+        if self._migration_hist is None and self._obs is not None:
+            self._migration_hist = self._obs.metrics.histogram(
+                "failover.recovery_time_s", bounds=RECOVERY_BUCKETS)
+        for pid, to_r in self._pending_moves:
+            c.region[pid] = to_r
+            c.served_by[pid] = int(c.failover_to[to_r])
+            c.migrations[pid] += 1
+            self.moves_done += 1
+            self.migration_times_s.append(duration)
+            if self._migration_hist is not None:
+                self._migration_hist.observe(duration)
+        self._pending_moves.clear()
 
     # -- run -----------------------------------------------------------------
     def _initial_player_ids(self):
@@ -425,8 +424,8 @@ class DynamicsKernel(CohortKernel):
             out.append("served_by out of range")
         if np.any((c.tier < 0) | (c.tier >= self.params.n_tiers)):
             out.append("tier out of range")
-        if self._move_target:
-            out.append(f"{len(self._move_target)} migrations never landed")
+        if self._pending_moves:
+            out.append(f"{len(self._pending_moves)} migrations never landed")
         return out
 
     def run_dynamics(self) -> DynamicsReport:
@@ -441,7 +440,7 @@ class DynamicsKernel(CohortKernel):
                 inst["recovery_time"].observe(dur)
         self._over_prev[:] = False
         c = self.cohort
-        rec = self.mobility.recovery_times_s
+        rec = self.migration_times_s
 
         def _mean(vals):
             return float(sum(vals) / len(vals)) if vals else None

@@ -152,9 +152,10 @@ class Mobility:
     """Inter-region player movement at a Poisson rate.
 
     Each move picks an online player of ``from_region`` (counter-hash
-    ranked, so the set is a pure function of seed and tick), migrates it
-    live through the :class:`~repro.faults.failover.FailoverController`
-    path and re-homes it in ``to_region``.
+    ranked, so the set is a pure function of seed and tick) and
+    re-homes it in ``to_region`` once the tick's advances are done: a
+    live migration of fixed duration (the failover path's detection
+    plus switch delay), with no event of its own.
     """
 
     rate_per_s: float

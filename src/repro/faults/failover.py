@@ -116,7 +116,6 @@ class FailoverController:
         reattach: Callable[[int, int], bool],
         migrate: Callable[[int], Optional[str]],
         obs: "Observability | None" = None,
-        component: str = "failover",
     ):
         self.env = env
         self.params = params or FailoverParams()
@@ -124,7 +123,6 @@ class FailoverController:
         self._reattach = reattach
         self._migrate = migrate
         self._obs = obs
-        self.component = component
         #: player id -> {"host", "t_crash", "attempt"} while recovering.
         self._pending: dict[int, dict] = {}
         #: player id -> crash time; armed at recovery completion so the
@@ -174,7 +172,7 @@ class FailoverController:
 
     def _emit(self, kind: str, **data) -> None:
         if self._obs is not None:
-            self._obs.emit(self.env.now, self.component, kind, **data)
+            self._obs.emit(self.env.now, "failover", kind, **data)
 
     # -- entry points -------------------------------------------------------
     @property

@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.probes import attach_kernel_probes
 from repro.obs.trace import TraceEvent, TraceRecorder, load_jsonl, load_trace
 
 
@@ -64,9 +63,6 @@ class Observability:
         Shared registry; a fresh one is created when not given.
     checkers:
         Invariant checkers run on every emitted event, live.
-    trace_kernel:
-        Also trace raw kernel schedule/step events when kernel probes are
-        attached (verbose; off by default).
     """
 
     def __init__(
@@ -74,12 +70,10 @@ class Observability:
         trace: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         checkers: Sequence[InvariantChecker] = (),
-        trace_kernel: bool = False,
     ):
         self.trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.checkers = list(checkers)
-        self.trace_kernel = trace_kernel
 
     def emit(self, t: float, component: str, kind: str, **data: Any) -> None:
         """Record one event and run it through the live checkers."""
@@ -140,7 +134,6 @@ __all__ = [
     "QualityLadderChecker",
     "TraceEvent",
     "TraceRecorder",
-    "attach_kernel_probes",
     "current",
     "default_checkers",
     "load_jsonl",

@@ -3,21 +3,21 @@
 This package is CloudFog's substitute for the PeerSim simulator used in the
 paper: a small, deterministic, generator-based discrete-event kernel in the
 style of SimPy, built from scratch so the reproduction has no external
-simulator dependency.
+simulator dependency. It holds what the two simulators run: the
+packet-level ``GamingSession`` (processes on the binary heap) and the
+cohort kernel's tick driver (timeouts on the calendar queue).
 
 Core pieces
 -----------
 ``Environment``
-    The event loop: a priority heap of timestamped events plus the
-    simulation clock. Equal-time events fire in insertion order, which makes
-    every run deterministic for a fixed RNG seed.
+    The event loop: a future event list (binary heap or calendar queue)
+    plus the simulation clock. Equal-time events fire in insertion
+    order, which makes every run deterministic for a fixed RNG seed.
 ``Process``
     Wraps a Python generator; each ``yield``ed event suspends the process
-    until the event fires. Processes may be interrupted.
-``Timeout`` / ``Event`` / ``AnyOf`` / ``AllOf``
+    until the event fires.
+``Timeout`` / ``Event``
     Waitable primitives.
-``Store`` / ``PriorityStore`` / ``Resource``
-    Producer/consumer channels and counted resources with FIFO queues.
 ``RngRegistry``
     Named, independently seeded ``numpy`` random substreams so that each
     stochastic component (arrivals, capacities, jitter, ...) draws from its
@@ -25,37 +25,18 @@ Core pieces
 """
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import (
-    QUEUE_KINDS,
-    Environment,
-    SimulationError,
-    StopSimulation,
-    default_queue,
-    set_default_queue,
-    use_queue,
-)
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.engine import QUEUE_KINDS, Environment, SimulationError
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CalendarQueue",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityStore",
     "Process",
     "QUEUE_KINDS",
-    "Resource",
     "RngRegistry",
     "SimulationError",
-    "StopSimulation",
-    "Store",
     "Timeout",
-    "default_queue",
-    "set_default_queue",
-    "use_queue",
 ]

@@ -6,87 +6,35 @@ increasing sequence number breaks time ties in insertion order, so a run
 is a pure function of its inputs — the property PeerSim gives the
 paper's simulation and that the whole reproduction relies on.
 
-Two interchangeable event structures back the list (DESIGN.md §11):
+Two interchangeable event structures back the list (DESIGN.md §11),
+chosen per environment with ``Environment(queue=...)``:
 
 ``"heap"``
     The classic binary heap (``heapq``), O(log n) per operation. The
-    default, and the reference for the determinism contract.
+    default, and what the packet-level sessions run on.
 ``"calendar"``
     A :class:`~repro.sim.calendar.CalendarQueue` — bucketed, amortized
-    O(1) per operation, the kernel that makes million-player populations
-    affordable. Pops events in exactly the same ``(time, seq)`` order as
-    the heap, so traces (and their digests) are byte-identical.
-
-Pick per environment via ``Environment(queue="calendar")``, or switch
-the process-wide default with :func:`set_default_queue` /
-:func:`use_queue` / the ``CLOUDFOG_SIM_QUEUE`` environment variable so
-existing figure specs and the chaos machinery run unchanged on either
-kernel.
+    O(1) per operation, for event populations in the millions. The
+    cohort kernel runs on it. Pops events in exactly the same
+    ``(time, seq)`` order as the heap, so traces (and their digests)
+    are byte-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from contextlib import contextmanager
-from typing import Any, Generator, Iterator, Optional, Union
+from typing import Any, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 #: Recognised future-event-list implementations.
 QUEUE_KINDS = ("heap", "calendar")
 
 
-def _validated_queue_kind(kind: str) -> str:
-    if kind not in QUEUE_KINDS:
-        raise ValueError(
-            f"unknown event queue kind {kind!r}; expected one of {QUEUE_KINDS}")
-    return kind
-
-
-_default_queue = _validated_queue_kind(
-    os.environ.get("CLOUDFOG_SIM_QUEUE", "heap"))
-
-
-def default_queue() -> str:
-    """The queue kind new :class:`Environment` instances use."""
-    return _default_queue
-
-
-def set_default_queue(kind: str) -> None:
-    """Set the process-wide default event queue kind."""
-    global _default_queue
-    _default_queue = _validated_queue_kind(kind)
-
-
-@contextmanager
-def use_queue(kind: str) -> Iterator[None]:
-    """Temporarily switch the default event queue kind.
-
-    >>> with use_queue("calendar"):
-    ...     env = Environment()  # calendar-backed
-    """
-    global _default_queue
-    previous = _default_queue
-    _default_queue = _validated_queue_kind(kind)
-    try:
-        yield
-    finally:
-        _default_queue = previous
-
-
 class SimulationError(Exception):
     """An error raised by the simulation kernel itself."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to end :meth:`Environment.run` at an event."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
 
 
 class Environment:
@@ -97,9 +45,8 @@ class Environment:
     initial_time:
         Starting value of the clock (seconds).
     queue:
-        Future-event-list implementation: ``"heap"`` or ``"calendar"``
-        (see the module docstring). ``None`` (default) resolves to
-        :func:`default_queue` at construction time.
+        Future-event-list implementation: ``"heap"`` (default) or
+        ``"calendar"`` (see the module docstring).
 
     Examples
     --------
@@ -113,42 +60,29 @@ class Environment:
     5
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 queue: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0, queue: str = "heap"):
+        if queue not in QUEUE_KINDS:
+            raise ValueError(
+                f"unknown event queue kind {queue!r}; "
+                f"expected one of {QUEUE_KINDS}")
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
+        #: Events queued so far (also the last sequence number issued).
         self._seq = 0
-        self._active_process: Optional[Process] = None
-        self.queue_kind = _validated_queue_kind(
-            _default_queue if queue is None else queue)
+        self.queue_kind = queue
         self._cal: Optional[CalendarQueue] = None
-        if self.queue_kind == "calendar":
+        if queue == "calendar":
             self._cal = CalendarQueue()
-            # Same instance-attribute swap enable_probe_hooks() uses:
-            # the heap fast paths stay byte-identical for the default.
+            # Instance-attribute swap: the heap fast paths carry no
+            # queue-kind branch.
             self.schedule = self._schedule_calendar  # type: ignore[method-assign]
             self.step = self._step_calendar  # type: ignore[method-assign]
-        #: Probe hooks (see :mod:`repro.obs.probes`). ``on_schedule``
-        #: callbacks receive ``(now_s, at_s, event)`` whenever an event is
-        #: queued; ``on_step`` callbacks receive ``(now_s, event)`` as each
-        #: event is processed. Both lists are empty by default and the
-        #: uninstrumented hot paths never look at them — call
-        #: :meth:`enable_probe_hooks` after appending (probe attachers do
-        #: this) to swap in the instrumented ``schedule``/``step``, so an
-        #: unprobed environment pays nothing at all.
-        self.on_schedule: list = []
-        self.on_step: list = []
 
     # -- clock ------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -158,54 +92,12 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
-    def _schedule_instrumented(self, event: Event, delay: float = 0.0) -> None:
-        """:meth:`schedule` plus the ``on_schedule`` probe hooks."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        at = self._now + delay
-        heapq.heappush(self._heap, (at, self._seq, event))
-        for hook in self.on_schedule:
-            hook(self._now, at, event)
-
     def _schedule_calendar(self, event: Event, delay: float = 0.0) -> None:
         """:meth:`schedule` against the calendar queue."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         self._cal.push(self._now + delay, self._seq, event)
-
-    def _schedule_calendar_instrumented(self, event: Event,
-                                        delay: float = 0.0) -> None:
-        """:meth:`_schedule_calendar` plus the ``on_schedule`` hooks."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        at = self._now + delay
-        self._cal.push(at, self._seq, event)
-        for hook in self.on_schedule:
-            hook(self._now, at, event)
-
-    def enable_probe_hooks(self) -> None:
-        """Activate the ``on_schedule``/``on_step`` hook lists.
-
-        Swaps the instrumented ``schedule``/``step`` implementations onto
-        this instance. Separating activation from the hook lists keeps
-        the unprobed hot paths byte-identical to the uninstrumented
-        kernel (zero overhead, not merely a cheap check). Idempotent.
-        """
-        if self._cal is not None:
-            self.schedule = self._schedule_calendar_instrumented  # type: ignore[method-assign]
-            self.step = self._step_calendar_instrumented  # type: ignore[method-assign]
-        else:
-            self.schedule = self._schedule_instrumented  # type: ignore[method-assign]
-            self.step = self._step_instrumented  # type: ignore[method-assign]
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cal is not None:
-            return self._cal.peek_time()
-        return self._heap[0][0] if self._heap else float("inf")
 
     @property
     def pending(self) -> int:
@@ -225,37 +117,12 @@ class Environment:
         """Spawn a new process driving ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events) -> AllOf:
-        """Event that fires once every event in ``events`` has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that fires once any event in ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event. Raises ``SimulationError`` if empty."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
         self._now, _, event = heapq.heappop(self._heap)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
-    def _step_instrumented(self) -> None:
-        """:meth:`step` plus the ``on_step`` probe hooks."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = heapq.heappop(self._heap)
-        for hook in self.on_step:
-            hook(self._now, event)
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
@@ -282,91 +149,34 @@ class Environment:
         if not event._ok and not event.defused:
             self._raise_uncaught(event._value)
 
-    def _step_calendar_instrumented(self) -> None:
-        """:meth:`_step_calendar` plus the ``on_step`` hooks."""
-        cal = self._cal
-        if not cal:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = cal.pop()
-        for hook in self.on_step:
-            hook(self._now, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
     def _raise_uncaught(self, exc: BaseException) -> None:
         """Propagate an exception nobody handled out of the event loop."""
         raise exc
 
-    def run(self, until: Union[None, float, Event] = None) -> Any:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
-        Parameters
-        ----------
-        until:
-            ``None``
-                run until the schedule is exhausted;
-            a number
-                run until the clock reaches that time (the clock is
-                advanced to exactly ``until`` even if no event lies there);
-            an :class:`Event`
-                run until that event is processed and return its value.
+        With ``until=None`` run until the schedule is exhausted;
+        otherwise run until the clock reaches ``until`` (the clock is
+        advanced to exactly ``until`` even if no event lies there).
         """
-        stop_at: Optional[float] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            if until.processed:
-                return until.value
-            if until.callbacks is None:  # pragma: no cover - defensive
-                raise SimulationError(f"{until!r} already consumed")
-            until.callbacks.append(_stop_callback)
+        stop_at = float("inf") if until is None else float(until)
+        if stop_at < self._now:
+            raise SimulationError(
+                f"until={stop_at} lies in the past (now={self._now})")
+        if self._cal is None:
+            heap = self._heap
+            while heap and heap[0][0] <= stop_at:
+                self.step()
         else:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise SimulationError(
-                    f"until={stop_at} lies in the past (now={self._now})")
-
-        try:
-            if self._cal is None:
-                heap = self._heap
-                while heap:
-                    if stop_at is not None and heap[0][0] > stop_at:
-                        break
-                    self.step()
-            else:
-                cal = self._cal
-                while cal:
-                    # peek_time() caches the located bucket, so the pop
-                    # inside step() does not scan a second time.
-                    if stop_at is not None and cal.peek_time() > stop_at:
-                        break
-                    self.step()
-        except StopSimulation as stop:
-            return stop.value
-
-        if isinstance(until, Event):
-            if not until.triggered:
-                raise SimulationError(
-                    "schedule ran dry before the `until` event triggered")
-            return until.value  # pragma: no cover - race-free by design
-        if stop_at is not None:
+            cal = self._cal
+            # peek_time() caches the located bucket, so the pop inside
+            # step() does not scan a second time.
+            while cal and cal.peek_time() <= stop_at:
+                self.step()
+        if until is not None:
             self._now = stop_at
-        return None
 
     def __repr__(self) -> str:
         return (f"<Environment now={self._now} pending={self.pending} "
                 f"queue={self.queue_kind}>")
-
-
-def _stop_callback(event: Event) -> None:
-    if event.ok:
-        raise StopSimulation(event.value)
-    event.defused = True
-    raise event.value

@@ -1,32 +1,21 @@
 """Waitable event primitives for the discrete-event engine.
 
 An :class:`Event` is a one-shot occurrence: it starts *pending*, is
-*triggered* (scheduled with a value or an exception), and finally
-*processed* when the environment pops it off the heap and runs its
-callbacks. Processes wait on events by ``yield``ing them.
+*triggered* (scheduled with a value), and finally *processed* when the
+environment pops it off the event list and runs its callbacks.
+Processes wait on events by ``yield``ing them; a process whose
+generator raises is the one event that fails, carrying the exception.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
 # Sentinel distinguishing "not yet triggered" from a triggered None value.
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The optional ``cause`` carries arbitrary context (e.g. the reason a
-    streaming session was torn down).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -39,9 +28,9 @@ class Event:
 
     Notes
     -----
-    Callbacks receive the event itself. After :meth:`succeed` or
-    :meth:`fail` the event is scheduled for processing at the current
-    simulation time; callbacks run when the event is popped.
+    Callbacks receive the event itself. After :meth:`succeed` the event
+    is scheduled for processing at the current simulation time;
+    callbacks run when the event is popped.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
@@ -88,25 +77,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception to raise in waiters."""
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if self.triggered:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -129,84 +99,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Waits for a boolean combination of sub-events.
-
-    The condition's value is a dict mapping each *triggered* sub-event to
-    its value at the moment the condition fired.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list["Event"], int], bool],
-        events: Iterable["Event"],
-    ):
-        super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-
-        for ev in self._events:
-            if ev.env is not env:
-                raise ValueError("events span multiple environments")
-
-        if not self._events:
-            self.succeed(self._collect())
-            return
-
-        for ev in self._events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict["Event", Any]:
-        # `processed`, not `triggered`: Timeouts carry their value from
-        # birth, but they only *happen* when the clock reaches them.
-        return {ev: ev._value for ev in self._events if ev.processed}
-
-    def _check(self, event: "Event") -> None:
-        if self.triggered:
-            # Late failures of already-satisfied conditions must not be
-            # swallowed silently.
-            if not event._ok and not event.defused:
-                event.defused = True
-                self.env._raise_uncaught(event._value)
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-    @staticmethod
-    def all_events(events: list["Event"], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list["Event"], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when at least one sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]):
-        super().__init__(env, Condition.any_events, events)

@@ -9,9 +9,9 @@ generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -20,15 +20,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """A running simulation process (also a waitable event)."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on (None = starting/dead).
-        self._target: Optional[Event] = None
 
         # Kick the process off via an immediate initialisation event.
         init = Event(env)
@@ -37,53 +35,9 @@ class Process(Event):
         init.callbacks.append(self._resume)
         env.schedule(init)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process currently waits for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        twice before it resumes queues both interrupts.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if self.env.active_process is self:
-            raise RuntimeError("a process cannot interrupt itself")
-
-        interrupt_ev = Event(self.env)
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev.defused = True
-        interrupt_ev.callbacks.append(self._resume)
-        self.env.schedule(interrupt_ev)
-
     # -- internal ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        # Drop stale wakeups: if we were interrupted while waiting, the
-        # original target may still fire later and must be ignored.
-        if event is not self._target and self._target is not None:
-            if isinstance(event._value, Interrupt):
-                # Interrupt wins: detach from the pending target.
-                if self._target.callbacks is not None:
-                    try:
-                        self._target.callbacks.remove(self._resume)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-            else:
-                return
-        if self.triggered:
-            return
-
-        self.env._active_process = self
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -91,19 +45,15 @@ class Process(Event):
                 event.defused = True
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._target = None
             self._ok = True
             self._value = getattr(stop, "value", None)
             self.env.schedule(self)
             return
         except BaseException as exc:
-            self._target = None
             self._ok = False
             self._value = exc
             self.env.schedule(self)
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(next_target, Event):
             raise TypeError(
@@ -111,7 +61,6 @@ class Process(Event):
         if next_target.env is not self.env:
             raise ValueError("yielded event belongs to another environment")
 
-        self._target = next_target
         if next_target.processed:
             # Already done: resume immediately (via schedule to stay fair).
             wake = Event(self.env)
@@ -120,7 +69,6 @@ class Process(Event):
             if not next_target._ok:
                 next_target.defused = True
                 wake.defused = True
-            self._target = wake
             wake.callbacks.append(self._resume)
             self.env.schedule(wake)
         else:

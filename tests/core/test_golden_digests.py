@@ -32,6 +32,11 @@ GOLDEN_SERIES = {
 GOLDEN_CHAOS_TRACE = (
     "af985d367de4b7038f9f6500e4f11ee856d44bf4ac0b7197ad55fe0a393c1c09")
 
+#: Kernel events that session schedules (and processes), as the
+#: per-event kernel probes counted them before run-end counts replaced
+#: them.
+GOLDEN_SIM_EVENTS = 83_094
+
 #: SessionResult aggregates of a CloudFog/A session (peersim scale=0.05,
 #: seed=42, duration 15 s, warmup 2 s) — captured pre-refactor.
 GOLDEN_SESSION = {
@@ -76,13 +81,15 @@ class TestGreedySeedEquivalence:
             simulate_sessions,
         )
         from repro.experiments.scenarios import peersim_scenario
+        from repro.obs import Observability
 
         scen = peersim_scenario(0.05, seed=42)
         pop = scen.build()
         online = scen.online_sample(pop)
+        obs = Observability()
         res = simulate_sessions(
             pop, SystemVariant.CLOUDFOG_A, online,
-            SessionConfig(duration_s=15.0, warmup_s=2.0))
+            SessionConfig(duration_s=15.0, warmup_s=2.0), obs=obs)
         got = {
             "n_players": res.n_players,
             "mean_continuity": res.mean_continuity,
@@ -94,6 +101,13 @@ class TestGreedySeedEquivalence:
             "served_supernode": res.fraction_served_by("supernode"),
         }
         assert got == GOLDEN_SESSION
+        # The kernel's run-end counts: every queued event was processed,
+        # and the two counters lead the snapshot.
+        snap = obs.metrics.snapshot()
+        assert list(snap)[:2] == ["sim.events_scheduled",
+                                  "sim.events_processed"]
+        assert snap["sim.events_scheduled"]["value"] == GOLDEN_SIM_EVENTS
+        assert snap["sim.events_processed"]["value"] == GOLDEN_SIM_EVENTS
         # The refactor *adds* load indices without touching the QoE
         # envelope: greedy sessions now report them too.
         assert res.load_indices is not None

@@ -24,6 +24,7 @@ import pytest
 from repro.core.cohort import ScaleSpec, run_scale
 from repro.dynamics import (
     ChurnSource,
+    DynamicsBuilder,
     DynamicsKernel,
     DynamicsPlan,
     DynamicsSpec,
@@ -38,6 +39,17 @@ GOLDEN_ZERO_PLAN = (
 
 BASE = dict(n_players=250, n_regions=3, n_ticks=40, seed=2,
             faults="none")
+
+#: Flash crowd over an outage at seed 1: evicted players are re-admitted
+#: in the tick that evicts them.
+GOLDEN_READMIT = (
+    "6bb3bf71f85d7ed9048a3d013a31a3a7d80e629a2e1b165e8eaa585a37b29e4e")
+
+#: Moves from region 1 into region 0 across the start of region 0's
+#: outage, captured while migrations still ran on FailoverController
+#: timeouts that fired mid-tick.
+GOLDEN_LANDING = (
+    "209dbacd82650b448e73dc47e846bb26a1320d53bf16c5c03dc3c78b0e475b87")
 
 
 def _spec(mode="cohort", faults="none", preset="none", intensity=1,
@@ -119,6 +131,33 @@ class TestModeParity:
             for mode in ("cohort", "per-player"))
         assert cohort.leaves > 0
         assert_modes_agree(cohort, per_player)
+
+    def test_readmission_in_the_eviction_tick(self):
+        """A join can pop a player evicted earlier in the same hook; its
+        pending chain event must advance it, not a second chain."""
+        cohort, per_player = (
+            run_dynamics(_spec(mode, faults="outage", preset="flash-crowd",
+                               initial_fraction=1.0, seed=1))
+            for mode in ("cohort", "per-player"))
+        assert cohort.evicted > 0
+        assert cohort.scale.digest == GOLDEN_READMIT
+        assert_modes_agree(cohort, per_player)
+
+    @pytest.mark.parametrize("mode", ["cohort", "per-player"])
+    def test_moves_land_before_the_next_fault_transitions(self, mode):
+        """Moves chosen at tick t land after every advance of t, and
+        before tick t + 1's digest fold and fault transitions."""
+        plan = (DynamicsBuilder(seed=2)
+                .mobility(rate_per_s=4.0, from_region=1, to_region=0,
+                          start_s=5.0, duration_s=3.0)
+                .build())
+        base = ScaleSpec(mode=mode, **{**BASE, "faults": "outage"})
+        report = run_dynamics(DynamicsSpec(base=base, plan=plan,
+                                           initial_fraction=1.0))
+        assert report.moves > 0
+        assert report.invariants == []
+        assert report.scale.digest == GOLDEN_LANDING
+        assert report.migration_max_s == 0.36 * base.params.tick_s
 
     def test_mobility_migrates_in_both_modes(self):
         cohort = run_dynamics(_spec("cohort", preset="launch-day",

@@ -168,15 +168,6 @@ class TestClockMonotonicity:
         with pytest.raises(InvariantViolation, match="backwards"):
             run_checkers(events, [ClockMonotonicityChecker()])
 
-    def test_scheduling_into_the_past_fails(self):
-        events = [ev(1.0, "sim", "sim.schedule", at=0.5, event="Timeout")]
-        with pytest.raises(InvariantViolation, match="past"):
-            run_checkers(events, [ClockMonotonicityChecker()])
-
-    def test_scheduling_forward_passes(self):
-        events = [ev(1.0, "sim", "sim.schedule", at=1.5, event="Timeout")]
-        run_checkers(events, [ClockMonotonicityChecker()])
-
 
 class TestSessionReset:
     def test_session_start_resets_clock(self):

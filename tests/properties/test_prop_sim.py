@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import PriorityStore, Store
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -54,76 +53,3 @@ class TestEventOrdering:
             ev.callbacks.append(lambda e: fired.append(e.value))
         env.run()
         assert fired == list(range(len(ds)))
-
-
-class TestStoreProperties:
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_store_is_fifo(self, items):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-
-        def consumer(env):
-            for _ in items:
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == items
-
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_priority_store_yields_sorted(self, items):
-        """Once items are buffered, gets drain them smallest-first.
-
-        (The consumer starts after the producer finishes: a getter that
-        is already waiting consumes each put immediately, so priority
-        ordering only applies to buffered items.)"""
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-
-        def consumer(env):
-            yield env.timeout(1.0)  # let the producer fill the store
-            for _ in items:
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == sorted(items)
-
-    @given(st.lists(st.integers(), min_size=1, max_size=20),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=40, deadline=None)
-    def test_bounded_store_never_exceeds_capacity(self, items, cap):
-        env = Environment()
-        store = Store(env, capacity=cap)
-        max_seen = []
-
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-                max_seen.append(len(store))
-
-        def consumer(env):
-            for _ in items:
-                yield env.timeout(1.0)
-                yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert all(m <= cap for m in max_seen)

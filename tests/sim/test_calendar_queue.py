@@ -13,12 +13,7 @@ import random
 import pytest
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import (
-    Environment,
-    default_queue,
-    set_default_queue,
-    use_queue,
-)
+from repro.sim.engine import Environment
 
 
 class TestBasics:
@@ -132,20 +127,11 @@ class TestHeapEquivalence:
 
 class TestEngineIntegration:
     def test_queue_kind_selection(self):
-        assert Environment().queue_kind == default_queue()
+        assert Environment().queue_kind == "heap"
         assert Environment(queue="calendar").queue_kind == "calendar"
         assert Environment(queue="heap").queue_kind == "heap"
         with pytest.raises(ValueError):
             Environment(queue="wheel")
-
-    def test_use_queue_context(self):
-        with use_queue("calendar"):
-            assert Environment().queue_kind == "calendar"
-        assert Environment().queue_kind == default_queue()
-
-    def test_set_default_queue_validates(self):
-        with pytest.raises(ValueError):
-            set_default_queue("nope")
 
     def test_timeout_order_identical(self):
         rng = random.Random(3)

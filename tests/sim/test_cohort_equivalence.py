@@ -16,9 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cohort import FAULT_PRESETS, ScaleSpec, run_scale
+from repro.core.cohort import (
+    FAULT_PRESETS,
+    CohortKernel,
+    ScaleSpec,
+    run_scale,
+)
 from repro.core.player import CohortParams, PlayerCohort
+from repro.dynamics import DynamicsSpec, preset_dynamics, run_dynamics
 from repro.network.latency import LatencyParams, RegionalLatency
+from repro.sim.engine import Environment
 
 N_PLAYERS = 400
 N_TICKS = 50
@@ -58,15 +65,14 @@ class TestModeEquivalence:
             assert a == b, f"faults={faults}"
 
     def test_across_queues(self):
-        # Both axes at once: the vectorised run on the calendar queue
-        # against the individual run on the binary heap.
-        a = digest_of(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
-                      seed=4, mode="cohort", queue="calendar",
-                      faults="mixed")
-        b = digest_of(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
-                      seed=4, mode="per-player", queue="heap",
-                      faults="mixed")
-        assert a == b
+        # Both axes at once: the vectorised run on the kernel's calendar
+        # queue against the individual run on a binary heap.
+        kw = dict(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
+                  seed=4, faults="mixed")
+        a = digest_of(mode="cohort", **kw)
+        kernel = CohortKernel(ScaleSpec(mode="per-player", **kw))
+        kernel.env = Environment(queue="heap")
+        assert a == kernel.run().digest
 
     def test_different_seeds_differ(self):
         # The digest is not vacuous: different seeds, different traces.
@@ -106,6 +112,21 @@ class TestOneBatchPerTick:
         assert report.materialisations == 0
         assert report.reabsorptions == 0
         assert report.final_materialised == 0
+
+    def test_dynamics_with_mobility_schedules_only_the_driver(self):
+        # Joins, leaves, the overload ladder and migrations are array
+        # edits in the driver's hooks: no event beyond one per tick.
+        base = ScaleSpec(n_players=N_PLAYERS, n_regions=4,
+                         n_ticks=N_TICKS, seed=3, mode="cohort",
+                         faults="outage")
+        plan = preset_dynamics(
+            "launch-day", horizon_s=N_TICKS * base.params.tick_s,
+            n_players=N_PLAYERS, n_regions=4, seed=3)
+        report = run_dynamics(DynamicsSpec(base=base, plan=plan,
+                                           initial_fraction=0.6))
+        assert report.moves > 0
+        assert report.invariants == []
+        assert report.scale.events_scheduled == N_TICKS
 
 
 #: Every per-player array :meth:`PlayerCohort.advance` may write.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Environment, SimulationError
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class TestClock:
@@ -12,14 +12,6 @@ class TestClock:
 
     def test_initial_time(self):
         assert Environment(initial_time=10.0).now == 10.0
-
-    def test_peek_empty(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(3.0)
-        env.timeout(1.5)
-        assert env.peek() == 1.5
 
     def test_run_until_time_advances_clock(self, env):
         env.run(until=42.0)
@@ -65,39 +57,6 @@ class TestScheduling:
         assert seen == [7.25]
 
 
-class TestRunUntilEvent:
-    def test_returns_event_value(self, env):
-        def proc(env):
-            yield env.timeout(2.0)
-            return "done"
-
-        p = env.process(proc(env))
-        assert env.run(until=p) == "done"
-
-    def test_later_events_not_processed(self, env):
-        fired = []
-        late = env.timeout(10.0)
-        late.callbacks.append(lambda e: fired.append("late"))
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.run(until=env.process(proc(env)))
-        assert fired == []
-        assert env.now == pytest.approx(1.0)
-
-    def test_already_processed_event_returns_value(self, env):
-        ev = env.timeout(1.0, value="v")
-        env.run()
-        assert env.run(until=ev) == "v"
-
-    def test_until_event_never_triggered_raises(self, env):
-        ev = env.event()  # never triggered
-        env.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env.run(until=ev)
-
-
 class TestErrorPropagation:
     def test_uncaught_process_exception_propagates(self, env):
         def bad(env):
@@ -109,13 +68,23 @@ class TestErrorPropagation:
             env.run()
 
     def test_failed_event_without_waiter_propagates(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("unhandled"))
+        # A process that raises is a failed event; with nobody waiting
+        # on it, its exception leaves run().
+        def bad(env):
+            raise RuntimeError("unhandled")
+            yield  # pragma: no cover - makes this a generator
+
+        p = env.process(bad(env))
         with pytest.raises(RuntimeError, match="unhandled"):
             env.run()
+        assert p.triggered and not p.ok
 
     def test_failed_event_with_catching_waiter_is_defused(self, env):
-        ev = env.event()
+        def bad(env):
+            yield env.timeout(1.0)
+            raise RuntimeError("handled")
+
+        failing = env.process(bad(env))
 
         def waiter(env, ev):
             try:
@@ -123,10 +92,10 @@ class TestErrorPropagation:
             except RuntimeError:
                 return "caught"
 
-        p = env.process(waiter(env, ev))
-        ev.fail(RuntimeError("handled"))
+        p = env.process(waiter(env, failing))
         env.run()
         assert p.value == "caught"
+        assert failing.defused
 
 
 class TestDeterminism:

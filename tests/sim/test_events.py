@@ -1,9 +1,6 @@
-"""Unit tests for event primitives (Event, Timeout, AllOf, AnyOf)."""
+"""Unit tests for event primitives (Event, Timeout)."""
 
 import pytest
-
-from repro.sim.engine import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 
 
 class TestEventLifecycle:
@@ -27,28 +24,10 @@ class TestEventLifecycle:
         with pytest.raises(RuntimeError):
             ev.succeed()
 
-    def test_fail_requires_exception(self, env):
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
-    def test_fail_sets_not_ok(self, env):
-        ev = env.event()
-        ev.fail(ValueError("x"))
-        ev.defused = True
-        assert ev.triggered
-        assert not ev.ok
-
     def test_processed_after_run(self, env):
         ev = env.event().succeed("v")
         env.run()
         assert ev.processed
-
-    def test_trigger_copies_state(self, env):
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered and dst.value == "payload"
-
 
 class TestTimeout:
     def test_negative_delay_rejected(self, env):
@@ -70,79 +49,3 @@ class TestTimeout:
         p = env.process(proc(env))
         env.run()
         assert p.value == "ping"
-
-
-class TestAllOf:
-    def test_waits_for_all(self, env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(5.0, value="b")
-
-        def proc(env):
-            results = yield env.all_of([t1, t2])
-            return (env.now, sorted(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (5.0, ["a", "b"])
-
-    def test_empty_fires_immediately(self, env):
-        def proc(env):
-            results = yield env.all_of([])
-            return results
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == {}
-
-    def test_failure_propagates(self, env):
-        bad = env.event()
-
-        def proc(env):
-            try:
-                yield env.all_of([env.timeout(1.0), bad])
-            except RuntimeError:
-                return "failed"
-
-        p = env.process(proc(env))
-        bad.fail(RuntimeError("x"))
-        env.run()
-        assert p.value == "failed"
-
-
-class TestAnyOf:
-    def test_fires_on_first(self, env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(9.0, value="slow")
-
-        def proc(env):
-            results = yield env.any_of([t1, t2])
-            return (env.now, list(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (1.0, ["fast"])
-
-    def test_timeout_race_pattern(self, env):
-        """The canonical wait-with-timeout idiom."""
-        slow = env.timeout(100.0, value="data")
-
-        def proc(env):
-            deadline = env.timeout(5.0, value="timeout")
-            results = yield env.any_of([slow, deadline])
-            return "timeout" in results.values()
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value is True
-
-    def test_cross_environment_event_rejected(self, env):
-        other = Environment()
-        foreign = other.timeout(1.0)
-        with pytest.raises(ValueError):
-            env.any_of([foreign])
-
-
-class TestInterruptExc:
-    def test_carries_cause(self):
-        exc = Interrupt({"reason": "churn"})
-        assert exc.cause == {"reason": "churn"}

@@ -18,15 +18,19 @@ Two pins:
               n_players=250, n_regions=3, n_ticks=40, seed=seed,
               mode='cohort', faults=faults)).digest)"
 
-* Queue-kind neutrality on the *seed figures*: an existing paper
-  experiment produces a byte-identical result digest whether the
-  discrete-event kernel runs on the binary heap or the calendar queue.
+* Queue-kind neutrality: the pinned cohort run and the *seed figures*
+  produce byte-identical digests whether the discrete-event kernel runs
+  on the binary heap or the calendar queue. Each simulator builds its
+  own ``Environment`` (sessions on the heap, the cohort kernel on the
+  calendar), so the tests swap the other kind in.
 """
+
+from functools import partial
 
 import pytest
 
-from repro.core.cohort import ScaleSpec, run_scale
-from repro.sim.engine import use_queue
+from repro.core.cohort import CohortKernel, ScaleSpec, run_scale
+from repro.sim.engine import Environment
 
 GOLDEN = {
     (0, "mixed"): "ac914652e02f01841b5f245cb1f5b083d6f247165624c0b2b9ecc3ab1a28dbfb",
@@ -46,21 +50,23 @@ class TestGoldenScaleDigests:
 
     @pytest.mark.parametrize("queue", ["heap", "calendar"])
     def test_pinned_digest_queue_independent(self, queue):
-        report = run_scale(ScaleSpec(
+        kernel = CohortKernel(ScaleSpec(
             n_players=250, n_regions=3, n_ticks=40, seed=0,
-            mode="cohort", queue=queue, faults="mixed"))
-        assert report.digest == GOLDEN[(0, "mixed")]
+            mode="per-player", faults="mixed"))
+        kernel.env = Environment(queue=queue)
+        assert kernel.run().digest == GOLDEN[(0, "mixed")]
 
 
 class TestSeedFigureQueueNeutrality:
     @pytest.mark.parametrize("figure", ["fig5a", "fig8a"])
-    def test_heap_and_calendar_agree(self, figure):
+    def test_heap_and_calendar_agree(self, figure, monkeypatch):
+        import repro.core.infrastructure as infrastructure
         from repro.experiments.runner import run_results
 
         digests = {}
         for kind in ("heap", "calendar"):
-            with use_queue(kind):
-                (result,) = run_results(
-                    figure, scale=0.02, seed=11).values()
+            monkeypatch.setattr(infrastructure, "Environment",
+                                partial(Environment, queue=kind))
+            (result,) = run_results(figure, scale=0.02, seed=11).values()
             digests[kind] = result.digest
         assert digests["heap"] == digests["calendar"]

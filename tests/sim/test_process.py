@@ -2,9 +2,6 @@
 
 import pytest
 
-from repro.sim.engine import Environment
-from repro.sim.events import Interrupt
-
 
 class TestProcessBasics:
     def test_requires_generator(self, env):
@@ -19,15 +16,6 @@ class TestProcessBasics:
         p = env.process(proc(env))
         env.run()
         assert p.value == 123
-
-    def test_is_alive_until_done(self, env):
-        def proc(env):
-            yield env.timeout(2.0)
-
-        p = env.process(proc(env))
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
 
     def test_yield_non_event_raises(self, env):
         def proc(env):
@@ -65,108 +53,6 @@ class TestProcessBasics:
         p = env.process(parent(env))
         env.run()
         assert p.value == "x"
-
-    def test_active_process_visible_inside(self, env):
-        seen = []
-
-        def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-
-        def killer(env, target):
-            yield env.timeout(2.0)
-            target.interrupt("churn")
-
-        p = env.process(sleeper(env))
-        env.process(killer(env, p))
-        env.run()
-        assert p.value == ("interrupted", "churn", 2.0)
-
-    def test_interrupted_process_can_continue(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            return env.now
-
-        def killer(env, target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        p = env.process(sleeper(env))
-        env.process(killer(env, p))
-        env.run()
-        assert p.value == 3.0
-
-    def test_stale_target_does_not_rewake(self, env):
-        """After an interrupt, the original timeout firing is ignored."""
-        wakeups = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(5.0)
-                wakeups.append("timeout")
-            except Interrupt:
-                wakeups.append("interrupt")
-            yield env.timeout(10.0)
-            wakeups.append("second")
-
-        def killer(env, target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        p = env.process(sleeper(env))
-        env.process(killer(env, p))
-        env.run()
-        assert wakeups == ["interrupt", "second"]
-        assert p.value is None
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(0.5)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc(env):
-            env.active_process.interrupt()
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        with pytest.raises(RuntimeError):
-            env.run()
-
-    def test_uncaught_interrupt_fails_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        def killer(env, target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        p = env.process(sleeper(env))
-        env.process(killer(env, p))
-        with pytest.raises(Interrupt):
-            env.run()
 
 
 class TestExceptionFlow:
