@@ -129,8 +129,8 @@ def test_cohort_step_cost_sublinear(benchmark):
 
     The small operating point (250 players) is deliberately below the
     amortisation knee — per-player cost there is dominated by the fixed
-    per-call overhead of the ~100 numpy kernels a step issues, so a
-    vectorised batch 64× larger lands well under 64× the time (9–16×
+    per-call overhead of the numpy kernels a step issues, so a
+    vectorised batch 64× larger lands well under 64× the time (10–17×
     on a 2-vCPU x86 cloud host). Comparing two already-amortised sizes
     would instead measure memory bandwidth, which is linear.
     """

@@ -322,11 +322,12 @@ class PlayerCohort:
         # Every player active (every static run, every dynamics tick
         # with nobody pooled): a basic slice makes each read below a
         # view and each ``+=`` an in-place update, where ``idx`` would
-        # copy every array out and back.
-        sel = slice(None) if idx.size == self.n_players else idx
+        # copy every array out and back. The player id is the index.
+        full = idx.size == self.n_players
+        sel = slice(None) if full else idx
         region = self.region[sel]
         served = self.served_by[sel]
-        pid = self.player_id[sel]
+        pid = self.player_id if full else idx
 
         # 1) This tick's frame latency: access + propagation + congestion
         #    + uniform jitter from the counter generator.
@@ -336,14 +337,22 @@ class PlayerCohort:
                + self.congestion_s[served]
                + (2.0 * p.jitter_scale_s) * u_jit)
 
-        # 2) Crash draw (independent counter stream).
-        crashed = counter_u01(pid, tick, self._salt_crash) \
-            < p.crash_rate_per_tick
+        # 2) Crash draw (independent counter stream), kept as the
+        #    positions that crashed. A draw in [0, 1) is never below a
+        #    zero rate, so a crash-free run skips the stream.
+        if p.crash_rate_per_tick > 0.0:
+            hit = np.flatnonzero(counter_u01(pid, tick, self._salt_crash)
+                                 < p.crash_rate_per_tick)
+        else:
+            hit = np.empty(0, dtype=np.int64)
 
         # 3) Delivery against the tier-dependent deadline.
         tier = self.tier[sel]
         on_time = lat <= self._deadline_s[tier]
-        ok = on_time & ~crashed
+        ok = on_time
+        if hit.size:
+            ok = on_time.copy()
+            ok[hit] = False
 
         # 4) Playback buffer: fill on delivery, drain by playing.
         buf = self.buffer_s[sel] + np.where(ok, self._fill_s, 0.0)
@@ -365,37 +374,42 @@ class PlayerCohort:
         new_tier = tier + up.astype(np.int64) - down.astype(np.int64)
         switched = new_tier != tier
 
-        # 6) Crash effects: buffer wiped, restart at the bottom tier,
-        #    reconnect home (or to the failover target if home is down).
-        reconnect_to = np.where(
-            self.region_offline[region], self.failover_to[region], region)
-        buf = np.where(crashed, 0.0, buf)
-        new_tier = np.where(crashed, 0, new_tier)
-
-        # 7) Write back. ``served`` may be a view of ``served_by``: keep
-        #    its old values for the reconnect count and the load
-        #    bincount, which read them after the overwrite.
-        served = served.copy()
+        # 6) Write back the crash-free outcome.
         self.buffer_s[sel] = buf
         self.tier[sel] = new_tier
-        self.last_switch[sel] = np.where(
-            switched | crashed, tick, self.last_switch[sel])
-        self.served_by[sel] = np.where(crashed, reconnect_to, served)
+        self.last_switch[sel] = np.where(switched, tick,
+                                         self.last_switch[sel])
         self.rebuffer_ticks[sel] += ~playing
-        self.crashes[sel] += crashed
         self.switches[sel] += switched
-        self.reconnects[sel] += crashed & (reconnect_to != served)
         self.on_time_frames[sel] += on_time
         self.frames[sel] += 1
 
-        # 8) Order-free integer aggregates: integer addition commutes
+        # 7) Order-free integer aggregates: integer addition commutes
         #    exactly, so these counters match the scalar mirror's
-        #    one-at-a-time increments in any order.
+        #    one-at-a-time increments in any order. They read ``served``
+        #    (a view of ``served_by`` on the full path) before any
+        #    reconnect below overwrites it.
         bins = np.minimum((lat * self._inv_bin).astype(np.int64),
                           p.n_latency_bins - 1)
         flat = region * p.n_latency_bins + bins
         self.tick_load += np.bincount(served, minlength=self.n_regions)
         self.lat_hist += np.bincount(flat, minlength=self.lat_hist.shape[0])
+
+        # 8) Crash effects, at the crashed players only: buffer wiped,
+        #    restart at the bottom tier, reconnect home (or to the
+        #    failover target if home is down). A reconnect is counted
+        #    against the old server, before ``served_by`` is written.
+        if hit.size:
+            at = pid[hit]
+            home = region[hit]
+            reconnect_to = np.where(self.region_offline[home],
+                                    self.failover_to[home], home)
+            self.reconnects[at] += reconnect_to != served[hit]
+            self.buffer_s[at] = 0.0
+            self.tier[at] = 0
+            self.last_switch[at] = tick
+            self.served_by[at] = reconnect_to
+            self.crashes[at] += 1
 
     def _advance_one(self, i: int, tick: int) -> None:
         """Scalar mirror of :meth:`advance` for one player.

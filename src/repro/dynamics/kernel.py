@@ -37,7 +37,7 @@ no pools are touched, no draws are made.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +122,8 @@ class DynamicsReport:
         lines.append(
             f"  membership: {self.joins:,} joins · {self.leaves:,} leaves "
             f"· {self.refused:,} refused · {self.shed:,} shed · "
-            f"{self.evicted:,} evicted")
+            f"{self.evicted:,} evicted · {self.pool_exhausted:,} "
+            f"unfilled (pools dry)")
         mig = ("-" if self.migration_mean_s is None
                else f"mean {1e3 * self.migration_mean_s:.1f} ms / "
                     f"max {1e3 * self.migration_max_s:.1f} ms")
@@ -137,6 +138,52 @@ class DynamicsReport:
                      + ("passed" if not self.invariants
                         else "; ".join(self.invariants)))
         return "\n".join(lines)
+
+
+def home_join_pops(sizes: list[int], want: int,
+                   blocked: list[bool] | None
+                   ) -> tuple[list[int], int, int]:
+    """Replay ``want`` home joins over pools of ``sizes`` players.
+
+    Each join pops the deepest pool, the lowest region on a tie. A join
+    whose pool is ``blocked`` (over the admit watermark) is refused;
+    the sizes did not change, so every later join is refused too. Once
+    every pool is empty the rest run dry. The pops go level by level
+    (a water-fill): the pools at the top depth are popped once each in
+    ascending region order, round after round, until they reach the
+    next depth down and its pools join the round.
+
+    Returns the per-region pop counts, the refused count and the dry
+    count.
+    """
+    sizes = list(sizes)
+    pops = [0] * len(sizes)
+    left = want
+    while left:
+        top = max(sizes)
+        if top == 0:
+            return pops, 0, left
+        level = [r for r, s in enumerate(sizes) if s == top]
+        if blocked is not None:
+            stop = next((j for j, r in enumerate(level) if blocked[r]),
+                        None)
+            if stop is not None:
+                # The first round reaches the blocked pool.
+                for r in level[:min(stop, left)]:
+                    pops[r] += 1
+                return pops, max(left - stop, 0), 0
+        rounds = top - max((s for s in sizes if s < top), default=0)
+        if left < rounds * len(level):
+            # The joins run out within this level.
+            full, extra = divmod(left, len(level))
+            for j, r in enumerate(level):
+                pops[r] += full + (j < extra)
+            return pops, 0, 0
+        for r in level:
+            pops[r] += rounds
+            sizes[r] -= rounds
+        left -= rounds * len(level)
+    return pops, 0, 0
 
 
 class DynamicsKernel(CohortKernel):
@@ -166,8 +213,8 @@ class DynamicsKernel(CohortKernel):
             c.player_id, 0, self._salt_member) < dspec.initial_fraction
         self.initial_active = int(np.count_nonzero(c.active))
         #: Per-region FIFO pools of offline players (ascending ids).
-        self._pools: list[deque] = [
-            deque(int(p) for p in np.flatnonzero(~c.active & (c.region == r)))
+        self._pools: list[list[int]] = [
+            np.flatnonzero(~c.active & (c.region == r)).tolist()
             for r in range(base.n_regions)]
 
         # Tallies (python ints/lists: never hashed, mode-independent).
@@ -183,9 +230,9 @@ class DynamicsKernel(CohortKernel):
         self._over_prev = np.zeros(base.n_regions, dtype=bool)
         self._episode_start = np.zeros(base.n_regions, dtype=np.int64)
         self._inst: dict | None = None
-        #: Moves chosen this tick, ``(player, target region)``, landed
-        #: by :meth:`_finish_tick`.
-        self._pending_moves: list[tuple[int, int]] = []
+        #: Moves chosen this tick, ``(players, target region)`` per
+        #: mobility batch, landed by :meth:`_finish_tick`.
+        self._pending_moves: list[tuple[np.ndarray, int]] = []
         self.migration_times_s: list[float] = []
         self._migration_hist = None
 
@@ -270,93 +317,101 @@ class DynamicsKernel(CohortKernel):
                 m = (c.active & (c.served_by == r) & (c.tier == 0)
                      & (u < ov.shed_fraction))
                 ids = np.flatnonzero(m)
-                for pid in ids:
-                    self._deactivate(int(pid))
+                self._deactivate(ids)
                 self.evicted += int(ids.size)
                 self._count("evicted", int(ids.size))
 
     # -- membership ----------------------------------------------------------
-    def _deactivate(self, pid: int) -> None:
+    def _deactivate(self, ids: np.ndarray) -> None:
+        """Park ``ids`` (ascending) in their home regions' pools: each
+        pool gets its players in one ascending ``extend``, the FIFO
+        order parking them one by one would give."""
         c = self.cohort
-        c.active[pid] = False
-        self._pools[int(c.region[pid])].append(pid)
+        c.active[ids] = False
+        home = c.region[ids]
+        parked = ids[np.argsort(home, kind="stable")].tolist()
+        counts = np.bincount(home, minlength=len(self._pools)).tolist()
+        start = 0
+        for pool, n in zip(self._pools, counts):
+            pool.extend(parked[start:start + n])
+            start += n
 
-    def _pop_join(self, region: int) -> int | None:
-        """Pop one offline player for a join targeted at ``region``,
-        falling back to other regions' pools (ascending) and re-homing
-        the player when the target pool is dry."""
+    def _pop(self, region: int, n: int) -> list[int]:
+        """Pop up to ``n`` players off the front of ``region``'s pool."""
         pool = self._pools[region]
-        if pool:
-            return pool.popleft()
-        for r in range(len(self._pools)):
-            if self._pools[r]:
-                pid = self._pools[r].popleft()
-                self.cohort.region[pid] = region
-                return pid
-        return None
+        got = pool[:n]
+        del pool[:n]
+        return got
 
-    def _join_player(self, pid: int, region: int, tick: int) -> None:
+    def _admit(self, ids: np.ndarray, tick: int) -> None:
+        """Bring popped players online at their (possibly re-homed)
+        region's serving site, buffer and tier reset."""
         c = self.cohort
         p = self.params
-        c.active[pid] = True
-        c.served_by[pid] = int(c.failover_to[region])
-        c.buffer_s[pid] = p.init_buffer_s
-        c.tier[pid] = p.n_tiers - 1
-        c.last_switch[pid] = tick
-        self.joins += 1
+        c.active[ids] = True
+        c.served_by[ids] = c.failover_to[c.region[ids]]
+        c.buffer_s[ids] = p.init_buffer_s
+        c.tier[ids] = p.n_tiers - 1
+        c.last_switch[ids] = tick
+        self.joins += int(ids.size)
         # A player evicted earlier in this hook still has its tick-t
         # chain event pending; that event advances the re-admitted
         # player, as the batch does, so no second chain starts.
-        if not self._cohort_mode and not c.materialised[pid]:
-            mp = self.cohort.materialise(pid)
-            self.materialisations += 1
-            self._schedule_player(mp, tick, 0.0)
+        if not self._cohort_mode:
+            for pid in ids[~c.materialised[ids]].tolist():
+                mp = c.materialise(pid)
+                self.materialisations += 1
+                self._schedule_player(mp, tick, 0.0)
 
     def _apply_membership(self, tick: int, util: np.ndarray) -> None:
         comp = self.compiled
         if comp.is_empty:
             return
         c = self.cohort
-        graceful = self.dspec.strategy == "graceful"
-        admit_wm = self.dspec.overload.admit_watermark
+        pools = self._pools
+        blocked = ((util > self.dspec.overload.admit_watermark).tolist()
+                   if self.dspec.strategy == "graceful" else None)
         # Joins first (pools as of the previous tick), so a same-tick
         # leave can never be popped straight back in.
-        for r in np.flatnonzero(comp.region_joins[tick]):
+        popped: list[int] = []
+        for r in np.flatnonzero(comp.region_joins[tick]).tolist():
             want = int(comp.region_joins[tick, r])
-            if graceful and util[r] > admit_wm:
+            if blocked is not None and blocked[r]:
                 # Refused to direct-cloud fallback: these sessions are
                 # served outside the fog and never enter the cohort.
                 self.refused += want
                 self._count("refused", want)
                 continue
-            for _ in range(want):
-                pid = self._pop_join(int(r))
-                if pid is None:
-                    self.pool_exhausted += 1
-                    continue
-                self._join_player(pid, int(r), tick)
-        want_home = int(comp.home_joins[tick])
-        for i in range(want_home):
-            # Spread home joins over the deepest pools (deterministic
-            # tie-break: lowest region index).
-            sizes = [len(p) for p in self._pools]
-            r = int(np.argmax(sizes))
-            if sizes[r] == 0:
-                self.pool_exhausted += want_home - i
-                break
-            if graceful and util[r] > admit_wm:
-                self.refused += 1
-                self._count("refused")
-                continue
-            self._join_player(self._pools[r].popleft(), r, tick)
-        # Then leaves: counter-hash draw against the compiled hazard.
+            # The target pool first, then the others in ascending
+            # order; a player from another region's pool is re-homed.
+            for q in (r, *range(len(pools))):
+                if not want:
+                    break
+                got = self._pop(q, want)
+                if got:
+                    if q != r:
+                        c.region[got] = r
+                    popped += got
+                    want -= len(got)
+            self.pool_exhausted += want
+        pops, refused, dry = home_join_pops(
+            [len(p) for p in pools], int(comp.home_joins[tick]), blocked)
+        for r, n in enumerate(pops):
+            if n:
+                popped += self._pop(r, n)
+        self.refused += refused
+        self._count("refused", refused)
+        self.pool_exhausted += dry
+        if popped:
+            self._admit(np.array(popped, dtype=np.int64), tick)
+        # Then leaves: counter-hash draw against the compiled hazard,
+        # over the active players only (values are keyed by id).
         lp = comp.leave_prob[tick]
         if lp.any():
-            u = counter_u01(c.player_id, tick, self._salt_leave)
-            mask = c.active & (u < lp[c.region])
-            ids = np.flatnonzero(mask)
-            for pid in ids:
-                self._deactivate(int(pid))
+            act = np.flatnonzero(c.active)
+            u = counter_u01(act, tick, self._salt_leave)
+            ids = act[u < lp[c.region[act]]]
+            self._deactivate(ids)
             self.leaves += int(ids.size)
 
     # -- mobility ------------------------------------------------------------
@@ -369,30 +424,37 @@ class DynamicsKernel(CohortKernel):
             cand = np.flatnonzero(c.active & (c.region == from_r))
             if self._pending_moves:
                 # Exclude players an earlier batch of this tick picked.
-                picked = [pid for pid, _ in self._pending_moves]
-                cand = cand[~np.isin(cand, picked)]
+                cand = cand[~np.isin(cand, self._pending_ids())]
             if cand.size == 0:
                 continue
             u = counter_u01(c.player_id[cand], tick, self._salt_move)
             take = cand[np.argsort(u, kind="stable")[:count]]
-            self._pending_moves.extend((int(pid), int(to_r)) for pid in take)
+            self._pending_moves.append((take, int(to_r)))
+
+    def _pending_ids(self) -> np.ndarray:
+        return np.concatenate([ids for ids, _ in self._pending_moves])
 
     def _finish_tick(self) -> None:
-        """Land the moves chosen in the previous tick's hook."""
+        """Land the moves chosen in the previous tick's hook, in one
+        edit over the (distinct) movers."""
         if not self._pending_moves:
             return
         c = self.cohort
+        ids = self._pending_ids()
+        to = np.repeat([to_r for _, to_r in self._pending_moves],
+                       [m.size for m, _ in self._pending_moves])
+        c.region[ids] = to
+        c.served_by[ids] = c.failover_to[to]
+        c.migrations[ids] += 1
+        n = int(ids.size)
+        self.moves_done += n
         duration = MIGRATION_TICKS * self.params.tick_s
-        if self._migration_hist is None and self._obs is not None:
-            self._migration_hist = self._obs.metrics.histogram(
-                "failover.recovery_time_s", bounds=RECOVERY_BUCKETS)
-        for pid, to_r in self._pending_moves:
-            c.region[pid] = to_r
-            c.served_by[pid] = int(c.failover_to[to_r])
-            c.migrations[pid] += 1
-            self.moves_done += 1
-            self.migration_times_s.append(duration)
-            if self._migration_hist is not None:
+        self.migration_times_s.extend([duration] * n)
+        if self._obs is not None:
+            if self._migration_hist is None:
+                self._migration_hist = self._obs.metrics.histogram(
+                    "failover.recovery_time_s", bounds=RECOVERY_BUCKETS)
+            for _ in range(n):
                 self._migration_hist.observe(duration)
         self._pending_moves.clear()
 
@@ -413,11 +475,25 @@ class DynamicsKernel(CohortKernel):
                 f"membership not conserved: {active_now} active, expected "
                 f"{self.initial_active} + {self.joins} - {self.leaves} - "
                 f"{self.evicted} = {expected}")
-        pooled = sum(len(p) for p in self._pools)
+        sizes = [len(p) for p in self._pools]
+        pooled = sum(sizes)
         if pooled + active_now != self.spec.n_players:
             out.append(
                 f"population leak: {pooled} pooled + {active_now} active "
                 f"!= {self.spec.n_players}")
+        parked = np.fromiter(itertools.chain.from_iterable(self._pools),
+                             dtype=np.int64, count=pooled)
+        twice = np.count_nonzero(
+            np.bincount(parked, minlength=self.spec.n_players) > 1)
+        if twice:
+            out.append(f"{twice} players parked twice")
+        live = np.count_nonzero(c.active[parked])
+        if live:
+            out.append(f"{live} pooled players active")
+        stray = np.count_nonzero(
+            c.region[parked] != np.repeat(np.arange(len(sizes)), sizes))
+        if stray:
+            out.append(f"{stray} pooled players outside their region's pool")
         if np.any(c.materialised & ~c.active):
             out.append("inactive player still materialised")
         if np.any((c.served_by < 0) | (c.served_by >= self.spec.n_regions)):
@@ -425,7 +501,7 @@ class DynamicsKernel(CohortKernel):
         if np.any((c.tier < 0) | (c.tier >= self.params.n_tiers)):
             out.append("tier out of range")
         if self._pending_moves:
-            out.append(f"{len(self._pending_moves)} migrations never landed")
+            out.append(f"{self._pending_ids().size} migrations never landed")
         return out
 
     def run_dynamics(self) -> DynamicsReport:

@@ -10,6 +10,11 @@ Three contracts, in increasing strength:
 * the same seed reproduces the same run — including the exact set of
   (tick, player) shed decisions, not just the aggregate counts.
 
+Mode parity cannot see a change to membership itself: both modes run
+the one driver hook that joins, parks and evicts. So each membership
+branch (fallback pops, dry pools, refused home joins, parked evictions)
+is pinned to a digest and its counts as well.
+
 If an intentional change moves the golden, regenerate with::
 
     PYTHONPATH=src python - <<'EOF'
@@ -52,10 +57,44 @@ GOLDEN_LANDING = (
     "209dbacd82650b448e73dc47e846bb26a1320d53bf16c5c03dc3c78b0e475b87")
 
 
+#: Churn over the mixed faults at a 0.05 crash rate, from a 60% start:
+#: every tick advances a subset, and crashes hit it (88 crashes, 5
+#: reconnects).
+GOLDEN_CRASH_SUBSET = (
+    "e69fc13e634cd8421b56baeb6092bc084601f7789f1c3c253097490739922747")
+
+#: ``(preset, faults, strategy, initial_fraction, intensity)`` -> digest
+#: and ``(joins, leaves, refused, shed, evicted, pool_exhausted)``,
+#: captured while joins still popped one player at a time.
+MEMBERSHIP_PINS = {
+    "fallback-pops-rehomed": (
+        ("flash-crowd", "none", "graceful", 0.6, 1),
+        "ad27d80a27e9cc1c7deced6414806b853fbc171b98faf8f58ced8cfacd54685d",
+        (105, 86, 15, 0, 0, 0)),
+    "pools-run-dry": (
+        ("flash-crowd", "none", "graceful", 1.0, 3),
+        "abf1cb7229c83d59e987a651191fe017e777d86892db3e5ed26a51520f990aed",
+        (23, 77, 0, 0, 0, 342)),
+    "home-joins-refused": (
+        ("launch-day", "none", "graceful", 1.0, 3),
+        "2127a6dbb3169a55f5e130e8276ca5f31e5243cadac954ee8da927f184032785",
+        (309, 543, 145, 87, 0, 20)),
+    "evicted-parked-then-popped": (
+        ("launch-day", "outage", "graceful", 1.0, 3),
+        "339089c178a249f88a3d0b51c4896d9a3e5a2947d99d0a4dbce6b55493cd90d2",
+        (365, 594, 73, 373, 6, 36)),
+    "unmanaged-outage": (
+        ("launch-day", "outage", "none", 1.0, 3),
+        "3aa53b8242982a1c42295e15e5c1ccbc9a9586499db438aea13dd96c90d124eb",
+        (372, 606, 0, 0, 0, 102)),
+}
+
+
 def _spec(mode="cohort", faults="none", preset="none", intensity=1,
-          initial_fraction=1.0, strategy="graceful", seed=2):
-    base = ScaleSpec(mode=mode, **{**BASE, "faults": faults,
-                                   "seed": seed})
+          initial_fraction=1.0, strategy="graceful", seed=2,
+          crash_rate_per_tick=None):
+    base = ScaleSpec(mode=mode, crash_rate_per_tick=crash_rate_per_tick,
+                     **{**BASE, "faults": faults, "seed": seed})
     plan = preset_dynamics(preset,
                            horizon_s=base.n_ticks * base.params.tick_s,
                            n_players=base.n_players,
@@ -159,11 +198,44 @@ class TestModeParity:
         assert report.scale.digest == GOLDEN_LANDING
         assert report.migration_max_s == 0.36 * base.params.tick_s
 
+    def test_crash_heavy_subset(self):
+        """Crashes on the subset path: the batch writes crash effects at
+        the crashed positions' global ids, the reference run through
+        ``_advance_one``."""
+        reports = [run_dynamics(_spec(mode, "mixed", "churn",
+                                      initial_fraction=0.6,
+                                      crash_rate_per_tick=0.05))
+                   for mode in ("cohort", "per-player")]
+        for report in reports:
+            assert report.scale.digest == GOLDEN_CRASH_SUBSET
+            assert (report.scale.crashes, report.scale.reconnects) == (88, 5)
+        assert_modes_agree(*reports)
+
     def test_mobility_migrates_in_both_modes(self):
         cohort = run_dynamics(_spec("cohort", preset="launch-day",
                                     initial_fraction=0.6))
         assert cohort.moves > 0
         assert cohort.migration_mean_s is not None
+
+
+class TestMembershipPins:
+    @pytest.mark.parametrize("branch", list(MEMBERSHIP_PINS))
+    def test_digest_and_counts(self, branch):
+        (preset, faults, strategy, fraction, intensity), digest, counts = (
+            MEMBERSHIP_PINS[branch])
+        r = run_dynamics(_spec("cohort", faults, preset, intensity,
+                               initial_fraction=fraction,
+                               strategy=strategy))
+        assert r.scale.digest == digest
+        assert (r.joins, r.leaves, r.refused, r.shed, r.evicted,
+                r.pool_exhausted) == counts
+        assert r.invariants == []
+
+    def test_unfilled_joins_reach_the_text_report(self):
+        r = run_dynamics(_spec(preset="flash-crowd", intensity=3,
+                               initial_fraction=1.0))
+        assert r.pool_exhausted == 342
+        assert "0 evicted · 342 unfilled (pools dry)" in r.format_text()
 
 
 class TestSeedDeterminism:
