@@ -195,15 +195,40 @@ def _print_ladder() -> None:
               f"{ql.latency_req_s*1000:>9.0f} ms {ql.latency_tolerance:>10.1f}")
 
 
+def _text_stream(json_path: str | None):
+    """Where a command prints its text: stderr when ``--json -`` puts
+    the JSON document on stdout, so stdout parses as that one
+    document."""
+    return sys.stderr if json_path == "-" else sys.stdout
+
+
+def _write_json(path: str, payload, what: str, *,
+                sort_keys: bool = True) -> None:
+    """Write ``payload`` as indented JSON to ``path`` (``-`` = stdout)."""
+    if path == "-":
+        json.dump(payload, sys.stdout, indent=2, sort_keys=sort_keys)
+        print()
+        return
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=2, sort_keys=sort_keys)
+    print(f"wrote {what} to {path}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudfog",
         description="CloudFog (ICPP 2015) reproduction — experiment runner",
     )
+    # A spec sharing a subcommand's name is only reachable as part of
+    # ``all`` or through ``trace --figure``: ``main`` routes the word to
+    # the subcommand first.
+    shadowed = sorted(set(SPECS) & set(SUBCOMMANDS))
     parser.add_argument(
         "experiment",
-        choices=sorted(SPECS) + ["all", "ladder"],
-        help="which paper figure to regenerate",
+        choices=sorted(set(SPECS) - set(SUBCOMMANDS)) + ["all", "ladder"],
+        help="which paper figure to regenerate (the sweeps named like "
+             f"a subcommand, {', '.join(shadowed)}, run under 'cloudfog "
+             "all' or 'cloudfog trace --figure NAME')",
     )
     parser.add_argument(
         "--scale", type=float, default=0.1,
@@ -366,44 +391,43 @@ def chaos_main(argv: list[str] | None = None) -> int:
             config=ChaosConfig(duration_s=args.duration))
     elapsed = time.perf_counter() - t0
 
+    out = _text_stream(args.json)
     if args.out:
         n = obs.trace.save(args.out)
-        print(f"wrote {n} events to {args.out}")
+        print(f"wrote {n} events to {args.out}", file=out)
     if args.json:
-        if args.json == "-":
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(report, fp, indent=2, sort_keys=True)
-            print(f"wrote chaos report to {args.json}")
+        _write_json(args.json, report, "chaos report")
 
     fs = report["fault_stats"] or {}
     plan_desc = (args.plan if args.plan
                  else f"{args.preset} @ intensity {args.intensity}")
-    print(f"plan:        {plan_desc} ({report['n_faults']} faults)")
+    print(f"plan:        {plan_desc} ({report['n_faults']} faults)",
+          file=out)
     print(f"players:     {report['n_players']} "
-          f"({report['served_supernode']:.0%} on supernodes)")
-    print(f"continuity:  {report['continuity']:.4f}")
-    print(f"satisfied:   {report['satisfied']:.4f}")
+          f"({report['served_supernode']:.0%} on supernodes)", file=out)
+    print(f"continuity:  {report['continuity']:.4f}", file=out)
+    print(f"satisfied:   {report['satisfied']:.4f}", file=out)
     print(f"injected:    {fs.get('injected', 0)} "
           f"(cleared {fs.get('cleared', 0)}, "
-          f"skipped {fs.get('skipped', 0)})")
+          f"skipped {fs.get('skipped', 0)})", file=out)
     print(f"recoveries:  {fs.get('recoveries', 0)} "
           f"(reconnects {fs.get('reconnects', 0)}, "
           f"migrations {fs.get('migrations', 0)}, "
-          f"cloud fallbacks {fs.get('cloud_fallbacks', 0)})")
+          f"cloud fallbacks {fs.get('cloud_fallbacks', 0)})", file=out)
     mean_rt = fs.get("mean_recovery_time_s")
     if mean_rt is not None:
         print(f"recovery:    mean {mean_rt * 1000:.0f} ms, "
-              f"max {fs.get('max_recovery_time_s', 0) * 1000:.0f} ms")
+              f"max {fs.get('max_recovery_time_s', 0) * 1000:.0f} ms",
+              file=out)
     print(f"lost:        {fs.get('segments_lost_to_faults', 0)} segments "
-          f"to faults, {fs.get('stale_suppressed', 0)} stale suppressed")
-    print(f"digest:      {obs.digest()}")
+          f"to faults, {fs.get('stale_suppressed', 0)} stale suppressed",
+          file=out)
+    print(f"digest:      {obs.digest()}", file=out)
     checks = "skipped" if args.no_check else (
         f"passed ({len(obs.checkers)} checkers)")
-    print(f"invariants:  {checks}")
-    print(f"[{elapsed:.1f}s, scale={args.scale}, seed={args.seed}]")
+    print(f"invariants:  {checks}", file=out)
+    print(f"[{elapsed:.1f}s, scale={args.scale}, seed={args.seed}]",
+          file=out)
     return 0
 
 
@@ -484,6 +508,7 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
         digests[strategy] = obs.digest()
     elapsed = time.perf_counter() - t0
 
+    out = _text_stream(args.json)
     if args.json:
         payload = {
             "scenario": {"skew": args.skew, "churn": args.churn,
@@ -492,21 +517,15 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
             "strategies": reports,
             "digests": digests,
         }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote orchestration report to {args.json}")
+        _write_json(args.json, payload, "orchestration report")
 
     first = reports[strategies[0]]
     print(f"scenario:    skew={args.skew} churn={args.churn} "
-          f"({first['n_players']} players)")
+          f"({first['n_players']} players)", file=out)
     header = (f"{'strategy':<13} {'contin':>7} {'satisf':>7} {'lat ms':>7} "
               f"{'sn %':>5} {'gini':>6} {'hhi':>6} {'cv':>6} "
               f"{'rounds':>6} {'max':>4}")
-    print(header)
+    print(header, file=out)
     for strategy in strategies:
         rep = reports[strategy]
         li = rep["load_indices"] or {}
@@ -520,12 +539,13 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
               f"{li.get('gini_users', 0.0):>6.3f} "
               f"{li.get('herfindahl_users', 0.0):>6.3f} "
               f"{li.get('cv_users', 0.0):>6.3f} "
-              f"{rounds:>6} {max_r:>4}")
+              f"{rounds:>6} {max_r:>4}", file=out)
     for strategy in strategies:
-        print(f"digest[{strategy}]: {digests[strategy]}")
+        print(f"digest[{strategy}]: {digests[strategy]}", file=out)
     checks = "skipped" if args.no_check else "passed"
-    print(f"invariants:  {checks}")
-    print(f"[{elapsed:.1f}s, scale={args.scale}, seed={args.seed}]")
+    print(f"invariants:  {checks}", file=out)
+    print(f"[{elapsed:.1f}s, scale={args.scale}, seed={args.seed}]",
+          file=out)
     return 0
 
 
@@ -579,17 +599,11 @@ def scale_main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     report = run_scale(spec)
     elapsed = time.perf_counter() - t0
+    out = _text_stream(args.json)
     if args.json is not None:
-        payload = report.to_dict()
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote scale report to {args.json}")
-    print(report.format_text())
-    print(_throughput_line(report, elapsed))
+        _write_json(args.json, report.to_dict(), "scale report")
+    print(report.format_text(), file=out)
+    print(_throughput_line(report, elapsed), file=out)
     return 0
 
 
@@ -695,20 +709,14 @@ def dynamics_main(argv: list[str] | None = None) -> int:
     with obs_mod.use(obs):
         report = run_dynamics(dspec, obs=obs)
     elapsed = time.perf_counter() - t0
+    out = _text_stream(args.json)
     if args.json is not None:
-        payload = report.to_dict()
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote dynamics report to {args.json}")
+        _write_json(args.json, report.to_dict(), "dynamics report")
     plan_desc = (args.plan if args.plan
                  else f"{args.preset} @ intensity {args.intensity}")
-    print(f"plan:       {plan_desc} ({len(plan)} sources)")
-    print(report.format_text())
-    print(_throughput_line(report.scale, elapsed))
+    print(f"plan:       {plan_desc} ({len(plan)} sources)", file=out)
+    print(report.format_text(), file=out)
+    print(_throughput_line(report.scale, elapsed), file=out)
     return 1 if report.invariants else 0
 
 
@@ -803,21 +811,22 @@ def worker_main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
 
+#: Subcommands with their own parsers: ``main`` hands them ``argv[1:]``.
+SUBCOMMANDS = {
+    "trace": trace_main,
+    "chaos": chaos_main,
+    "orchestrate": orchestrate_main,
+    "scale": scale_main,
+    "dynamics": dynamics_main,
+    "worker": worker_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "orchestrate":
-        return orchestrate_main(argv[1:])
-    if argv and argv[0] == "scale":
-        return scale_main(argv[1:])
-    if argv and argv[0] == "dynamics":
-        return dynamics_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return worker_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "ladder":
@@ -860,19 +869,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg.close()
     results = {name: r.series for name, r in run_results_by_name.items()}
 
+    out = _text_stream(args.json)
     if args.json is not None:
         payload = {
             name: [s.to_dict() for s in series]
             for name, series in results.items()
         }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2)
-            print(f"wrote {sum(len(v) for v in payload.values())} series "
-                  f"to {args.json}")
+        _write_json(args.json, payload,
+                    f"{sum(len(v) for v in payload.values())} series",
+                    sort_keys=False)
     elif args.plot:
         from repro.metrics.ascii_plot import print_chart
         for name, series in results.items():
@@ -884,16 +889,16 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         errors = f", {cache.errors} errors" if cache.errors else ""
         print(f"[cache] {cache.hits} hits, {cache.misses} misses{errors} "
-              f"({len(cache)} entries in {cache.root})")
+              f"({len(cache)} entries in {cache.root})", file=out)
     resumed = sum(r.tasks_resumed for r in run_results_by_name.values())
     retried = sum(r.tasks_retried for r in run_results_by_name.values())
     if resumed or retried:
         print(f"[resilience] {resumed} task(s) restored from the run "
-              f"journal, {retried} retried")
+              f"journal, {retried} retried", file=out)
     failures = [f for r in run_results_by_name.values()
                 for f in r.failures]
     print(f"\n[{time.perf_counter() - t0:.1f}s, scale={args.scale}, "
-          f"seed={args.seed}, jobs={args.jobs}]")
+          f"seed={args.seed}, jobs={args.jobs}]", file=out)
     if failures:
         print(f"partial results: {len(failures)} sweep task(s) failed "
               f"after retries:", file=sys.stderr)

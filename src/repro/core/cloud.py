@@ -70,26 +70,6 @@ class CloudCoordinator:
         self.update_bytes_sent += n_messages * self.update_message_bytes
         self.actions_processed += n_messages
 
-    def account_update_regions(self, counts) -> None:
-        """Charge egress for one tick's fan-out, one entry per region.
-
-        ``counts`` maps each supernode/region to the number of update
-        messages pushed to it this tick (any iterable of counts, or a
-        mapping whose values are counts). The per-tick aggregate form of
-        :meth:`account_update`: a million-player tick charges the ledger
-        once per *region*, not once per player.
-        """
-        if hasattr(counts, "values"):
-            counts = counts.values()
-        total = 0
-        for n in counts:
-            n = int(n)
-            if n < 0:
-                raise ValueError("update counts must be nonnegative")
-            total += n
-        self.update_bytes_sent += total * self.update_message_bytes
-        self.actions_processed += total
-
     def account_stream(self, n_bytes: float) -> None:
         """Charge egress for directly streamed video bytes."""
         self.stream_bytes_sent += n_bytes

@@ -1,37 +1,21 @@
-"""Overload-graceful supernodes: admission control and load shedding.
+"""Overload-graceful degradation: the watermarks of the ladder.
 
 A flash crowd should degrade QoE smoothly, never crash assignment
-invariants (Stimpack's quality-vs-capacity trade, PAPERS.md). Two layers
-share the same :class:`OverloadParams` watermarks:
-
-* **Session layer** — :class:`OverloadGuard` wraps one
-  :class:`~repro.core.supernode.SupernodeServer`. Load is measured in
-  *effective slots*: each attached encoder costs ``bitrate / top-ladder
-  bitrate`` slots, so shedding a session down the quality ladder genuinely
-  frees uplink. Above the admit watermark new players are refused to
-  direct-cloud fallback; above the shed watermark the highest-quality
-  (lowest-priority: cheapest to degrade) sessions step down the ladder;
-  only at the evict watermark are floor-level sessions detached.
-
-* **Cohort layer** — :class:`~repro.dynamics.kernel.DynamicsKernel`
-  applies the same watermarks to per-region tick-load utilisation with
-  counter-hash player selection, so the shed set is a pure function of
-  ``(seed, tick)`` and identical in cohort and per-player modes.
-
-All ``overload.*`` instruments are created lazily on the first overload
-event: an armed-but-never-stressed guard leaves the metrics snapshot
-byte-identical to an unguarded run.
+invariants (Stimpack's quality-vs-capacity trade, PAPERS.md).
+:class:`~repro.dynamics.kernel.DynamicsKernel` runs the ladder on the
+cohort: each tick it compares every region's utilisation (the previous
+tick's served head-count over ``capacity_factor`` × the home
+head-count) with the :class:`OverloadParams` watermarks, refusing joins
+past the admit watermark, stepping players down a tier past the shed
+watermark and evicting floor-tier players past the evict watermark.
+Shed and evict pick players by counter hash, so each set is a pure
+function of ``(seed, tick)`` and identical in cohort and per-player
+modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-from repro.streaming.video import MAX_LEVEL, get_level
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
 
 #: Bucket bounds for overload recovery-time histograms (seconds).
 #: Same grid as ``repro.faults.failover.RECOVERY_BUCKETS`` so failover
@@ -43,22 +27,20 @@ OVERLOAD_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 class OverloadParams:
     """Watermarks of the graceful-degradation ladder.
 
-    Utilisation is load over capacity — effective slots over
-    ``capacity_slots`` at the session layer, tick load over cohort
-    capacity at the cohort layer. The ladder must be ordered:
-    admit ≤ shed ≤ evict.
+    Utilisation is a region's tick load over its cohort capacity. The
+    ladder must be ordered: admit ≤ shed ≤ evict.
     """
 
     #: Above this utilisation new admissions are refused (the player is
     #: served by direct cloud streaming instead of the fog).
     admit_watermark: float = 0.95
-    #: Above this utilisation sessions are stepped down the quality
-    #: ladder (shed) until utilisation drops back under it.
+    #: Above this utilisation players are stepped down one quality tier
+    #: (shed).
     shed_watermark: float = 1.0
-    #: Above this utilisation even floor-quality sessions are evicted.
+    #: Above this utilisation floor-tier players are evicted.
     evict_watermark: float = 1.25
-    #: Fraction of eligible cohort players shed/evicted per overloaded
-    #: tick (counter-hash selected; session layer sheds one at a time).
+    #: Fraction of eligible players shed/evicted per overloaded tick
+    #: (counter-hash selected).
     shed_fraction: float = 0.25
 
     def __post_init__(self) -> None:
@@ -70,148 +52,3 @@ class OverloadParams:
             raise ValueError("evict watermark must be >= shed watermark")
         if not 0.0 < self.shed_fraction <= 1.0:
             raise ValueError("shed fraction must be in (0, 1]")
-
-
-class OverloadGuard:
-    """Admission control + quality-ladder shedding for one supernode.
-
-    Parameters
-    ----------
-    server:
-        The guarded :class:`~repro.core.server.StreamingServer` (needs
-        ``encoders``, ``capacity_slots`` and ``detach_player``).
-    params:
-        Watermarks.
-    obs:
-        Optional observability sink for ``overload.*`` instruments.
-    """
-
-    def __init__(
-        self,
-        server,
-        params: OverloadParams | None = None,
-        obs: "Observability | None" = None,
-        component: str = "overload",
-    ):
-        self.server = server
-        self.params = params or OverloadParams()
-        self._obs = obs
-        self.component = component
-        self.refused = 0
-        self.shed = 0
-        self.evicted = 0
-        #: Start time of the current overload episode, or None.
-        self._episode_start_s: Optional[float] = None
-        self.episode_durations_s: list[float] = []
-        self._inst: dict | None = None
-        self._top_bitrate = get_level(MAX_LEVEL).bitrate_bps
-
-    # -- lazy instruments ---------------------------------------------------
-    def _instruments(self) -> dict | None:
-        if self._obs is None:
-            return None
-        if self._inst is None:
-            m = self._obs.metrics
-            self._inst = {
-                "refused": m.counter("overload.refused"),
-                "shed": m.counter("overload.shed"),
-                "evicted": m.counter("overload.evicted"),
-                "recovery_time": m.histogram(
-                    "overload.recovery_time_s", bounds=OVERLOAD_BUCKETS),
-            }
-        return self._inst
-
-    def _count(self, key: str) -> None:
-        inst = self._instruments()
-        if inst is not None:
-            inst[key].inc()
-
-    # -- load model ---------------------------------------------------------
-    def effective_load(self) -> float:
-        """Uplink demand in slots: Σ bitrate_i / top-ladder bitrate."""
-        total = sum(enc.bitrate_bps for enc in self.server.encoders.values())
-        return total / self._top_bitrate
-
-    def utilization(self) -> float:
-        """Effective load over contributed capacity slots."""
-        return self.effective_load() / self.server.capacity_slots
-
-    # -- admission ----------------------------------------------------------
-    def admit(self, now_s: float = 0.0) -> bool:
-        """Whether one more top-quality session fits under the admit
-        watermark; refusals are counted (the caller falls back to direct
-        cloud streaming)."""
-        util_after = ((self.effective_load() + 1.0)
-                      / self.server.capacity_slots)
-        if util_after > self.params.admit_watermark:
-            self.refused += 1
-            self._count("refused")
-            self._note_load(now_s)
-            return False
-        return True
-
-    # -- shedding -----------------------------------------------------------
-    def rebalance(self, now_s: float = 0.0) -> list[int]:
-        """Shed quality (then evict) until back under the watermarks.
-
-        Sessions at the highest quality level are stepped down first
-        (ties broken by lowest player id); a session already at the
-        ladder floor can only be evicted, and eviction happens only
-        above the evict watermark. Returns the evicted player ids — the
-        caller re-homes them on direct cloud.
-        """
-        p = self.params
-        evicted: list[int] = []
-        # Step highest-level sessions down one rung at a time.
-        while self.utilization() > p.shed_watermark:
-            target = None
-            for pid in sorted(self.server.encoders):
-                enc = self.server.encoders[pid]
-                if target is None or enc.level > target[1].level:
-                    target = (pid, enc)
-            if target is None or not target[1].adjust_down():
-                break  # empty, or everyone is at the ladder floor
-            self.shed += 1
-            self._count("shed")
-        while (self.utilization() > p.evict_watermark
-               and self.server.encoders):
-            pid = min(self.server.encoders)
-            self.server.detach_player(pid)
-            evicted.append(pid)
-            self.evicted += 1
-            self._count("evicted")
-        self._note_load(now_s)
-        return evicted
-
-    # -- episode tracking ---------------------------------------------------
-    def _note_load(self, now_s: float) -> None:
-        """Open/close the overload episode around the admit watermark."""
-        over = self.utilization() > self.params.admit_watermark
-        if over and self._episode_start_s is None:
-            self._episode_start_s = now_s
-        elif not over and self._episode_start_s is not None:
-            duration = now_s - self._episode_start_s
-            self._episode_start_s = None
-            self.episode_durations_s.append(duration)
-            inst = self._instruments()
-            if inst is not None:
-                inst["recovery_time"].observe(duration)
-
-    def note_load(self, now_s: float) -> None:
-        """Public hook: call after attach/detach to track recovery time."""
-        self._note_load(now_s)
-
-    # -- reporting ----------------------------------------------------------
-    def stats(self) -> dict:
-        """JSON-able summary of overload handling."""
-        return {
-            "refused": self.refused,
-            "shed": self.shed,
-            "evicted": self.evicted,
-            "utilization": self.utilization(),
-            "episodes": len(self.episode_durations_s),
-            "mean_recovery_s": (
-                float(sum(self.episode_durations_s)
-                      / len(self.episode_durations_s))
-                if self.episode_durations_s else None),
-        }

@@ -247,44 +247,6 @@ class DeadlineSenderBuffer:
                 p_drop=self._c_packets_dropped.value, p_pend=self._p_pend)
         self._rebalance(entry, now_s)
 
-    def enqueue_batch(self, segments, now_s: float) -> int:
-        """Insert many segments, then rebalance each — one trace event.
-
-        The per-tick cloud→supernode fan-out delivers one segment per
-        served player in a burst. Inserting the whole burst before
-        running the Eq. 14 estimate-and-drop pass (in deadline order,
-        earliest first) gives every pass the complete queue picture —
-        the same picture sequential enqueues converge to, since a
-        segment's estimate only depends on what is *ahead* of it — while
-        the ledger and observability cost is one batch event instead of
-        one per segment. Returns the number of segments accepted.
-        """
-        self._last_now = now_s
-        entries: list[_QueueEntry] = []
-        packets = 0
-        for segment in segments:
-            segment.enqueued_at_s = now_s
-            entry = _QueueEntry(segment.deadline_s, next(self._seq), segment)
-            bisect.insort(self._queue, entry, lo=self._head)
-            packets += segment.remaining_packets
-            entries.append(entry)
-        if not entries:
-            return 0
-        self._c_enqueued.inc(len(entries))
-        self._p_in += packets
-        self._p_pend += packets
-        self._g_queue_len.set(len(self._queue) - self._head)
-        if self._obs is not None:
-            self._obs.emit(
-                now_s, self.component, "buffer.enqueue_batch",
-                disc="edf", segments=len(entries), packets=packets,
-                qlen=len(self._queue) - self._head,
-                p_in=self._p_in, p_out=self._p_out,
-                p_drop=self._c_packets_dropped.value, p_pend=self._p_pend)
-        for entry in sorted(entries):
-            self._rebalance(entry, now_s)
-        return len(entries)
-
     def dequeue(self, now_s: Optional[float] = None, *,
                 expire: Optional[bool] = None) -> Optional[VideoSegment]:
         """Pop the earliest-deadline segment, expiring hopeless ones.

@@ -196,37 +196,6 @@ class StreamingServer:
         ev = self.env.timeout(self.render_delay_s)
         ev.callbacks.append(after_render)
 
-    def render_and_send_batch(self, actions) -> None:
-        """Render one segment per ``(player_id, action_time_s)`` pair.
-
-        The per-tick aggregate form of :meth:`render_and_send`: the
-        cloud's state update for a tick covers every served player at
-        once, so the server schedules *one* render completion for the
-        whole batch, encodes each player's segment, enqueues them in one
-        buffer operation, and wakes the sender once. Players detached
-        between scheduling and render completion are skipped, exactly as
-        in the per-player path.
-        """
-        actions = [(pid, t) for pid, t in actions if pid in self.encoders]
-        if not actions:
-            return
-        state_ready_s = self.env.now
-
-        def after_render(_ev, actions=actions, state_ready_s=state_ready_s):
-            segments = []
-            for player_id, action_time_s in actions:
-                enc = self.encoders.get(player_id)
-                if enc is None:
-                    continue
-                segments.append(enc.encode_segment(
-                    action_time_s, self.env.now,
-                    state_ready_s=state_ready_s))
-            if self.buffer.enqueue_batch(segments, self.env.now):
-                self._wake_sender()
-
-        ev = self.env.timeout(self.render_delay_s)
-        ev.callbacks.append(after_render)
-
     def _wake_sender(self) -> None:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()

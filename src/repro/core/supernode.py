@@ -8,7 +8,6 @@ state updates from the cloud instead of computing game state itself.
 
 from __future__ import annotations
 
-from repro.core.overload import OverloadGuard, OverloadParams
 from repro.core.scheduling import SchedulingParams
 from repro.core.server import StreamingServer
 from repro.sim.engine import Environment
@@ -31,11 +30,6 @@ class SupernodeServer(StreamingServer):
         l_s — game video rendering time per segment.
     use_deadline_scheduling:
         Enable the §III-C sender buffer (CloudFog-schedule, CloudFog/A).
-    overload:
-        Optional :class:`~repro.core.overload.OverloadParams`; when set
-        the supernode degrades gracefully under a flash crowd — refusing
-        admissions past the admit watermark and shedding sessions down
-        the quality ladder before evicting (see DESIGN.md §14).
     """
 
     def __init__(
@@ -49,7 +43,6 @@ class SupernodeServer(StreamingServer):
         scheduling_params: SchedulingParams | None = None,
         uplink_rate_bps: float | None = None,
         obs=None,
-        overload: OverloadParams | None = None,
     ):
         if capacity_slots < 1:
             raise ValueError("a supernode needs at least one slot")
@@ -68,36 +61,6 @@ class SupernodeServer(StreamingServer):
         )
         #: Update messages received from the cloud.
         self.updates_received = 0
-        #: Graceful-degradation layer; None keeps legacy hard-cap only.
-        self.overload_guard = (
-            OverloadGuard(self, overload, obs,
-                          component=f"supernode:{host_id}")
-            if overload is not None else None)
-
-    @property
-    def has_capacity(self) -> bool:
-        """Whether another player fits (C_j not exhausted)."""
-        return self.n_players < self.capacity_slots
-
-    def admit_player(self, now_s: float = 0.0) -> bool:
-        """Admission check: hard slot cap plus, when overload-guarded,
-        the admit watermark. A refusal means direct-cloud fallback."""
-        if not self.has_capacity:
-            if self.overload_guard is not None:
-                self.overload_guard.refused += 1
-                self.overload_guard._count("refused")
-            return False
-        if self.overload_guard is not None:
-            return self.overload_guard.admit(now_s)
-        return True
-
-    def rebalance_overload(self, now_s: float = 0.0) -> list[int]:
-        """Shed quality / evict until back under the watermarks; returns
-        evicted player ids (to be re-homed on direct cloud). No-op when
-        not overload-guarded."""
-        if self.overload_guard is None:
-            return []
-        return self.overload_guard.rebalance(now_s)
 
     def receive_update(self) -> None:
         """Account one cloud update message (virtual world refresh)."""

@@ -6,7 +6,9 @@ second" and leaving when their session ends. The per-figure drivers use
 a static online snapshot for speed; this module runs the *dynamic*
 version end-to-end:
 
-* joins arrive via :class:`~repro.workload.sessions.SessionSchedule`;
+* joins arrive from the simulation's own Poisson process
+  (``DynamicSimulation._arrival_proc``), thinned by the plan's diurnal
+  envelope when it has one;
 * each joining player picks a game socially, runs the §III-A-3
   assignment, streams for its session duration, then leaves and releases
   its supernode slot;

@@ -6,7 +6,9 @@ The paper evaluates on two setups (§IV):
   promoted), 5 main datacenters, EdgeCloud +45 servers, communication
   latencies from a PlanetLab trace;
 * **PlanetLab** — 750 nodes nationwide (300 supernode-capable), 2
-  datacenter nodes (Princeton + UCLA), EdgeCloud +8 servers.
+  datacenter nodes (Princeton + UCLA), EdgeCloud +8 servers. Here the
+  two datacenters sit ``DC_OFFSET_KM`` (350 km) off the two largest
+  university sites, where ``build_topology`` places every datacenter.
 
 ``scale`` shrinks all population counts proportionally so unit tests and
 benchmarks run in seconds while preserving every *ratio* that drives the
@@ -22,13 +24,27 @@ from typing import Optional
 import numpy as np
 
 from repro.network.latency import LatencyParams
-from repro.network.planetlab import PLANETLAB_LATENCY_PARAMS
 from repro.sim.rng import RngRegistry
 from repro.workload.players import Population, build_population
 
 #: Steady-state online fraction implied by the paper's play-time mixture:
 #: E[daily play] / 24 h = (0.5·1 h + 0.3·3.5 h + 0.2·14.5 h) / 24 ≈ 0.19.
 ONLINE_FRACTION = 0.19
+
+#: PlanetLab hosts sit on university networks, whose access latency is
+#: far lower than consumer ISPs'; all-pairs-ping medians come out at
+#: roughly 50–90 ms RTT.
+PLANETLAB_LATENCY_PARAMS = LatencyParams(
+    access_median_s=0.004,
+    access_sigma=0.9,
+    # PlanetLab is notorious for a minority of heavily loaded/badly
+    # connected nodes; they form the poor mode here.
+    poor_fraction=0.25,
+    poor_median_s=0.045,
+    poor_sigma=0.6,
+    route_inflation=1.7,
+    jitter_scale_s=0.003,
+)
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,30 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.network.link import degrade_rate, restore_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.infrastructure import GamingSession
     from repro.core.player import PlayerEndpoint
     from repro.faults.failover import FailoverController
+
+
+def degrade_rate(target, factor: float) -> float:
+    """Scale ``target.uplink_rate_bps`` by ``factor``; returns the
+    original value for :func:`restore_rate`.
+
+    The bandwidth throttle applies it to a streaming server and to its
+    deadline-driven sender buffer, which keeps its own copy of the rate.
+    """
+    if not 0.0 < factor <= 1.0:
+        raise ValueError("degrade factor must lie in (0, 1]")
+    original = target.uplink_rate_bps
+    target.uplink_rate_bps = original * factor
+    return original
+
+
+def restore_rate(target, original: float) -> None:
+    """Undo :func:`degrade_rate` exactly (no float round-tripping)."""
+    target.uplink_rate_bps = original
 
 
 def _is_supernode(server) -> bool:
@@ -224,21 +242,18 @@ class SessionChaos:
             servers = [self._session._servers[target]]
         tokens = []
         for server in servers:
-            orig = degrade_rate(server, fault.factor,
-                                attr="uplink_rate_bps")
+            orig = degrade_rate(server, fault.factor)
             buf_orig = None
             if hasattr(server.buffer, "uplink_rate_bps"):
-                buf_orig = degrade_rate(server.buffer, fault.factor,
-                                        attr="uplink_rate_bps")
+                buf_orig = degrade_rate(server.buffer, fault.factor)
             tokens.append((server, orig, buf_orig))
         return tokens
 
     def _clear_throttle(self, fault, tokens, now_s: float) -> None:
         for server, orig, buf_orig in tokens:
-            restore_rate(server, orig, attr="uplink_rate_bps")
+            restore_rate(server, orig)
             if buf_orig is not None:
-                restore_rate(server.buffer, buf_orig,
-                             attr="uplink_rate_bps")
+                restore_rate(server.buffer, buf_orig)
 
     # partition --------------------------------------------------------------
     def _apply_partition(self, fault, now_s: float):

@@ -1,4 +1,4 @@
-"""Network substrate: geometry, latency, links, topology.
+"""Network substrate: geometry, latency, packets, topology.
 
 CloudFog's evaluation runs on PeerSim with communication latencies taken
 from a PlanetLab trace, and on PlanetLab itself. This package replaces both
@@ -10,10 +10,13 @@ with a synthetic but calibrated model:
   lognormal last-mile delay) + *propagation* (distance over fibre speed,
   times a route-inflation factor) + pairwise jitter
   (:mod:`repro.network.latency`);
-* bandwidth-limited links serialize packet transmission FIFO
-  (:mod:`repro.network.link`);
-* :mod:`repro.network.planetlab` assembles the 750-host PlanetLab-like
-  testbed used by the paper's real-world experiments.
+* video segments travel as packets (:mod:`repro.network.packet`); the
+  uplink that serializes them is the streaming server's sender loop
+  (:mod:`repro.core.server`);
+* the paper's 750-host PlanetLab testbed is
+  :func:`repro.experiments.scenarios.planetlab_scenario`: the usual
+  ``build_population`` with university-site placement and
+  ``PLANETLAB_LATENCY_PARAMS``.
 
 The latency constants are calibrated so that the *datacenter coverage*
 curves match the measurements the paper builds on (Choy et al.: 13 EC2
@@ -22,7 +25,6 @@ datacenters give ≤80 ms median latency to fewer than 70 % of US users).
 
 from repro.network.geometry import Point, distance_km, pairwise_distances_km
 from repro.network.latency import LatencyModel, LatencyParams
-from repro.network.link import Link, UplinkPort
 from repro.network.packet import Packet, VideoSegment
 from repro.network.topology import Host, Metro, Topology, build_topology
 
@@ -30,12 +32,10 @@ __all__ = [
     "Host",
     "LatencyModel",
     "LatencyParams",
-    "Link",
     "Metro",
     "Packet",
     "Point",
     "Topology",
-    "UplinkPort",
     "VideoSegment",
     "build_topology",
     "distance_km",

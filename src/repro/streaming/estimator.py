@@ -8,10 +8,9 @@ The paper's receiver estimates its buffered video *indirectly*:
 with ``d`` the measured downloading rate and ``b_p`` the playback rate.
 The reproduction's :class:`~repro.streaming.playback.PlaybackBuffer`
 tracks the buffer directly (ground truth); this estimator implements the
-paper's incremental form on top of a
-:class:`~repro.network.link.DownlinkMeter`, and the test suite checks
-the two agree — i.e. that Eq. 7 is a faithful estimate of the state it
-approximates.
+paper's incremental form from the caller's measured ``d(t_k)``, and the
+test suite checks the two agree — i.e. that Eq. 7 is a faithful
+estimate of the state it approximates.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ class Eq7Estimator:
         now_s:
             t_k.
         download_rate_bps:
-            d(t_k) — e.g. from a
-            :class:`~repro.network.link.DownlinkMeter`.
+            d(t_k) — the downloading rate measured over the interval.
 
         Returns the new r estimate (Eq. 8).
         """

@@ -79,38 +79,6 @@ class FifoSenderBuffer:
                 p_in=self._p_in, p_out=self._p_out, p_drop=self._p_drop,
                 p_pend=self._p_pend)
 
-    def enqueue_batch(self, segments, now_s: float) -> int:
-        """Add many segments at once — one ledger update, one event.
-
-        Queue state after the call is identical to calling
-        :meth:`enqueue` once per segment in order; only the bookkeeping
-        is amortised, so a per-tick fan-out to thousands of players
-        costs one trace event instead of thousands. Returns the number
-        of segments accepted.
-        """
-        self._last_now = now_s
-        n = 0
-        packets = 0
-        for segment in segments:
-            segment.enqueued_at_s = now_s
-            self._queue.append(segment)
-            packets += segment.remaining_packets
-            n += 1
-        if n == 0:
-            return 0
-        self._c_enqueued.inc(n)
-        self._p_in += packets
-        self._p_pend += packets
-        self._g_queue_len.set(len(self._queue))
-        if self._obs is not None:
-            self._obs.emit(
-                now_s, self.component, "buffer.enqueue_batch",
-                disc="fifo", segments=n, packets=packets,
-                qlen=len(self._queue),
-                p_in=self._p_in, p_out=self._p_out, p_drop=self._p_drop,
-                p_pend=self._p_pend)
-        return n
-
     def dequeue(self, now_s: Optional[float] = None, *,
                 expire: Optional[bool] = None) -> Optional[VideoSegment]:
         """Remove and return the next segment to send (None if empty).

@@ -3,7 +3,9 @@
 Reproduces the paper's §IV workload verbatim:
 
 * 10 000 players (online and offline), 10 % supernode-capable;
-* Poisson arrivals at 5 players/second;
+* Poisson arrivals at 5 players/second (the rate constant; the join
+  process itself runs in :mod:`repro.experiments.dynamic` and
+  :mod:`repro.dynamics`);
 * node capacities Pareto-distributed with mean 5 and shape α = 1
   (truncated — see :mod:`repro.workload.capacities`);
 * number of friends per player power-law with skew 0.5;
@@ -17,7 +19,7 @@ Reproduces the paper's §IV workload verbatim:
 from repro.workload.games import GAMES, Game, game_for_level
 from repro.workload.capacities import pareto_capacities
 from repro.workload.social import SocialGraph, build_social_graph
-from repro.workload.sessions import SessionSchedule, sample_daily_play_s
+from repro.workload.sessions import sample_daily_play_s
 from repro.workload.players import Player, Population, build_population
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "Game",
     "Player",
     "Population",
-    "SessionSchedule",
     "SocialGraph",
     "build_population",
     "build_social_graph",

@@ -24,7 +24,7 @@ from repro.network.topology import (
 from repro.sim.rng import RngRegistry
 from repro.workload.capacities import pareto_capacities
 from repro.workload.games import GAMES, Game
-from repro.workload.sessions import SessionSchedule, sample_daily_play_s
+from repro.workload.sessions import sample_daily_play_s
 from repro.workload.social import SocialGraph, build_social_graph
 
 #: Access latency of a datacenter host (carrier-grade connectivity).
@@ -53,7 +53,6 @@ class Population:
     latency: LatencyModel
     players: list[Player]
     social: SocialGraph
-    schedule: SessionSchedule
     datacenter_ids: np.ndarray
     supernode_host_ids: np.ndarray
     rngs: RngRegistry
@@ -167,14 +166,12 @@ def build_population(
         sn_rng.lognormal(np.log(SUPERNODE_ACCESS_MEDIAN_S), 0.5,
                          size=sn_host_ids.size))
     social = build_social_graph(rngs.stream("social"), n_players, friend_skew)
-    schedule = SessionSchedule(rngs.stream("sessions"), daily_play)
 
     return Population(
         topology=topo,
         latency=latency,
         players=players,
         social=social,
-        schedule=schedule,
         datacenter_ids=dc_ids,
         supernode_host_ids=sn_host_ids,
         rngs=rngs,

@@ -1,4 +1,4 @@
-"""Session dynamics: arrivals and play-time mixture.
+"""Session dynamics: the arrival rate, play-time mixture and diurnal shape.
 
 "Players join the system following the Poisson distribution with an
 average rate of 5 players per second. Each node leaves the system after it
@@ -6,12 +6,12 @@ finishes playing and joins the system for the next session. ... 50 % of
 nodes play for a period randomly selected from (0, 2] hours a day, 30 %
 from (2, 5] hours and 20 % from (5, 24] hours" (§IV, citing Hellstrom et
 al. on adolescent gaming time).
+
+The join process that uses these runs in
+:mod:`repro.experiments.dynamic` and :mod:`repro.dynamics`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,88 +59,3 @@ def sample_daily_play_s(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.uniform(0.0, 1.0, size=n)
     hours = highs - u * (highs - lows)  # in (lo, hi]
     return hours * 3600.0
-
-
-@dataclass(frozen=True, slots=True)
-class SessionEvent:
-    """One player-join event in the arrival process."""
-
-    time_s: float
-    player_id: int
-    duration_s: float
-
-
-class SessionSchedule:
-    """Generates the join/leave timeline for a player population.
-
-    Joins are a Poisson process over the experiment horizon; each join
-    picks a uniformly random player who is currently offline and keeps it
-    online for a session carved from the player's daily play time.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        daily_play_s: np.ndarray,
-        arrival_rate_per_s: float = DEFAULT_ARRIVAL_RATE_PER_S,
-        sessions_per_day: int = 3,
-        diurnal: bool = False,
-        day_length_s: float = 86_400.0,
-    ):
-        if arrival_rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
-        if sessions_per_day <= 0:
-            raise ValueError("sessions_per_day must be positive")
-        if day_length_s <= 0:
-            raise ValueError("day length must be positive")
-        self.rng = rng
-        self.daily_play_s = np.asarray(daily_play_s, dtype=float)
-        self.arrival_rate_per_s = arrival_rate_per_s
-        self.sessions_per_day = sessions_per_day
-        #: Modulate arrivals by time of day (thinning of a Poisson
-        #: process at the peak rate). ``day_length_s`` lets short
-        #: simulations compress a day into their horizon.
-        self.diurnal = diurnal
-        self.day_length_s = day_length_s
-
-    @property
-    def n_players(self) -> int:
-        return self.daily_play_s.shape[0]
-
-    def session_duration_s(self, player_id: int) -> float:
-        """One session's length: the player's daily time split into
-        ``sessions_per_day`` sessions, jittered ±25 %."""
-        base = self.daily_play_s[player_id] / self.sessions_per_day
-        jitter = self.rng.uniform(0.75, 1.25)
-        return max(60.0, base * jitter)
-
-    def iter_joins(self, horizon_s: float) -> Iterator[SessionEvent]:
-        """Yield join events over ``[0, horizon_s)`` in time order.
-
-        A player already online when its next join fires is skipped (it
-        is still in its previous session) — this bounds concurrent online
-        count at the population size without distorting the Poisson shape.
-        """
-        if horizon_s < 0:
-            raise ValueError("horizon must be nonnegative")
-        online_until = np.zeros(self.n_players)
-        peak_rate = self.arrival_rate_per_s * (
-            1.0 + DIURNAL_AMPLITUDE if self.diurnal else 1.0)
-        t = 0.0
-        while True:
-            t += self.rng.exponential(1.0 / peak_rate)
-            if t >= horizon_s:
-                return
-            if self.diurnal:
-                # Thinning: accept with prob rate(t)/peak_rate.
-                day_s = (t / self.day_length_s) * 86_400.0
-                accept = (self.arrival_rate_per_s
-                          * diurnal_multiplier(day_s) / peak_rate)
-                if self.rng.uniform() >= accept:
-                    continue
-            player = int(self.rng.integers(self.n_players))
-            if online_until[player] > t:
-                continue
-            duration = self.session_duration_s(player)
-            online_until[player] = t + duration
-            yield SessionEvent(time_s=t, player_id=player, duration_s=duration)

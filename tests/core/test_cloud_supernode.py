@@ -58,13 +58,6 @@ class TestSupernodeServer:
         with pytest.raises(ValueError):
             SupernodeServer(env, 5, capacity_slots=0)
 
-    def test_has_capacity(self, env):
-        sn = SupernodeServer(env, 5, capacity_slots=1)
-        assert sn.has_capacity
-        enc = SegmentEncoder(1, 0.1, 0.2)
-        sn.attach_player(1, enc, lambda s, t: None, 0.01)
-        assert not sn.has_capacity
-
     def test_receive_update_counter(self, env):
         sn = SupernodeServer(env, 5, capacity_slots=1)
         sn.receive_update()

@@ -1,26 +1,8 @@
-"""Session-layer overload guard: admission, shedding, eviction."""
+"""Overload ladder watermarks shared with the dynamics kernel."""
 
 import pytest
 
-from repro.core.overload import OVERLOAD_BUCKETS, OverloadGuard, OverloadParams
-from repro.core.supernode import SupernodeServer
-from repro.obs import Observability
-from repro.sim.engine import Environment
-from repro.streaming.encoder import SegmentEncoder
-from repro.streaming.video import MAX_LEVEL, MIN_LEVEL, get_level
-
-
-def make_supernode(slots=4, overload=OverloadParams(), obs=None):
-    env = Environment()
-    return SupernodeServer(env, host_id=1, capacity_slots=slots,
-                           overload=overload, obs=obs)
-
-
-def attach(server, pid, level=MAX_LEVEL):
-    enc = SegmentEncoder(pid, game_latency_req_s=0.1,
-                         game_loss_tolerance=0.05, initial_level=level)
-    server.attach_player(pid, enc, lambda seg, t: None, 0.005)
-    return enc
+from repro.core.overload import OVERLOAD_BUCKETS, OverloadParams
 
 
 class TestOverloadParams:
@@ -43,114 +25,3 @@ class TestOverloadParams:
         from repro.faults.failover import RECOVERY_BUCKETS
 
         assert OVERLOAD_BUCKETS == RECOVERY_BUCKETS
-
-
-class TestEffectiveLoad:
-    def test_top_quality_session_costs_one_slot(self):
-        sn = make_supernode(slots=4)
-        attach(sn, 0, MAX_LEVEL)
-        assert sn.overload_guard.effective_load() == pytest.approx(1.0)
-        assert sn.overload_guard.utilization() == pytest.approx(0.25)
-
-    def test_lower_rungs_cost_less(self):
-        sn = make_supernode(slots=4)
-        attach(sn, 0, MIN_LEVEL)
-        expected = (get_level(MIN_LEVEL).bitrate_bps
-                    / get_level(MAX_LEVEL).bitrate_bps)
-        assert sn.overload_guard.effective_load() == pytest.approx(expected)
-
-
-class TestAdmission:
-    def test_admits_until_watermark(self):
-        sn = make_supernode(slots=4)
-        for pid in range(3):
-            assert sn.admit_player()
-            attach(sn, pid)
-        # A fourth top-quality session would hit 100 % > 95 %.
-        assert not sn.admit_player()
-        assert sn.overload_guard.refused == 1
-
-    def test_hard_cap_refusal_is_counted(self):
-        sn = make_supernode(slots=2)
-        attach(sn, 0, MIN_LEVEL)
-        attach(sn, 1, MIN_LEVEL)
-        assert not sn.admit_player()
-        assert sn.overload_guard.refused == 1
-
-    def test_unguarded_supernode_keeps_legacy_cap(self):
-        env = Environment()
-        sn = SupernodeServer(env, host_id=1, capacity_slots=2)
-        assert sn.overload_guard is None
-        attach(sn, 0)
-        assert sn.admit_player()
-        attach(sn, 1)
-        assert not sn.admit_player()
-        assert sn.rebalance_overload() == []
-
-
-class TestRebalance:
-    def test_sheds_highest_level_first(self):
-        sn = make_supernode(slots=1)
-        hi = attach(sn, 0, MAX_LEVEL)
-        lo = attach(sn, 1, MIN_LEVEL + 1)
-        before = (hi.level, lo.level)
-        sn.rebalance_overload()
-        assert hi.level < before[0]  # the expensive session paid
-        assert lo.level <= before[1]
-        assert sn.overload_guard.shed >= 1
-        assert sn.overload_guard.utilization() <= 1.0
-
-    def test_floor_sessions_survive_shed_watermark(self):
-        sn = make_supernode(
-            slots=1, overload=OverloadParams(evict_watermark=10.0))
-        for pid in range(8):  # 8 floor sessions: past shed, under evict
-            attach(sn, pid, MIN_LEVEL)
-        assert sn.overload_guard.utilization() > 1.0
-        evicted = sn.rebalance_overload()
-        assert evicted == []
-        assert sn.n_players == 8
-
-    def test_evicts_only_above_evict_watermark(self):
-        sn = make_supernode(
-            slots=1, overload=OverloadParams(evict_watermark=1.0))
-        for pid in range(8):
-            attach(sn, pid, MIN_LEVEL)
-        # Eight floor sessions on one slot: nothing left to shed, so
-        # eviction (lowest pid first) brings utilisation back down.
-        evicted = sn.rebalance_overload()
-        assert evicted and evicted == sorted(evicted)
-        assert sn.overload_guard.utilization() <= 1.0
-        assert sn.overload_guard.evicted == len(evicted)
-
-    def test_rebalance_noop_when_healthy(self):
-        sn = make_supernode(slots=8)
-        attach(sn, 0)
-        assert sn.rebalance_overload() == []
-        assert sn.overload_guard.shed == 0
-
-
-class TestEpisodesAndMetrics:
-    def test_episode_opens_and_closes(self):
-        sn = make_supernode(slots=2)
-        attach(sn, 0, MAX_LEVEL)
-        attach(sn, 1, MAX_LEVEL)
-        sn.overload_guard.note_load(1.0)  # overload begins
-        sn.detach_player(1)
-        sn.overload_guard.note_load(3.5)  # back under the watermark
-        assert sn.overload_guard.episode_durations_s == [2.5]
-        stats = sn.overload_guard.stats()
-        assert stats["episodes"] == 1
-        assert stats["mean_recovery_s"] == pytest.approx(2.5)
-
-    def test_instruments_are_lazy(self):
-        obs = Observability()
-        sn = make_supernode(slots=4, obs=obs)
-        attach(sn, 0)
-        sn.rebalance_overload()  # healthy: no overload event yet
-        assert "overload.shed" not in obs.metrics.snapshot()
-        attach(sn, 1)
-        attach(sn, 2)
-        attach(sn, 3)
-        assert not sn.admit_player()
-        snap = obs.metrics.snapshot()
-        assert snap["overload.refused"]["value"] == 1

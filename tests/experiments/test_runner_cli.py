@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SUBCOMMANDS, build_parser, main
 from repro.experiments.runner import resolve_experiments, run_experiment
 from repro.experiments.specs import SPECS
 
@@ -62,9 +62,33 @@ class TestCli:
     def test_json_output(self, capsys):
         assert main(["fig5a", "--scale", "0.01", "--json"]) == 0
         out = capsys.readouterr().out
-        payload = json.loads(out[:out.rfind("}") + 1])
+        payload = json.loads(out)
         assert "fig5a" in payload
         assert payload["fig5a"][0]["label"] == "req=30ms"
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--players", "300", "--regions", "3", "--ticks", "10"],
+        ["chaos", "--scale", "0.02", "--duration", "2"],
+        ["orchestrate", "--scale", "0.02", "--duration", "2"],
+    ])
+    def test_json_stdout_is_one_document(self, argv, capsys):
+        # The text report goes to stderr, so stdout parses whole.
+        assert main(argv + ["--json", "-"]) == 0
+        captured = capsys.readouterr()
+        assert isinstance(json.loads(captured.out), dict)
+        assert "digest" in captured.err
+
+    def test_runner_choices_exclude_subcommands(self):
+        parser = build_parser()
+        for name in sorted(set(SPECS) - set(SUBCOMMANDS)):
+            assert parser.parse_args([name]).experiment == name
+        for name in SUBCOMMANDS:
+            with pytest.raises(SystemExit):
+                parser.parse_args([name])
+
+    def test_shadowed_sweep_runs_under_trace(self, capsys):
+        assert main(["trace", "--figure", "dynamics", "--scale", "0.02"]) == 0
+        assert "experiments: dynamics" in capsys.readouterr().out
 
     def test_rejects_unknown(self):
         with pytest.raises(SystemExit):

@@ -36,7 +36,7 @@ class TestScaleCli:
     def test_json_output(self, capsys):
         assert main(ARGS + ["--json"]) == 0
         out = capsys.readouterr().out
-        payload = json.loads(out[:out.index("\nscale run")])
+        payload = json.loads(out)
         assert payload["n_players"] == 800
         assert payload["p99_ms"] >= payload["p95_ms"] >= payload["p50_ms"]
         assert len(payload["regions"]) == 3

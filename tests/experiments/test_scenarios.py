@@ -75,3 +75,23 @@ class TestPlanetlabScenario:
     def test_build_small(self, small_planetlab):
         assert small_planetlab.datacenter_ids.size == 2
         assert small_planetlab.n_players == 75
+
+    def test_median_pairwise_rtt_matches_planetlab(self, small_planetlab):
+        """All-pairs-ping medians on PlanetLab sit around 50-90 ms; the
+        consumer latency defaults would put this sample near 100 ms."""
+        rng = np.random.default_rng(1)
+        hosts = rng.choice(small_planetlab.player_host_ids(), size=50,
+                           replace=False)
+        mat = small_planetlab.latency.rtt_matrix_s(hosts, hosts)
+        median = float(np.median(mat[~np.eye(50, dtype=bool)]))
+        assert 0.05 < median < 0.09
+
+    def test_same_site_latency_small(self, small_planetlab):
+        topo = small_planetlab.topology
+        by_site = {}
+        for h in small_planetlab.player_host_ids():
+            by_site.setdefault(topo.hosts[int(h)].metro_id, []).append(int(h))
+        pairs = [(m[0], m[1]) for m in by_site.values() if len(m) >= 2]
+        assert pairs, "expected sites with multiple hosts"
+        rtts = [small_planetlab.latency.rtt_s(a, b) for a, b in pairs]
+        assert float(np.median(rtts)) < 0.03

@@ -6,9 +6,7 @@ import pytest
 from repro.workload.sessions import (
     DIURNAL_AMPLITUDE,
     DIURNAL_PEAK_HOUR,
-    SessionSchedule,
     diurnal_multiplier,
-    sample_daily_play_s,
 )
 
 
@@ -34,39 +32,3 @@ class TestDiurnalMultiplier:
     def test_always_positive(self):
         for t in np.linspace(0, 86_400.0, 200):
             assert diurnal_multiplier(t) > 0
-
-
-class TestDiurnalSchedule:
-    def make(self, rng, diurnal, day_length_s=600.0, n=100_000):
-        daily = sample_daily_play_s(rng, n)
-        return SessionSchedule(
-            rng, daily, arrival_rate_per_s=5.0,
-            diurnal=diurnal, day_length_s=day_length_s)
-
-    def test_day_length_validated(self, rng):
-        with pytest.raises(ValueError):
-            SessionSchedule(rng, np.ones(5), day_length_s=0.0)
-
-    def test_daily_average_rate_preserved(self, rng):
-        """Diurnal thinning keeps the same joins per full day."""
-        sched = self.make(rng, diurnal=True, day_length_s=600.0)
-        events = list(sched.iter_joins(600.0))
-        # 5/s average over one compressed day = ~3000 joins.
-        assert 2500 <= len(events) <= 3500
-
-    def test_evening_busier_than_dawn(self, rng):
-        sched = self.make(rng, diurnal=True, day_length_s=2400.0)
-        events = list(sched.iter_joins(2400.0))
-        # Map event times to hours of the compressed day.
-        hours = np.array([e.time_s / 2400.0 * 24.0 for e in events])
-        evening = np.sum((hours >= 18) & (hours < 22))
-        dawn = np.sum((hours >= 3) & (hours < 7))
-        assert evening > 2 * dawn
-
-    def test_non_diurnal_uniform(self, rng):
-        sched = self.make(rng, diurnal=False, day_length_s=2400.0)
-        events = list(sched.iter_joins(2400.0))
-        hours = np.array([e.time_s / 2400.0 * 24.0 for e in events])
-        first_half = np.sum(hours < 12)
-        second_half = np.sum(hours >= 12)
-        assert abs(first_half - second_half) < 0.15 * len(events)

@@ -6,7 +6,6 @@ import pytest
 from repro.workload.sessions import (
     DEFAULT_ARRIVAL_RATE_PER_S,
     PLAYTIME_MIXTURE,
-    SessionSchedule,
     sample_daily_play_s,
 )
 
@@ -40,55 +39,6 @@ class TestPlaytimeMixture:
         assert sample_daily_play_s(rng, 0).shape == (0,)
 
 
-class TestSessionSchedule:
-    def make_schedule(self, rng, n=100, rate=5.0):
-        daily = sample_daily_play_s(rng, n)
-        return SessionSchedule(rng, daily, arrival_rate_per_s=rate)
-
+class TestArrivalRate:
     def test_default_rate_is_paper_value(self):
         assert DEFAULT_ARRIVAL_RATE_PER_S == 5.0
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            SessionSchedule(rng, np.ones(5), arrival_rate_per_s=0.0)
-
-    def test_joins_in_time_order(self, rng):
-        sched = self.make_schedule(rng, n=500)
-        times = [ev.time_s for ev in sched.iter_joins(60.0)]
-        assert times == sorted(times)
-        assert all(0 <= t < 60.0 for t in times)
-
-    def test_poisson_rate(self, rng):
-        sched = self.make_schedule(rng, n=100_000, rate=5.0)
-        events = list(sched.iter_joins(200.0))
-        # ~1000 joins expected; Poisson fluctuation is a few percent.
-        assert 850 <= len(events) <= 1150
-
-    def test_no_double_online(self, rng):
-        """A player still in session cannot rejoin."""
-        sched = self.make_schedule(rng, n=5, rate=20.0)
-        online_until = {}
-        for ev in sched.iter_joins(300.0):
-            assert online_until.get(ev.player_id, -1.0) <= ev.time_s
-            online_until[ev.player_id] = ev.time_s + ev.duration_s
-
-    def test_session_duration_positive(self, rng):
-        sched = self.make_schedule(rng, n=50)
-        for ev in sched.iter_joins(30.0):
-            assert ev.duration_s >= 60.0
-
-    def test_duration_scales_with_daily_play(self, rng):
-        light = SessionSchedule(rng, np.full(10, 3600.0))
-        heavy = SessionSchedule(rng, np.full(10, 10 * 3600.0))
-        l_mean = np.mean([light.session_duration_s(0) for _ in range(200)])
-        h_mean = np.mean([heavy.session_duration_s(0) for _ in range(200)])
-        assert h_mean > 3 * l_mean
-
-    def test_negative_horizon_rejected(self, rng):
-        sched = self.make_schedule(rng)
-        with pytest.raises(ValueError):
-            list(sched.iter_joins(-1.0))
-
-    def test_invalid_sessions_per_day(self, rng):
-        with pytest.raises(ValueError):
-            SessionSchedule(rng, np.ones(3), sessions_per_day=0)
