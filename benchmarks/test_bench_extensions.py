@@ -6,19 +6,12 @@ future work (§V, supernode cooperation).
 
 from conftest import record_series
 
-from repro.experiments.churn import ChurnConfig, churn_sweep
-from repro.experiments.cooperation import (
-    CooperationConfig,
-    cooperation_sweep,
-)
+from repro.experiments.runner import run_experiment
 
 
-def test_churn_failover(benchmark, bench_seed):
-    cfg = ChurnConfig(duration_s=40.0)
+def test_churn_failover(benchmark, bench_scale, bench_seed):
     series = benchmark.pedantic(
-        lambda: churn_sweep(rates_per_minute=(0.0, 2.0, 4.0, 8.0),
-                            seeds=(bench_seed, bench_seed + 1),
-                            config=cfg),
+        lambda: run_experiment("churn", scale=bench_scale, seed=bench_seed),
         rounds=1, iterations=1)
     record_series(benchmark, series,
                   "Extension: continuity vs supernode churn")
@@ -33,13 +26,10 @@ def test_churn_failover(benchmark, bench_seed):
     assert without_b.y == sorted(without_b.y, reverse=True)
 
 
-def test_supernode_cooperation(benchmark, bench_seed):
-    cfg = CooperationConfig(duration_s=30.0)
+def test_supernode_cooperation(benchmark, bench_scale, bench_seed):
     series = benchmark.pedantic(
-        lambda: cooperation_sweep(
-            hot_fractions=(0.25, 0.5, 0.75),
-            seeds=(bench_seed, bench_seed + 1),
-            config=cfg),
+        lambda: run_experiment("cooperation", scale=bench_scale,
+                               seed=bench_seed),
         rounds=1, iterations=1)
     record_series(benchmark, series,
                   "Extension: satisfaction vs load skew (cooperation)")

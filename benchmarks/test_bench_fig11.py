@@ -2,22 +2,12 @@
 
 from conftest import record_series
 
-from repro.experiments.satisfaction import (
-    FIG11_STRATEGIES,
-    SupernodeLoadConfig,
-    satisfaction_sweep,
-)
-
-CFG = SupernodeLoadConfig(duration_s=25.0, warmup_s=8.0)
+from repro.experiments.runner import run_experiment
 
 
-def test_fig11_satisfaction_schedule(benchmark, bench_seed):
+def test_fig11_satisfaction_schedule(benchmark, bench_scale, bench_seed):
     series = benchmark.pedantic(
-        lambda: satisfaction_sweep(
-            loads=(5, 10, 15, 20, 25),
-            strategies=FIG11_STRATEGIES,
-            seeds=(bench_seed, bench_seed + 1),
-            config=CFG),
+        lambda: run_experiment("fig11", scale=bench_scale, seed=bench_seed),
         rounds=1, iterations=1)
     record_series(
         benchmark, series,

@@ -214,6 +214,14 @@ def _write_json(path: str, payload, what: str, *,
     print(f"wrote {what} to {path}")
 
 
+def _add_json_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    """The one ``--json [PATH]`` option: a bare ``--json`` is ``-``."""
+    parser.add_argument(
+        "--json", nargs="?", const="-", default=None, metavar="PATH",
+        help=f"emit {what} as JSON to PATH, or to stdout when PATH is "
+             "omitted or '-'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudfog",
@@ -238,10 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=42, help="master RNG seed")
     add_execution_args(parser)
-    parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit series as JSON (stable to_dict schema) to PATH, or "
-             "to stdout when PATH is omitted")
+    _add_json_arg(parser, "the series (stable to_dict schema)")
     parser.add_argument(
         "--plot", action="store_true",
         help="render series as ASCII charts instead of tables")
@@ -313,8 +318,13 @@ def trace_main(argv: list[str] | None = None) -> int:
     print(f"experiments: {' '.join(keys)}")
     print(f"events:      {len(obs.trace)}")
     print(f"digest:      {obs.digest()}")
-    checks = "skipped" if args.no_check else (
-        f"passed ({len(obs.checkers)} checkers)")
+    if args.no_check:
+        checks = "skipped"
+    elif not len(obs.trace):
+        # Checkers judge events; a run that emits none proves nothing.
+        checks = "not checked (no events recorded)"
+    else:
+        checks = f"passed ({len(obs.checkers)} checkers)"
     print(f"invariants:  {checks}")
     for name in sorted(snapshot):
         entry = snapshot[name]
@@ -357,9 +367,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the trace as JSONL to PATH")
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the chaos report as JSON to PATH ('-' = stdout)")
+    _add_json_arg(parser, "the chaos report")
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
@@ -395,7 +403,7 @@ def chaos_main(argv: list[str] | None = None) -> int:
     if args.out:
         n = obs.trace.save(args.out)
         print(f"wrote {n} events to {args.out}", file=out)
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, report, "chaos report")
 
     fs = report["fault_stats"] or {}
@@ -464,10 +472,7 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--duration", type=float, default=12.0, metavar="S",
         help="session horizon in seconds (default 12)")
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the per-strategy report as JSON to PATH "
-             "('-' = stdout)")
+    _add_json_arg(parser, "the per-strategy report")
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
@@ -509,7 +514,7 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - t0
 
     out = _text_stream(args.json)
-    if args.json:
+    if args.json is not None:
         payload = {
             "scenario": {"skew": args.skew, "churn": args.churn,
                          "scale": args.scale, "seed": args.seed,
@@ -577,9 +582,7 @@ def build_scale_parser() -> argparse.ArgumentParser:
         "--faults", choices=FAULT_PRESETS, default="outage",
         help="fault preset (default outage: one region fails over "
              "for the middle third of the run)")
-    parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the report as JSON to PATH ('-' = stdout)")
+    _add_json_arg(parser, "the report")
     return parser
 
 
@@ -665,9 +668,7 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
         help="overload strategy: graceful = admission control + "
              "quality-ladder shedding, none = serve everyone at full "
              "tier and let queues grow (default graceful)")
-    parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the report as JSON to PATH ('-' = stdout)")
+    _add_json_arg(parser, "the report")
     return parser
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,7 +129,6 @@ class ScaleReport:
     mode: str
     faults: str
     digest: str
-    wall_s: float
     events_scheduled: int
     #: Per-player chains started and still live at the end: 0 in
     #: cohort mode. ``reabsorptions`` is always 0 and stays only as
@@ -165,7 +163,7 @@ class ScaleReport:
             f"regions / {self.n_ticks} ticks  "
             f"[mode={self.mode} faults={self.faults} "
             f"seed={self.seed}]\n"
-            f"  wall {self.wall_s:.2f}s · {self.events_scheduled:,} events "
+            f"  {self.events_scheduled:,} events "
             f"· {self.materialisations:,} materialised\n"
             f"  faults: {self.crashes:,} crashes · {self.switches:,} tier "
             f"switches · {self.reconnects:,} reconnects · "
@@ -378,7 +376,6 @@ class CohortKernel:
 
     def run(self) -> ScaleReport:
         spec, p = self.spec, self.params
-        t0 = time.perf_counter()
         # The driver's tick-0 event is created first: lowest sequence
         # number, so it precedes every player event at every tick.
         ev = self.env.timeout(0.0)
@@ -392,7 +389,6 @@ class CohortKernel:
         self._finish_tick()
         self._hash_tick(spec.n_ticks)
         digest = self._hash_final()
-        wall = time.perf_counter() - t0
 
         c = self.cohort
         # §IV satisfaction over participants: a player who never joined
@@ -417,7 +413,7 @@ class CohortKernel:
             n_players=spec.n_players, n_regions=spec.n_regions,
             n_ticks=spec.n_ticks, seed=spec.seed, mode=spec.mode,
             faults=spec.faults, digest=digest,
-            wall_s=wall, events_scheduled=self.env._seq,
+            events_scheduled=self.env._seq,
             materialisations=self.materialisations,
             reabsorptions=0,
             final_materialised=int(np.count_nonzero(c.materialised)),

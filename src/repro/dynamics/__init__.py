@@ -22,7 +22,6 @@ from repro.dynamics.plan import (
     DynamicsPlan,
     FlashCrowd,
     Mobility,
-    SupernodeDepartures,
     compile_plan,
     preset_dynamics,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DynamicsSpec",
     "FlashCrowd",
     "Mobility",
-    "SupernodeDepartures",
     "compile_plan",
     "preset_dynamics",
     "run_dynamics",

@@ -4,8 +4,10 @@ The population analogue of the chaos DSL (:mod:`repro.faults.plan`): a
 :class:`DynamicsPlan` is an immutable, JSON-roundtrippable description of
 *who arrives, leaves and moves, and when* in one simulated run —
 Poisson join/leave churn, regional flash crowds, diurnal arrival
-modulation, inter-region mobility, and the §IV supernode-departure
-scenario. Plans are pure values: building one touches no RNG and no
+modulation and inter-region mobility. Server loss is the fault DSL's
+business, and the supernode-departure experiment
+(:mod:`repro.experiments.churn`) takes its departure rate directly.
+Plans are pure values: building one touches no RNG and no
 simulation state, so the same plan plus the same master seed always
 produces the same run, byte for byte. The empty plan is the explicit
 no-op — arming it leaves a run byte-identical to the static baseline.
@@ -179,29 +181,10 @@ class Mobility:
             raise ValueError("mobility duration must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class SupernodeDepartures:
-    """The §IV churn scenario: supernodes leave at a Poisson rate.
-
-    Consumed by the session-level churn experiment
-    (:mod:`repro.experiments.churn`), not the cohort compiler — the
-    cohort kernel models server loss through the fault DSL instead.
-    """
-
-    rate_per_minute: float
-
-    kind = "departures"
-
-    def __post_init__(self) -> None:
-        if self.rate_per_minute < 0:
-            raise ValueError("departure rate must be nonnegative")
-
-
 #: Every dynamics kind the DSL knows, keyed by its ``kind`` tag.
 DYNAMICS_KINDS = {
     cls.kind: cls
-    for cls in (ChurnSource, FlashCrowd, DiurnalLoad, Mobility,
-                SupernodeDepartures)
+    for cls in (ChurnSource, FlashCrowd, DiurnalLoad, Mobility)
 }
 
 Source = Any  # any of the classes above (structural; no common base)
@@ -255,7 +238,7 @@ class DynamicsPlan:
             dur = getattr(s, "duration_s", None)
             if dur is not None:
                 edges.append(start + dur)
-            elif s.kind not in ("diurnal", "departures"):
+            elif s.kind != "diurnal":
                 edges.append(start)
         return max(edges, default=0.0)
 
@@ -275,11 +258,6 @@ class DynamicsPlan:
             if s.kind == "diurnal":
                 m *= s.peak_multiplier
         return m
-
-    def departure_rate_per_minute(self) -> float:
-        """Sum of every :class:`SupernodeDepartures` source's rate."""
-        return sum(s.rate_per_minute for s in self.sources
-                   if s.kind == "departures")
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -351,16 +329,13 @@ class DynamicsPlan:
                     amplitude=float(rng.uniform(0.2, 0.9)),
                     peak_hour=float(rng.uniform(0.0, 24.0)),
                     day_length_s=horizon_s))
-            elif kind == "mobility":
+            else:
                 fr = int(rng.integers(n_regions))
                 to = int((fr + 1 + rng.integers(n_regions - 1)) % n_regions)
                 sources.append(Mobility(
                     rate_per_s=float(rng.uniform(0.5, 5.0)),
                     from_region=fr, to_region=to,
                     start_s=at, duration_s=dur))
-            else:
-                sources.append(SupernodeDepartures(
-                    rate_per_minute=float(rng.uniform(1.0, 30.0))))
         return cls(sources=tuple(sources), seed=seed)
 
 
@@ -402,11 +377,6 @@ class DynamicsBuilder:
         self._sources.append(Mobility(
             rate_per_s=rate_per_s, from_region=from_region,
             to_region=to_region, start_s=start_s, duration_s=duration_s))
-        return self
-
-    def departures(self, rate_per_minute: float) -> "DynamicsBuilder":
-        self._sources.append(SupernodeDepartures(
-            rate_per_minute=rate_per_minute))
         return self
 
     def build(self) -> DynamicsPlan:
@@ -581,8 +551,7 @@ def compile_plan(plan: DynamicsPlan, n_ticks: int, tick_s: float,
             for t in np.flatnonzero(counts):
                 moves.setdefault(int(t), []).append(
                     (s.from_region, s.to_region, int(counts[t])))
-        # "diurnal" folded into the join lambdas; "departures" is a
-        # session-layer scenario with no cohort realisation.
+        # "diurnal" is folded into the join lambdas above.
 
     return CompiledDynamics(
         n_ticks=n_ticks, tick_s=tick_s, n_regions=n_regions,

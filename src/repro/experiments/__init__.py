@@ -1,12 +1,13 @@
 """Experiment drivers: one module per paper figure.
 
-Every public function here regenerates the data behind one figure or
-table of the paper's §IV and returns
-:class:`~repro.metrics.series.FigureSeries` objects (the plotted lines).
-The benchmarks under ``benchmarks/`` call these and print the rows.
+Each figure is a spec in :mod:`repro.experiments.specs` that decomposes
+its sweep into tasks over the point functions below and merges their
+payloads into :class:`~repro.metrics.series.FigureSeries` objects (the
+plotted lines). ``cloudfog`` and the benchmarks under ``benchmarks/``
+run the specs.
 
 ===========  =====================================================
-paper item   driver
+paper item   point function
 ===========  =====================================================
 Figure 2     :data:`repro.streaming.video.QUALITY_LADDER`
 Figure 5(a)  :func:`repro.experiments.coverage.coverage_vs_datacenters`
@@ -14,12 +15,15 @@ Figure 5(b)  :func:`repro.experiments.coverage.coverage_vs_supernodes`
 Figure 6(a)  same drivers with the PlanetLab scenario
 Figure 6(b)  same drivers with the PlanetLab scenario
 Figure 7     :func:`repro.experiments.bandwidth.bandwidth_vs_players`
-Figure 8     :func:`repro.experiments.qoe.latency_by_system`
-Figure 9     :func:`repro.experiments.qoe.continuity_vs_players`
-Figure 10    :func:`repro.experiments.satisfaction.satisfaction_sweep`
-Figure 11    :func:`repro.experiments.satisfaction.satisfaction_sweep`
+Figure 8     :func:`repro.experiments.qoe.latency_point`
+Figure 9     :func:`repro.experiments.qoe.continuity_point`
+Figure 10    :func:`repro.experiments.satisfaction.simulate_supernode_load`
+Figure 11    :func:`repro.experiments.satisfaction.simulate_supernode_load`
 §III-A econ  :func:`repro.experiments.economics_exp.incentive_sweep`
 ===========  =====================================================
+
+Figs. 10/11 and the churn and cooperation extensions share one
+microcosm harness, :class:`repro.experiments.neighbourhood.Neighbourhood`.
 
 The execution surface re-exports from here (resolved lazily so the
 simulation stack only imports when actually used)::

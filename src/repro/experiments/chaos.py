@@ -71,9 +71,7 @@ def run_chaos(
         if outcomes else 0.0,
         "satisfied": float(np.mean([o.satisfied for o in outcomes]))
         if outcomes else 0.0,
-        "mean_latency_s": float(np.mean(
-            [o.mean_latency_s for o in outcomes
-             if not np.isnan(o.mean_latency_s)] or [np.nan])),
+        "mean_latency_s": result.mean_latency_s,
         "served_supernode": result.fraction_served_by("supernode"),
         "fault_stats": result.fault_stats,
         "plan": plan.to_dict(),

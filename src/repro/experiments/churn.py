@@ -19,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.player import PlayerEndpoint
 from repro.core.server import StreamingServer
 from repro.core.supernode import SupernodeServer
-from repro.dynamics.plan import DynamicsPlan, SupernodeDepartures
-from repro.metrics.series import FigureSeries
-from repro.sim.engine import Environment
+from repro.experiments.neighbourhood import Neighbourhood
 from repro.sim.rng import RngRegistry
-from repro.streaming.encoder import SegmentEncoder
-from repro.streaming.video import SEGMENT_DURATION_S
-from repro.workload.games import GAMES
 
 
 @dataclass(frozen=True)
@@ -59,98 +53,52 @@ class ChurnConfig:
     render_delay_s: float = 0.005
 
 
-@dataclass
-class _PlayerState:
-    endpoint: PlayerEndpoint
-    encoder: SegmentEncoder
-    server: StreamingServer
-    downstream_s: float
-    l_r: float
-
-
 def simulate_churn(
-    departures_per_minute: float | None = None,
+    departures_per_minute: float,
     use_backups: bool = True,
     seed: int = 0,
     config: ChurnConfig | None = None,
-    plan: DynamicsPlan | None = None,
 ) -> dict[str, float]:
     """Run the churn microcosm; returns QoE aggregates.
 
-    The departure process can be given directly (a rate per minute) or
-    as a dynamics plan whose :class:`SupernodeDepartures` sources sum
-    to the rate — both describe the same exponential-gap process and
-    draw from the same ``churn`` RNG stream in the same order, so
-    ``simulate_churn(r, ...)`` and
-    ``simulate_churn(plan=plan_with_rate(r), ...)`` are byte-identical.
-    Returns a dict with ``continuity``, ``satisfied``, ``departures``
-    (count actually executed) and ``failovers_to_cloud``.
+    Supernodes depart at ``departures_per_minute`` (exponential gaps
+    from the ``churn`` stream). Returns a dict with ``continuity``,
+    ``satisfied``, ``departures`` (count actually executed) and
+    ``failovers_to_cloud``.
     """
-    if plan is not None:
-        if departures_per_minute is not None:
-            raise ValueError(
-                "pass either departures_per_minute or plan=, not both")
-        departures_per_minute = plan.departure_rate_per_minute()
-    if departures_per_minute is None:
-        raise ValueError("pass departures_per_minute or plan=")
     if departures_per_minute < 0:
         raise ValueError("departure rate must be nonnegative")
     cfg = config or ChurnConfig()
-    rngs = RngRegistry(seed)
-    rng = rngs.stream("churn")
-    env = Environment()
+    rng = RngRegistry(seed).stream("churn")
+    hood = Neighbourhood(
+        cfg, rng, phase_rng=lambda pid: np.random.default_rng(pid + 1))
+    env = hood.env
 
     supernodes = [
         SupernodeServer(env, host_id=i, capacity_slots=cfg.capacity_slots,
-                        render_delay_s=cfg.render_delay_s)
+                        render_delay_s=cfg.render_delay_s, obs=hood.obs)
         for i in range(cfg.n_supernodes)
     ]
     alive = {sn.host_id: sn for sn in supernodes}
     cloud = StreamingServer(
         env, host_id=10_000, uplink_rate_bps=200e6,
-        render_delay_s=cfg.render_delay_s)
+        render_delay_s=cfg.render_delay_s, obs=hood.obs)
     stats = {"departures": 0, "failovers_to_cloud": 0}
-
-    players: dict[int, _PlayerState] = {}
-    pid = 0
     for sn in supernodes:
         for _ in range(cfg.players_per_supernode):
-            game = GAMES[int(rng.integers(len(GAMES)))]
-            downstream = float(rng.lognormal(
-                np.log(cfg.downstream_median_s), cfg.downstream_sigma))
-            l_r = float(max(0.005, rng.normal(
-                cfg.server_receive_mean_s, cfg.server_receive_mean_s * 0.2)))
-            encoder = SegmentEncoder(
-                pid, game.latency_req_s, game.loss_tolerance)
-            endpoint = PlayerEndpoint(
-                env, pid, game, sn, feedback_delay_s=downstream,
-                use_adaptation=False, stats_after_s=cfg.warmup_s)
-            sn.attach_player(pid, encoder, endpoint.deliver, downstream)
-            players[pid] = _PlayerState(endpoint, encoder, sn, downstream,
-                                        l_r)
-            env.process(_segment_loop(env, cfg, players, pid))
-            pid += 1
+            hood.join(sn)
 
     def relocate(player_id: int) -> None:
-        state = players[player_id]
-        target: StreamingServer
-        if use_backups:
-            candidates = [sn for sn in alive.values()
-                          if sn.n_players < sn.capacity_slots]
-            target = candidates[0] if candidates else cloud
+        # The recorded backup: the first live supernode with a free slot.
+        backups = [sn for sn in alive.values()
+                   if sn.n_players < sn.capacity_slots] if use_backups else []
+        if backups:
+            hood.move(player_id, backups[0],
+                      hood.players[player_id].downstream_s)
         else:
-            target = cloud
-        if target is cloud:
             stats["failovers_to_cloud"] += 1
-            downstream = cfg.cloud_one_way_s
-            path_rate = cfg.cloud_path_rate_bps
-        else:
-            downstream = state.downstream_s
-            path_rate = float("inf")
-        state.server = target
-        state.endpoint.server = target
-        target.attach_player(player_id, state.encoder,
-                             state.endpoint.deliver, downstream, path_rate)
+            hood.move(player_id, cloud, cfg.cloud_one_way_s,
+                      cfg.cloud_path_rate_bps)
 
     def churn_proc():
         if departures_per_minute == 0:
@@ -167,7 +115,8 @@ def simulate_churn(
             # Notice period: the supernode keeps serving while its
             # players are migrated.
             yield env.timeout(cfg.notice_s)
-            moved = [p for p, s in players.items() if s.server is victim]
+            moved = [p for p, r in enumerate(hood.players)
+                     if r.server is victim]
             for p in moved:
                 victim.detach_player(p)
 
@@ -179,69 +128,11 @@ def simulate_churn(
             ev.callbacks.append(do_moves)
 
     env.process(churn_proc())
-    env.run(until=cfg.duration_s + 2.0)
-
-    endpoints = [s.endpoint for s in players.values()]
+    hood.run()
+    qoe = hood.qoe()
     return {
-        "continuity": float(np.mean(
-            [e.stats.continuity for e in endpoints])),
-        "satisfied": float(np.mean(
-            [e.is_satisfied() for e in endpoints])),
+        "continuity": qoe["continuity"],
+        "satisfied": qoe["satisfied"],
         "departures": float(stats["departures"]),
         "failovers_to_cloud": float(stats["failovers_to_cloud"]),
     }
-
-
-def _segment_loop(env, cfg, players, player_id):
-    """Generate segments toward whatever server currently holds the
-    player (the indirection that makes failover possible)."""
-    rng = np.random.default_rng(player_id + 1)
-    yield env.timeout(float(rng.uniform(0, SEGMENT_DURATION_S)))
-    while env.now < cfg.duration_s:
-        state = players[player_id]
-        action_time = env.now
-
-        def start_render(_ev, action_time=action_time):
-            st = players[player_id]
-            current = st.server
-            if player_id in current.encoders:
-                current.render_and_send(player_id, action_time)
-            else:
-                # Mid-switch: nobody can render this action's video.
-                seg = st.encoder.encode_segment(
-                    action_time, env.now, state_ready_s=env.now)
-                seg.drop_all()
-                st.endpoint.deliver(seg, env.now)
-
-        ev = env.timeout(state.l_r)
-        ev.callbacks.append(start_render)
-        yield env.timeout(SEGMENT_DURATION_S)
-
-
-def churn_sweep(
-    rates_per_minute=(0.0, 1.0, 2.0, 4.0, 8.0),
-    seeds=(0, 1),
-    config: ChurnConfig | None = None,
-) -> list[FigureSeries]:
-    """Continuity vs supernode churn rate, with and without backups.
-
-    Each rate point is described as a one-source dynamics plan so the
-    sweep exercises the same DSL the cohort kernel consumes; the rates
-    and series shapes are unchanged from the pre-plan sweep.
-    """
-    with_b = FigureSeries(label="with backups",
-                          x_label="supernode departures per minute",
-                          y_label="playback continuity")
-    without_b = FigureSeries(label="without backups (cloud fallback)",
-                             x_label="supernode departures per minute",
-                             y_label="playback continuity")
-    for rate in rates_per_minute:
-        plan = DynamicsPlan(
-            sources=(SupernodeDepartures(rate_per_minute=rate),)
-            if rate > 0 else ())
-        for series, flag in ((with_b, True), (without_b, False)):
-            vals = [simulate_churn(use_backups=flag, seed=s,
-                                   config=config, plan=plan)["continuity"]
-                    for s in seeds]
-            series.add(rate, float(np.mean(vals)))
-    return [with_b, without_b]

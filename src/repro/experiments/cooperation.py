@@ -22,14 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.player import PlayerEndpoint
 from repro.core.supernode import SupernodeServer
-from repro.metrics.series import FigureSeries
-from repro.sim.engine import Environment
+from repro.experiments.neighbourhood import Neighbourhood
 from repro.sim.rng import RngRegistry
-from repro.streaming.encoder import SegmentEncoder
-from repro.streaming.video import SEGMENT_DURATION_S
-from repro.workload.games import GAMES
 
 
 @dataclass(frozen=True)
@@ -55,15 +50,6 @@ class CooperationConfig:
     render_delay_s: float = 0.005
 
 
-@dataclass
-class _Placement:
-    endpoint: PlayerEndpoint
-    encoder: SegmentEncoder
-    server: SupernodeServer
-    downstream_s: float
-    l_r: float
-
-
 def simulate_cooperation(
     n_players: int,
     hot_fraction: float,
@@ -86,16 +72,16 @@ def simulate_cooperation(
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError("hot_fraction must lie in [0, 1]")
     cfg = config or CooperationConfig()
-    rngs = RngRegistry(seed)
-    rng = rngs.stream("cooperation")
-    env = Environment()
+    rng = RngRegistry(seed).stream("cooperation")
+    hood = Neighbourhood(
+        cfg, rng, phase_rng=lambda pid: np.random.default_rng(pid + 101))
+    env = hood.env
 
     supernodes = [
         SupernodeServer(env, host_id=i, capacity_slots=cfg.capacity_slots,
-                        render_delay_s=cfg.render_delay_s)
+                        render_delay_s=cfg.render_delay_s, obs=hood.obs)
         for i in range(cfg.n_supernodes)
     ]
-    placements: dict[int, _Placement] = {}
     stats = {"offloads": 0}
 
     n_hot = int(round(hot_fraction * n_players))
@@ -103,22 +89,8 @@ def simulate_cooperation(
     others = list(range(1, cfg.n_supernodes)) or [0]
     for k in range(n_players - n_hot):
         assignment.append(others[k % len(others)])
-
     for pid in range(n_players):
-        sn = supernodes[assignment[pid]]
-        game = GAMES[int(rng.integers(len(GAMES)))]
-        downstream = float(rng.lognormal(
-            np.log(cfg.downstream_median_s), cfg.downstream_sigma))
-        l_r = float(max(0.005, rng.normal(
-            cfg.server_receive_mean_s, cfg.server_receive_mean_s * 0.2)))
-        encoder = SegmentEncoder(pid, game.latency_req_s,
-                                 game.loss_tolerance)
-        endpoint = PlayerEndpoint(
-            env, pid, game, sn, feedback_delay_s=downstream,
-            use_adaptation=False, stats_after_s=cfg.warmup_s)
-        sn.attach_player(pid, encoder, endpoint.deliver, downstream)
-        placements[pid] = _Placement(endpoint, encoder, sn, downstream, l_r)
-        env.process(_segment_loop(env, cfg, placements, pid))
+        hood.join(supernodes[assignment[pid]])
 
     def demand_bps(sn: SupernodeServer) -> float:
         return sum(enc.bitrate_bps for enc in sn.encoders.values())
@@ -137,73 +109,17 @@ def simulate_cooperation(
                     target = neighbours[0]
                     headroom = (cfg.low_watermark * target.uplink_rate_bps
                                 - demand_bps(target))
-                    movable = [p for p, pl in placements.items()
-                               if pl.server is sn
-                               and pl.encoder.bitrate_bps <= headroom]
+                    movable = [p for p, r in enumerate(hood.players)
+                               if r.server is sn
+                               and r.encoder.bitrate_bps <= headroom]
                     if not movable:
                         break
                     pid = movable[0]
-                    pl = placements[pid]
-                    sn.detach_player(pid)
-                    new_down = pl.downstream_s + cfg.offload_extra_latency_s
-                    pl.server = target
-                    pl.downstream_s = new_down
-                    pl.endpoint.server = target
-                    target.attach_player(pid, pl.encoder,
-                                         pl.endpoint.deliver, new_down)
+                    hood.move(pid, target, hood.players[pid].downstream_s
+                              + cfg.offload_extra_latency_s)
                     stats["offloads"] += 1
 
     if use_cooperation:
         env.process(rebalance_proc())
-    env.run(until=cfg.duration_s + 2.0)
-
-    endpoints = [p.endpoint for p in placements.values()]
-    return {
-        "continuity": float(np.mean(
-            [e.stats.continuity for e in endpoints])),
-        "satisfied": float(np.mean(
-            [e.is_satisfied() for e in endpoints])),
-        "latency_s": float(np.mean(
-            [e.stats.mean_latency_s for e in endpoints
-             if e.stats.latency_count > 0] or [0.0])),
-        "offloads": float(stats["offloads"]),
-    }
-
-
-def _segment_loop(env, cfg, placements, player_id):
-    rng = np.random.default_rng(player_id + 101)
-    yield env.timeout(float(rng.uniform(0, SEGMENT_DURATION_S)))
-    while env.now < cfg.duration_s:
-        pl = placements[player_id]
-        action_time = env.now
-
-        def start_render(_ev, action_time=action_time):
-            current = placements[player_id].server
-            if player_id in current.encoders:
-                current.render_and_send(player_id, action_time)
-
-        ev = env.timeout(pl.l_r)
-        ev.callbacks.append(start_render)
-        yield env.timeout(SEGMENT_DURATION_S)
-
-
-def cooperation_sweep(
-    hot_fractions=(0.25, 0.4, 0.55, 0.7, 0.85),
-    n_players: int = 16,
-    seeds=(0, 1),
-    config: CooperationConfig | None = None,
-) -> list[FigureSeries]:
-    """Satisfied players vs load skew, with and without cooperation."""
-    solo = FigureSeries(label="no cooperation",
-                        x_label="fraction on the hot supernode",
-                        y_label="satisfied players")
-    coop = FigureSeries(label="with cooperation",
-                        x_label="fraction on the hot supernode",
-                        y_label="satisfied players")
-    for frac in hot_fractions:
-        for series, flag in ((solo, False), (coop, True)):
-            vals = [simulate_cooperation(
-                n_players, frac, flag, seed=s, config=config)["satisfied"]
-                for s in seeds]
-            series.add(frac, float(np.mean(vals)))
-    return [solo, coop]
+    hood.run()
+    return {**hood.qoe(), "offloads": float(stats["offloads"])}

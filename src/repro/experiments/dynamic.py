@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import repro.obs as obs_mod
 from repro.core.assignment import SupernodeAssignment
 from repro.core.cloud import CloudCoordinator
 from repro.core.infrastructure import SessionConfig, SystemVariant
@@ -112,6 +113,12 @@ class DynamicSimulation:
         #: (:mod:`repro.dynamics.plan`); ``None`` = flat arrivals.
         self.plan = plan if plan is not None else DynamicsPlan()
         self.env = Environment()
+        #: Telemetry context of the run (``repro.obs.use``), as in
+        #: ``GamingSession``; the fence resets per-run checker state.
+        self.obs = obs_mod.current()
+        if self.obs is not None:
+            self.obs.emit(0.0, "session", "session.start",
+                          variant=variant.value)
         self.result = DynamicResult(horizon_s=horizon_s)
         self.cloud = CloudCoordinator(self.env, population.datacenter_ids)
         self._rng = np.random.default_rng(
@@ -142,14 +149,14 @@ class DynamicSimulation:
                 self.env, host_id, capacity_slots=slots,
                 render_delay_s=self.config.render_delay_s,
                 use_deadline_scheduling=self.variant.uses_scheduling,
-                scheduling_params=self.config.scheduling)
+                scheduling_params=self.config.scheduling, obs=self.obs)
         else:
             server = StreamingServer(
                 self.env, host_id,
                 uplink_rate_bps=self.config.dc_egress_bps,
                 render_delay_s=self.config.render_delay_s,
                 use_deadline_scheduling=self.variant.uses_scheduling,
-                scheduling_params=self.config.scheduling)
+                scheduling_params=self.config.scheduling, obs=self.obs)
         self._servers[host_id] = server
         return server
 
@@ -210,7 +217,7 @@ class DynamicSimulation:
         endpoint = PlayerEndpoint(
             self.env, pid, game, server, feedback_delay_s=downstream,
             use_adaptation=self.variant.uses_adaptation,
-            adaptation_params=self.config.adaptation)
+            adaptation_params=self.config.adaptation, obs=self.obs)
         endpoint.served_by = served_by  # type: ignore[attr-defined]
         server.attach_player(pid, encoder, endpoint.deliver,
                              downstream, path_rate)
@@ -219,9 +226,11 @@ class DynamicSimulation:
         self.result.joins += 1
 
         if served_by == "supernode":
+            # The action goes up to the player's nearest datacenter,
+            # which pushes the state update to the supernode.
+            dc = res.datacenter_host_id
             l_r = self.cloud.action_to_update_delay_s(
-                lat.one_way_s(host, pop.datacenter_ids[0]),
-                lat.one_way_s(int(pop.datacenter_ids[0]), site))
+                lat.one_way_s(host, dc), lat.one_way_s(dc, site))
         else:
             l_r = (lat.one_way_s(host, site) + self.cloud.compute_delay_s)
 

@@ -95,9 +95,7 @@ def run_orchestration(
         if outcomes else 0.0,
         "satisfied": float(np.mean([o.satisfied for o in outcomes]))
         if outcomes else 0.0,
-        "mean_latency_s": float(np.mean(
-            [o.mean_latency_s for o in outcomes
-             if o.segments_received > 0] or [0.0])),
+        "mean_latency_s": result.mean_latency_s,
         "served_supernode": result.fraction_served_by("supernode"),
         "load_indices": result.load_indices,
         "fault_stats": result.fault_stats,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.infrastructure import (
     SessionConfig,
     SessionResult,
@@ -74,27 +72,6 @@ def continuity_point(
     return result.mean_continuity
 
 
-def latency_by_system(
-    scenario: Scenario,
-    variants: Sequence[SystemVariant] = ALL_SYSTEMS,
-    n_online: int | None = None,
-    config: SessionConfig | None = None,
-) -> FigureSeries:
-    """Figure 8: average response latency per player, per system.
-
-    The series' x values index the variants in order; labels carry the
-    mapping.
-    """
-    series = FigureSeries(
-        label=" | ".join(v.value for v in variants),
-        x_label="system (index)",
-        y_label="avg response latency (ms)",
-    )
-    for i, variant in enumerate(variants):
-        series.add(i, latency_point(scenario, variant, n_online, config))
-    return series
-
-
 def continuity_vs_players(
     scenario: Scenario,
     player_counts: Sequence[int],
@@ -112,20 +89,3 @@ def continuity_vs_players(
             s.add(n, continuity_point(scenario, int(n), variant, config))
     return series
 
-
-def satisfied_by_system(
-    scenario: Scenario,
-    variants: Sequence[SystemVariant] = ALL_SYSTEMS,
-    n_online: int | None = None,
-    config: SessionConfig | None = None,
-) -> FigureSeries:
-    """Satisfied-player fraction per system (supporting metric)."""
-    series = FigureSeries(
-        label=" | ".join(v.value for v in variants),
-        x_label="system (index)",
-        y_label="satisfied players",
-    )
-    for i, variant in enumerate(variants):
-        result = run_variant(scenario, variant, n_online, config)
-        series.add(i, result.satisfied_fraction)
-    return series

@@ -11,28 +11,22 @@ players (5–25) and report the fraction of satisfied players:
   tolerance-weighted packet dropping keeps tight-deadline segments on
   time when the uplink saturates.
 
-The harness builds the microcosm directly from core classes: one
-supernode with a fixed uplink, ``k`` same-metro players with the paper's
-workload mix, and the standard segment cadence.
+The microcosm is a :class:`~repro.experiments.neighbourhood.Neighbourhood`
+around one supernode with a fixed uplink: ``k`` same-metro players with
+the paper's workload mix and the standard segment cadence. The sweeps
+over ``k`` and the strategies are the ``fig10``/``fig11`` specs in
+:mod:`repro.experiments.specs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.core.adaptation import AdaptationParams
-from repro.core.player import PlayerEndpoint
 from repro.core.scheduling import SchedulingParams
 from repro.core.supernode import SupernodeServer
-from repro.metrics.series import FigureSeries
-from repro.sim.engine import Environment
+from repro.experiments.neighbourhood import Neighbourhood
 from repro.sim.rng import RngRegistry
-from repro.streaming.encoder import SegmentEncoder
-from repro.streaming.video import SEGMENT_DURATION_S
-from repro.workload.games import GAMES
 
 
 @dataclass(frozen=True)
@@ -76,65 +70,27 @@ def simulate_supernode_load(
     if n_players < 1:
         raise ValueError("need at least one player")
     cfg = config or SupernodeLoadConfig()
-    rngs = RngRegistry(seed)
-    rng = rngs.stream("supernode-load")
-    env = Environment()
-
+    rng = RngRegistry(seed).stream("supernode-load")
+    # One stream for the player draws and, after them, the phases.
+    hood = Neighbourhood(cfg, rng, phase_rng=lambda _pid: rng)
     server = SupernodeServer(
-        env, host_id=0,
+        hood.env, host_id=0,
         capacity_slots=cfg.capacity_slots,
         render_delay_s=cfg.render_delay_s,
         use_deadline_scheduling=use_scheduling,
         server_receive_delay_s=cfg.server_receive_mean_s,
         scheduling_params=cfg.scheduling,
+        obs=hood.obs,
     )
-
-    endpoints: list[PlayerEndpoint] = []
-    for pid in range(n_players):
-        game = GAMES[int(rng.integers(len(GAMES)))]
-        downstream = float(rng.lognormal(
-            np.log(cfg.downstream_median_s), cfg.downstream_sigma))
-        l_r = float(max(0.005, rng.normal(
-            cfg.server_receive_mean_s, cfg.server_receive_mean_s * 0.2)))
-        encoder = SegmentEncoder(pid, game.latency_req_s, game.loss_tolerance)
-        endpoint = PlayerEndpoint(
-            env, pid, game, server,
-            feedback_delay_s=downstream,
-            use_adaptation=use_adaptation,
-            adaptation_params=cfg.adaptation,
-            stats_after_s=cfg.warmup_s,
-        )
-        # Same-metro paths are short: throughput effectively unbounded.
-        server.attach_player(pid, encoder, endpoint.deliver, downstream)
-        endpoints.append(endpoint)
-        env.process(_player_loop(env, server, pid, l_r, cfg, rng))
-
-    env.run(until=cfg.duration_s + 2.0)
-
-    continuities = [e.stats.continuity for e in endpoints]
-    latencies = [e.stats.mean_latency_s for e in endpoints
-                 if e.stats.latency_count > 0]
+    for _ in range(n_players):
+        hood.join(server, use_adaptation=use_adaptation,
+                  adaptation_params=cfg.adaptation)
+    hood.run()
     return {
-        "satisfied": float(np.mean([e.is_satisfied() for e in endpoints])),
-        "continuity": float(np.mean(continuities)),
-        "latency_s": float(np.mean(latencies)) if latencies else 0.0,
+        **hood.qoe(),
         "dropped_packets": float(
             getattr(server.buffer, "packets_dropped", 0)),
     }
-
-
-def _player_loop(env, server, player_id, l_r, cfg, rng):
-    """Generate one segment per cadence tick (phase-shifted)."""
-    yield env.timeout(float(rng.uniform(0, SEGMENT_DURATION_S)))
-    while env.now < cfg.duration_s:
-        action_time = env.now
-
-        def start_render(_ev, action_time=action_time):
-            server.render_and_send(player_id, action_time)
-
-        ev = env.timeout(l_r)
-        ev.callbacks.append(start_render)
-        yield env.timeout(SEGMENT_DURATION_S)
 
 
 #: (label, use_adaptation, use_scheduling) for the paper's comparisons.
@@ -143,26 +99,3 @@ FIG10_STRATEGIES = (("CloudFog/B", False, False),
 FIG11_STRATEGIES = (("CloudFog/B", False, False),
                     ("CloudFog-schedule", False, True))
 
-
-def satisfaction_sweep(
-    loads: Sequence[int] = (5, 10, 15, 20, 25),
-    strategies: Sequence[tuple[str, bool, bool]] = FIG10_STRATEGIES,
-    seeds: Sequence[int] = (0, 1, 2),
-    config: SupernodeLoadConfig | None = None,
-) -> list[FigureSeries]:
-    """Figures 10/11: satisfied fraction vs players per supernode."""
-    series = [
-        FigureSeries(label=label, x_label="players per supernode",
-                     y_label="satisfied players")
-        for label, _, _ in strategies
-    ]
-    for k in loads:
-        for s, (label, adapt, sched) in zip(series, strategies):
-            vals = [
-                simulate_supernode_load(
-                    int(k), adapt, sched, seed=seed, config=config)
-                ["satisfied"]
-                for seed in seeds
-            ]
-            s.add(k, float(np.mean(vals)))
-    return series

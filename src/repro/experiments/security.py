@@ -5,9 +5,9 @@ the sessions they serve) in a neighbourhood and measures, over a stream
 of sessions, how quickly the reputation system evicts them and how many
 player sessions get tampered before and after.
 
-The headline series: cumulative tampered-session rate over time, with
-the trust registry on vs off — the quantitative case for the §III-A-1
-vetting requirements.
+The headline series (the ``security`` spec): tampered-session rate vs
+the malicious fraction, with the trust registry on vs off — the
+quantitative case for the §III-A-1 vetting requirements.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.trust import TrustParams, TrustRegistry
-from repro.metrics.series import FigureSeries
 
 
 @dataclass(frozen=True)
@@ -94,25 +93,3 @@ def simulate_security(
             else first_eviction_session),
     }
 
-
-def security_sweep(
-    malicious_fractions=(0.0, 0.1, 0.2, 0.3, 0.4),
-    seeds=(0, 1, 2),
-    config: SecurityConfig | None = None,
-) -> list[FigureSeries]:
-    """Tampered-session rate vs malicious fraction, trust on vs off."""
-    base = config or SecurityConfig()
-    without = FigureSeries(label="no reputation system",
-                           x_label="malicious supernode fraction",
-                           y_label="tampered session rate")
-    with_rep = FigureSeries(label="with reputation + eviction",
-                            x_label="malicious supernode fraction",
-                            y_label="tampered session rate")
-    from dataclasses import replace
-    for frac in malicious_fractions:
-        cfg = replace(base, malicious_fraction=float(frac))
-        for series, flag in ((without, False), (with_rep, True)):
-            vals = [simulate_security(flag, seed=s, config=cfg)
-                    ["tampered_rate"] for s in seeds]
-            series.add(frac, float(np.mean(vals)))
-    return [without, with_rep]

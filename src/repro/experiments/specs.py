@@ -2,14 +2,15 @@
 
 Each :class:`~repro.experiments.api.ExperimentSpec` here decomposes its
 figure into independent sweep tasks — one per sweep point × system
-variant × seed wherever the legacy serial sweep already re-derived its
-randomness per point (almost everywhere: populations are rebuilt from
-the scenario seed at every point, and the per-seed microcosms seed
-their own registries). Two sweeps thread RNG state *across* points and
-therefore stay single tasks so their numbers match the serial code
-exactly: Figure 7's game-choice stream
+variant × seed wherever each point re-derives its randomness (almost
+everywhere: populations are rebuilt from the scenario seed at every
+point, and the per-seed microcosms seed their own registries). Two
+sweeps thread RNG state *across* points and therefore stay single
+tasks: Figure 7's game-choice stream
 (:func:`repro.experiments.bandwidth.bandwidth_vs_players`) and the
-gameworld partition-balance sweep.
+gameworld partition-balance sweep. The five figures that average a
+point function over seeds (fig10, fig11, churn, cooperation,
+security) are one table row each, a :class:`SeedMeanSweep`.
 
 Task runners are module-level functions registered in
 :data:`TASK_RUNNERS`; a :class:`~repro.experiments.api.SweepTask`
@@ -21,8 +22,9 @@ parallel run byte-identical to a serial one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -373,37 +375,95 @@ def _decompose_continuity(name, scenario, min_count, scale, seed):
     ]
 
 
-_SAT_LOADS = (5, 10, 15, 20, 25)
+@dataclass(frozen=True)
+class SeedMeanSweep:
+    """A figure whose every point is a mean over seeds.
+
+    One task per x × arm × seed, keyed ``(x, arm index, seed)``, runs
+    ``runner`` on ``{x_param: x, **arm params, "task_seed": seed,
+    **shared(scale)}`` and returns ``{"value": y}``; each arm is one
+    series of per-x means.
+    """
+
+    runner: str
+    x_param: str
+    xs: tuple
+    #: ``(series label, runner params)`` per arm, in series order.
+    arms: tuple[tuple[str, dict[str, Any]], ...]
+    x_label: str
+    y_label: str
+    #: ``(scale, seed) -> seeds`` averaged at every point.
+    seeds: Callable[[float, int], list[int]]
+    #: ``scale -> params`` every task shares.
+    shared: Callable[[float], dict[str, Any]]
 
 
-def _sat_seeds(scale: float, seed: int) -> list[int]:
-    return list(range(seed, seed + max(1, int(3 * scale) or 1)))
+def _two_seeds(scale: float, seed: int) -> list[int]:
+    return [seed, seed + 1]
 
 
-def _decompose_satisfaction(name, strategies, scale, seed):
+def _decompose_seed_mean(name: str, sweep: SeedMeanSweep, scale, seed):
+    shared = sweep.shared(scale)
     return [
-        SweepTask(name, (int(k), si, int(sv)), "supernode_load",
-                  {"load": int(k), "adapt": adapt, "sched": sched,
-                   "task_seed": int(sv)})
-        for k in _SAT_LOADS
-        for si, (_label, adapt, sched) in enumerate(strategies)
-        for sv in _sat_seeds(scale, seed)
+        SweepTask(name, (x, ai, int(sv)), sweep.runner,
+                  {sweep.x_param: x, **params, "task_seed": int(sv),
+                   **shared})
+        for x in sweep.xs
+        for ai, (_label, params) in enumerate(sweep.arms)
+        for sv in sweep.seeds(scale, seed)
     ]
 
 
-def _merge_satisfaction(name, strategies, scale, seed, ordered):
+def _merge_seed_mean(sweep: SeedMeanSweep, scale, seed, ordered):
     res = dict(ordered)
-    seeds = _sat_seeds(scale, seed)
-    series = [
-        FigureSeries(label=label, x_label="players per supernode",
-                     y_label="satisfied players")
-        for label, _, _ in strategies
-    ]
-    for k in _SAT_LOADS:
-        for si, s in enumerate(series):
-            vals = [res[(k, si, sv)]["value"] for sv in seeds]
-            s.add(k, float(np.mean(vals)))
+    seeds = sweep.seeds(scale, seed)
+    series = [FigureSeries(label=label, x_label=sweep.x_label,
+                           y_label=sweep.y_label)
+              for label, _params in sweep.arms]
+    for x in sweep.xs:
+        for ai, s in enumerate(series):
+            vals = [res[(x, ai, int(sv))]["value"] for sv in seeds]
+            s.add(x, float(np.mean(vals)))
     return series
+
+
+def _sat_sweep(strategies) -> SeedMeanSweep:
+    return SeedMeanSweep(
+        runner="supernode_load", x_param="load", xs=(5, 10, 15, 20, 25),
+        arms=tuple((label, {"adapt": adapt, "sched": sched})
+                   for label, adapt, sched in strategies),
+        x_label="players per supernode", y_label="satisfied players",
+        seeds=lambda scale, seed: list(
+            range(seed, seed + max(1, int(3 * scale)))),
+        shared=lambda scale: {})
+
+
+_CHURN = SeedMeanSweep(
+    runner="churn_point", x_param="rate", xs=(0.0, 1.0, 2.0, 4.0, 8.0),
+    arms=(("with backups", {"with_backups": True}),
+          ("without backups (cloud fallback)", {"with_backups": False})),
+    x_label="supernode departures per minute",
+    y_label="playback continuity", seeds=_two_seeds,
+    shared=lambda scale: {"duration_s": 30.0 + 30.0 * min(1.0, scale * 5)})
+
+_COOPERATION = SeedMeanSweep(
+    runner="cooperation_point", x_param="hot_fraction",
+    xs=(0.25, 0.4, 0.55, 0.7, 0.85),
+    arms=(("no cooperation", {"cooperate": False}),
+          ("with cooperation", {"cooperate": True})),
+    x_label="fraction on the hot supernode", y_label="satisfied players",
+    seeds=_two_seeds,
+    shared=lambda scale: {"n_players": 16,
+                          "duration_s": 20.0 + 20.0 * min(1.0, scale * 5)})
+
+_SECURITY = SeedMeanSweep(
+    runner="security_point", x_param="malicious_fraction",
+    xs=(0.0, 0.1, 0.2, 0.3, 0.4),
+    arms=(("no reputation system", {"use_reputation": False}),
+          ("with reputation + eviction", {"use_reputation": True})),
+    x_label="malicious supernode fraction",
+    y_label="tampered session rate", seeds=_two_seeds,
+    shared=lambda scale: {"n_sessions": max(500, int(3000 * scale / 0.08))})
 
 
 def _decompose_economics(scale, seed):
@@ -411,113 +471,6 @@ def _decompose_economics(scale, seed):
         SweepTask("economics", (0, "incentive"), "econ_incentive", {}),
         SweepTask("economics", (1, "frontier"), "econ_frontier", {}),
     ]
-
-
-_CHURN_RATES = (0.0, 1.0, 2.0, 4.0, 8.0)
-#: (flag value, series label) in the serial sweep's series order.
-_CHURN_FLAGS = ((True, "with backups"),
-                (False, "without backups (cloud fallback)"))
-
-
-def _churn_duration_s(scale: float) -> float:
-    return 30.0 + 30.0 * min(1.0, scale * 5)
-
-
-def _decompose_churn(scale, seed):
-    duration = _churn_duration_s(scale)
-    return [
-        SweepTask("churn", (rate, fi, int(sv)), "churn_point",
-                  {"rate": rate, "with_backups": flag, "task_seed": int(sv),
-                   "duration_s": duration})
-        for rate in _CHURN_RATES
-        for fi, (flag, _label) in enumerate(_CHURN_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_churn(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="supernode departures per minute",
-                     y_label="playback continuity")
-        for _flag, label in _CHURN_FLAGS
-    ]
-    for rate in _CHURN_RATES:
-        for fi, s in enumerate(series):
-            vals = [res[(rate, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(rate, float(np.mean(vals)))
-    return series
-
-
-_COOP_FRACTIONS = (0.25, 0.4, 0.55, 0.7, 0.85)
-_COOP_FLAGS = ((False, "no cooperation"), (True, "with cooperation"))
-_COOP_PLAYERS = 16
-
-
-def _coop_duration_s(scale: float) -> float:
-    return 20.0 + 20.0 * min(1.0, scale * 5)
-
-
-def _decompose_cooperation(scale, seed):
-    duration = _coop_duration_s(scale)
-    return [
-        SweepTask("cooperation", (frac, fi, int(sv)), "cooperation_point",
-                  {"hot_fraction": frac, "cooperate": flag,
-                   "n_players": _COOP_PLAYERS, "task_seed": int(sv),
-                   "duration_s": duration})
-        for frac in _COOP_FRACTIONS
-        for fi, (flag, _label) in enumerate(_COOP_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_cooperation(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="fraction on the hot supernode",
-                     y_label="satisfied players")
-        for _flag, label in _COOP_FLAGS
-    ]
-    for frac in _COOP_FRACTIONS:
-        for fi, s in enumerate(series):
-            vals = [res[(frac, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(frac, float(np.mean(vals)))
-    return series
-
-
-_SECURITY_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
-_SECURITY_FLAGS = ((False, "no reputation system"),
-                   (True, "with reputation + eviction"))
-
-
-def _security_sessions(scale: float) -> int:
-    return max(500, int(3000 * scale / 0.08))
-
-
-def _decompose_security(scale, seed):
-    n_sessions = _security_sessions(scale)
-    return [
-        SweepTask("security", (frac, fi, int(sv)), "security_point",
-                  {"malicious_fraction": frac, "use_reputation": flag,
-                   "n_sessions": n_sessions, "task_seed": int(sv)})
-        for frac in _SECURITY_FRACTIONS
-        for fi, (flag, _label) in enumerate(_SECURITY_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_security(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="malicious supernode fraction",
-                     y_label="tampered session rate")
-        for _flag, label in _SECURITY_FLAGS
-    ]
-    for frac in _SECURITY_FRACTIONS:
-        for fi, s in enumerate(series):
-            vals = [res[(frac, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(frac, float(np.mean(vals)))
-    return series
 
 
 _GAMEWORLD_RADII = (50.0, 100.0, 200.0)
@@ -756,6 +709,13 @@ def _spec(name: str, description: str, tags: tuple[str, ...],
                           decompose=decompose, merge=merge)
 
 
+def _seed_mean_spec(name: str, description: str, tags: tuple[str, ...],
+                    sweep: SeedMeanSweep) -> ExperimentSpec:
+    return _spec(name, description, tags,
+                 partial(_decompose_seed_mean, name, sweep),
+                 partial(_merge_seed_mean, sweep))
+
+
 SPECS: dict[str, ExperimentSpec] = {}
 
 
@@ -801,30 +761,28 @@ _register(_spec(
     "fig9b", "playback continuity vs players (PlanetLab)",
     ("paper", "planetlab"),
     partial(_decompose_continuity, "fig9b", "planetlab", 5)))
-_register(_spec(
+_register(_seed_mean_spec(
     "fig10", "rate-adaptation satisfaction sweep", ("paper",),
-    partial(_decompose_satisfaction, "fig10", sat.FIG10_STRATEGIES),
-    partial(_merge_satisfaction, "fig10", sat.FIG10_STRATEGIES)))
-_register(_spec(
+    _sat_sweep(sat.FIG10_STRATEGIES)))
+_register(_seed_mean_spec(
     "fig11", "deadline-scheduling satisfaction sweep", ("paper",),
-    partial(_decompose_satisfaction, "fig11", sat.FIG11_STRATEGIES),
-    partial(_merge_satisfaction, "fig11", sat.FIG11_STRATEGIES)))
+    _sat_sweep(sat.FIG11_STRATEGIES)))
 _register(_spec(
     "economics", "incentive sweep + deployment frontier (§III-A)",
     ("paper", "economics"), _decompose_economics))
 # Extensions beyond the paper's figures (DESIGN.md §5b).
-_register(_spec(
+_register(_seed_mean_spec(
     "churn", "supernode churn and backup failover", ("extension",),
-    _decompose_churn, _merge_churn))
-_register(_spec(
+    _CHURN))
+_register(_seed_mean_spec(
     "cooperation", "supernode load cooperation", ("extension",),
-    _decompose_cooperation, _merge_cooperation))
+    _COOPERATION))
 _register(_spec(
     "gameworld", "update size + partition balance", ("extension",),
     _decompose_gameworld))
-_register(_spec(
+_register(_seed_mean_spec(
     "security", "reputation + eviction vs tampering", ("extension",),
-    _decompose_security, _merge_security))
+    _SECURITY))
 _register(_spec(
     "dynamic", "join/leave-driven CloudFog time series", ("extension",),
     _decompose_dynamic))

@@ -12,7 +12,6 @@ from repro.dynamics import (
     DynamicsPlan,
     FlashCrowd,
     Mobility,
-    SupernodeDepartures,
     compile_plan,
     preset_dynamics,
 )
@@ -34,12 +33,10 @@ class TestSources:
             DiurnalLoad(amplitude=1.5)
         with pytest.raises(ValueError):
             Mobility(rate_per_s=1.0, from_region=2, to_region=2)
-        with pytest.raises(ValueError):
-            SupernodeDepartures(rate_per_minute=-0.1)
 
     def test_kind_registry_is_complete(self):
         assert set(DYNAMICS_KINDS) == {
-            "churn", "flash-crowd", "diurnal", "mobility", "departures"}
+            "churn", "flash-crowd", "diurnal", "mobility"}
 
     def test_diurnal_multiplier_matches_sessions_curve(self):
         from repro.workload.sessions import diurnal_multiplier
@@ -71,7 +68,6 @@ class TestPlan:
                              arrivals_per_s=50.0, shape="spike")
                 .diurnal(day_length_s=60.0)
                 .mobility(rate_per_s=0.5, from_region=0, to_region=1)
-                .departures(rate_per_minute=2.0)
                 .build())
         again = DynamicsPlan.from_dict(plan.to_dict())
         assert again == plan
@@ -82,13 +78,19 @@ class TestPlan:
             DynamicsPlan.from_dict(
                 {"seed": 0, "sources": [{"kind": "meteor-strike"}]})
 
+    def test_from_dict_rejects_supernode_departures(self):
+        # The cohort compiler never realised them; the churn experiment
+        # takes its departure rate directly.
+        with pytest.raises(ValueError, match="departures"):
+            DynamicsPlan.from_dict({"seed": 0, "sources": [
+                {"kind": "departures", "rate_per_minute": 2.0}]})
+
     def test_empty_plan_helpers(self):
         plan = DynamicsPlan()
         assert plan.is_empty
         assert len(plan) == 0
         assert plan.rate_multiplier(3.0) == 1.0
         assert plan.peak_rate_multiplier() == 1.0
-        assert plan.departure_rate_per_minute() == 0.0
 
     def test_random_plans_are_reproducible(self):
         a = DynamicsPlan.random(seed=11, horizon_s=30.0, n_sources=5)

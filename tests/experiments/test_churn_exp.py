@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.churn import ChurnConfig, churn_sweep, simulate_churn
+from repro.experiments.churn import ChurnConfig, simulate_churn
+from repro.experiments.parallel import run_named
 
 FAST = ChurnConfig(duration_s=25.0, warmup_s=3.0)
 
@@ -54,17 +55,19 @@ class TestSimulateChurn:
         assert out["departures"] <= 1
 
 
-class TestChurnSweep:
-    def test_series_shape(self):
-        series = churn_sweep(rates_per_minute=(0.0, 4.0), seeds=(0,),
-                             config=FAST)
-        assert [s.label for s in series] == [
-            "with backups", "without backups (cloud fallback)"]
-        for s in series:
-            assert s.x == [0.0, 4.0]
+@pytest.fixture(scope="module")
+def churn():
+    return run_named("churn", 0.02, 42).series
 
-    def test_backups_dominate(self):
-        series = churn_sweep(rates_per_minute=(6.0,), seeds=(0, 1),
-                             config=FAST)
-        with_b, without_b = series
-        assert with_b.y[0] >= without_b.y[0]
+
+class TestChurnSweep:
+    def test_series_shape(self, churn):
+        assert [s.label for s in churn] == [
+            "with backups", "without backups (cloud fallback)"]
+        for s in churn:
+            assert s.x == [0.0, 1.0, 2.0, 4.0, 8.0]
+
+    def test_backups_dominate(self, churn):
+        with_b, without_b = churn
+        for w, wo in zip(with_b.y[1:], without_b.y[1:]):
+            assert w >= wo

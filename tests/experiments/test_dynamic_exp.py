@@ -71,6 +71,32 @@ class TestDynamicRun:
         # Every session ended, so every slot must be free again.
         assert sim._sn_service.load.sum() == 0
 
+    def test_supernode_action_goes_through_nearest_datacenter(self, pop):
+        """l_r's upload leg ends at the datacenter the assignment chose
+        (the player's nearest), not at datacenter 0."""
+        sim = DynamicSimulation(pop, SystemVariant.CLOUDFOG_B,
+                                horizon_s=20.0)
+        lat = pop.latency
+        chosen, used = [], []
+        assign = sim._sn_service.assign
+        delay = sim.cloud.action_to_update_delay_s
+
+        def spy_assign(host, latency_req_s):
+            res = assign(host, latency_req_s)
+            if res.uses_supernode:
+                chosen.append(lat.one_way_s(host, res.datacenter_host_id))
+            return res
+
+        def spy_delay(upstream_s, cloud_to_site_s):
+            used.append(upstream_s)
+            return delay(upstream_s, cloud_to_site_s)
+
+        sim._sn_service.assign = spy_assign
+        sim.cloud.action_to_update_delay_s = spy_delay
+        sim.run()
+        assert chosen
+        assert used == chosen
+
     def test_deterministic(self, pop):
         a = run_dynamic(pop, SystemVariant.CLOUDFOG_B, horizon_s=25.0)
         b = run_dynamic(pop, SystemVariant.CLOUDFOG_B, horizon_s=25.0)

@@ -5,9 +5,8 @@ import pytest
 from repro.core.infrastructure import SessionConfig, SystemVariant
 from repro.experiments.qoe import (
     continuity_vs_players,
-    latency_by_system,
+    latency_point,
     run_variant,
-    satisfied_by_system,
 )
 from repro.experiments.scenarios import peersim_scenario
 
@@ -32,18 +31,13 @@ class TestRunVariant:
 
 class TestFig8:
     def test_series_shape(self, scen):
-        series = latency_by_system(
-            scen, variants=(SystemVariant.CLOUD, SystemVariant.CLOUDFOG_B),
-            config=CFG)
-        assert series.x == [0.0, 1.0]
-        assert len(series.y) == 2
-        assert all(y > 0 for y in series.y)
+        for v in (SystemVariant.CLOUD, SystemVariant.CLOUDFOG_B):
+            assert latency_point(scen, v, config=CFG) > 0
 
     def test_fog_beats_cloud(self, scen):
-        series = latency_by_system(
-            scen, variants=(SystemVariant.CLOUD, SystemVariant.CLOUDFOG_A),
-            config=CFG)
-        assert series.y[1] < series.y[0]
+        cloud = latency_point(scen, SystemVariant.CLOUD, config=CFG)
+        fog = latency_point(scen, SystemVariant.CLOUDFOG_A, config=CFG)
+        assert fog < cloud
 
 
 class TestFig9:
@@ -65,9 +59,3 @@ class TestFig9:
         cloud, fog = series
         assert fog.y[0] > cloud.y[0]
 
-
-class TestSatisfiedBySystem:
-    def test_values_are_fractions(self, scen):
-        series = satisfied_by_system(
-            scen, variants=(SystemVariant.CLOUDFOG_B,), config=CFG)
-        assert 0.0 <= series.y[0] <= 1.0

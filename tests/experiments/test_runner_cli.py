@@ -1,6 +1,7 @@
 """Tests for the experiment runner and CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -67,13 +68,17 @@ class TestCli:
         assert payload["fig5a"][0]["label"] == "req=30ms"
 
     @pytest.mark.parametrize("argv", [
-        ["dynamics", "--players", "300", "--regions", "3", "--ticks", "10"],
-        ["chaos", "--scale", "0.02", "--duration", "2"],
-        ["orchestrate", "--scale", "0.02", "--duration", "2"],
+        ["dynamics", "--players", "300", "--regions", "3", "--ticks", "10",
+         "--json", "-"],
+        ["chaos", "--scale", "0.02", "--duration", "2", "--json", "-"],
+        ["orchestrate", "--scale", "0.02", "--duration", "2", "--json", "-"],
+        # A bare --json means stdout for every command.
+        ["chaos", "--scale", "0.02", "--duration", "2", "--json"],
+        ["orchestrate", "--scale", "0.02", "--duration", "2", "--json"],
     ])
     def test_json_stdout_is_one_document(self, argv, capsys):
         # The text report goes to stderr, so stdout parses whole.
-        assert main(argv + ["--json", "-"]) == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert isinstance(json.loads(captured.out), dict)
         assert "digest" in captured.err
@@ -89,6 +94,19 @@ class TestCli:
     def test_shadowed_sweep_runs_under_trace(self, capsys):
         assert main(["trace", "--figure", "dynamics", "--scale", "0.02"]) == 0
         assert "experiments: dynamics" in capsys.readouterr().out
+
+    def test_trace_without_events_is_not_checked(self, capsys):
+        assert main(["trace", "--figure", "fig5a", "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "events:      0\n" in out
+        assert "invariants:  not checked (no events recorded)" in out
+
+    @pytest.mark.parametrize("figure", ["fig10", "dynamic"])
+    def test_trace_checks_microcosm_events(self, figure, capsys):
+        assert main(["trace", "--figure", figure, "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert int(re.search(r"events:\s+(\d+)", out).group(1)) > 0
+        assert "invariants:  passed" in out
 
     def test_rejects_unknown(self):
         with pytest.raises(SystemExit):

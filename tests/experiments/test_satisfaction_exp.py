@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.experiments.parallel import run_named
 from repro.experiments.satisfaction import (
-    FIG10_STRATEGIES,
     FIG11_STRATEGIES,
     SupernodeLoadConfig,
-    satisfaction_sweep,
     simulate_supernode_load,
 )
 
@@ -54,22 +53,24 @@ class TestSimulateSupernodeLoad:
         assert a == b
 
 
+@pytest.fixture(scope="module")
+def fig10():
+    return run_named("fig10", 0.02, 42).series
+
+
 class TestSatisfactionSweep:
-    def test_fig10_shape(self):
-        series = satisfaction_sweep(
-            loads=(4, 16), strategies=FIG10_STRATEGIES, seeds=(0,),
-            config=FAST)
-        assert [s.label for s in series] == ["CloudFog/B", "CloudFog-adapt"]
-        for s in series:
-            assert s.x == [4.0, 16.0]
+    def test_fig10_shape(self, fig10):
+        assert [s.label for s in fig10] == ["CloudFog/B", "CloudFog-adapt"]
+        for s in fig10:
+            assert s.x == [5.0, 10.0, 15.0, 20.0, 25.0]
+            assert all(0.0 <= y <= 1.0 for y in s.y)
 
     def test_fig11_strategy_labels(self):
         assert FIG11_STRATEGIES[1][0] == "CloudFog-schedule"
         assert FIG11_STRATEGIES[1][2] is True
 
-    def test_strategies_dominate_baseline_at_high_load(self):
-        series = satisfaction_sweep(
-            loads=(18,), strategies=FIG10_STRATEGIES, seeds=(0, 1),
-            config=FAST)
-        base, adapt = series
-        assert adapt.y[0] >= base.y[0]
+    def test_strategies_dominate_baseline_at_high_load(self, fig10):
+        base, adapt = fig10
+        for b, a in zip(base.y, adapt.y):
+            assert a >= b
+        assert adapt.y[-1] > base.y[-1]

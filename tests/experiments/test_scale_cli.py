@@ -41,6 +41,17 @@ class TestScaleCli:
         assert payload["p99_ms"] >= payload["p95_ms"] >= payload["p50_ms"]
         assert len(payload["regions"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ARGS,
+        ["dynamics", "--players", "300", "--regions", "3", "--ticks", "10"],
+    ])
+    def test_json_file_is_byte_identical_across_runs(self, argv, tmp_path):
+        # No wall-clock field: a same-seed report is the same file.
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(argv + ["--json", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_rejects_bad_spec(self, capsys):
         with pytest.raises(SystemExit):
             main(["scale", "--players", "0"])

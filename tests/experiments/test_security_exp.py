@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments.security import (
-    SecurityConfig,
-    security_sweep,
-    simulate_security,
-)
+from repro.experiments.parallel import run_named
+from repro.experiments.security import SecurityConfig, simulate_security
 
 FAST = SecurityConfig(n_sessions=1500)
 
@@ -55,19 +52,20 @@ class TestSimulateSecurity:
         assert a == b
 
 
-class TestSecuritySweep:
-    def test_series_shape(self):
-        series = security_sweep(malicious_fractions=(0.0, 0.3),
-                                seeds=(0,), config=FAST)
-        assert [s.label for s in series] == [
-            "no reputation system", "with reputation + eviction"]
-        for s in series:
-            assert s.x == [0.0, 0.3]
+@pytest.fixture(scope="module")
+def security():
+    return run_named("security", 0.02, 0).series
 
-    def test_tampering_grows_without_reputation(self):
-        series = security_sweep(malicious_fractions=(0.0, 0.2, 0.4),
-                                seeds=(0,), config=FAST)
-        without, with_rep = series
+
+class TestSecuritySweep:
+    def test_series_shape(self, security):
+        assert [s.label for s in security] == [
+            "no reputation system", "with reputation + eviction"]
+        for s in security:
+            assert s.x == [0.0, 0.1, 0.2, 0.3, 0.4]
+
+    def test_tampering_grows_without_reputation(self, security):
+        without, with_rep = security
         assert without.y == sorted(without.y)
         for k in range(len(without.x)):
             assert with_rep.y[k] <= without.y[k] + 1e-9

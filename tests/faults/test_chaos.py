@@ -60,6 +60,23 @@ class TestCrashRecover:
         assert snap["failover.recoveries"]["value"] > 0
         assert snap["failover.recovery_time_s"]["count"] > 0
 
+    def test_mean_latency_skips_players_without_segments(self, monkeypatch):
+        import repro.experiments.chaos as chaos_mod
+
+        sessions = []
+        real = chaos_mod.simulate_sessions
+
+        def spy(*args, **kwargs):
+            sessions.append(real(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(chaos_mod, "simulate_sessions", spy)
+        report = run_chaos(SCALE, SEED)
+        (result,) = sessions
+        # A player that received no segment has no latency to average.
+        assert any(o.segments_received == 0 for o in result.outcomes)
+        assert report["mean_latency_s"] == result.mean_latency_s
+
     def test_same_seed_reproducible(self, crash_recover):
         _, obs_a = crash_recover
         _, obs_b = checked_chaos("crash-recover")
