@@ -116,7 +116,7 @@ class RateAdaptationController:
         self._up_cooldown = 0
         self._estimates = 0
         self._probe_deadline = -1
-        self._obs = obs
+        self._emit = obs.emit if obs is not None and obs.listening else None
         self.component = component
         registry = obs.metrics if obs is not None else MetricsRegistry()
         self._c_up = registry.counter("adapt.adjustments_up")
@@ -215,9 +215,9 @@ class RateAdaptationController:
 
     def _trace_decision(self, direction: str, r: float,
                         now_s: float | None) -> None:
-        if self._obs is not None and now_s is not None:
-            self._obs.emit(now_s, self.component, "adapt.decision",
-                           direction=direction, r=r)
+        if self._emit is not None and now_s is not None:
+            self._emit(now_s, self.component, "adapt.decision",
+                       direction=direction, r=r)
 
     def reset(self) -> None:
         """Clear streaks (e.g. after a level change took effect)."""

@@ -249,8 +249,7 @@ class CohortKernel:
     # -- event machinery -----------------------------------------------------
     def _schedule_player(self, mp: MaterialisedPlayer, tick: int,
                          delay: float) -> None:
-        ev = self.env.timeout(delay)
-        ev.callbacks.append(lambda _e, t=tick: self._player_fire(mp, t))
+        self.env.call_later(delay, self._player_fire, mp, tick)
 
     def _player_fire(self, mp: MaterialisedPlayer, tick: int) -> None:
         """One tick of a per-player chain (per-player mode only)."""
@@ -266,8 +265,8 @@ class CohortKernel:
         # Reschedule before any player event of this tick runs, so the
         # driver's sequence number stays the lowest at tick + 1.
         if tick + 1 < self.spec.n_ticks:
-            ev = self.env.timeout(self.params.tick_s)
-            ev.callbacks.append(lambda _e, t=tick + 1: self._driver_fire(t))
+            self.env.call_later(self.params.tick_s, self._driver_fire,
+                                tick + 1)
         if self._cohort_mode:
             idx = self.cohort.batch_indices()
             if idx.size:
@@ -378,8 +377,7 @@ class CohortKernel:
         spec, p = self.spec, self.params
         # The driver's tick-0 event is created first: lowest sequence
         # number, so it precedes every player event at every tick.
-        ev = self.env.timeout(0.0)
-        ev.callbacks.append(lambda _e: self._driver_fire(0))
+        self.env.call_later(0.0, self._driver_fire, 0)
         if not self._cohort_mode:
             for pid in self._initial_player_ids():
                 mp = self.cohort.materialise(pid)

@@ -509,14 +509,9 @@ class GamingSession:
         # Random phase so players' ticks interleave instead of bursting.
         yield self.env.timeout(float(rng.uniform(0, cfg.segment_interval_s)))
         while self.env.now < cfg.duration_s:
-            action_time = self.env.now
-            server = self._serving[player_id]
-
-            def start_render(_ev, action_time=action_time, server=server):
-                server.render_and_send(player_id, action_time)
-
-            ev = self.env.timeout(self._l_r[player_id])
-            ev.callbacks.append(start_render)
+            self.env.call_later(self._l_r[player_id],
+                                self._serving[player_id].render_and_send,
+                                player_id, self.env.now)
             yield self.env.timeout(cfg.segment_interval_s)
 
     def _cloud_update_loop(self):

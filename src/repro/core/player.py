@@ -86,7 +86,7 @@ class PlayerEndpoint:
         #: reported steady state is not polluted by the convergence
         #: transient (the paper's sessions run for hours).
         self.stats_after_s = stats_after_s
-        self._obs = obs
+        self._emit = obs.emit if obs is not None and obs.listening else None
         self.component = f"player:{player_id}"
         self.playback = PlaybackBuffer(
             segment_duration_s=SEGMENT_DURATION_S,
@@ -122,26 +122,26 @@ class PlayerEndpoint:
         if self._feedback_pending:
             return
         self._feedback_pending = True
+        self.env.call_later(self.feedback_delay_s, self._apply_feedback,
+                            decision)
 
-        def apply(_ev, decision=decision):
-            self._feedback_pending = False
-            encoder = self.server.encoders.get(self.player_id)
-            if encoder is None:
-                return
-            if decision is Adjustment.UP:
-                encoder.adjust_up()
-            else:
-                encoder.adjust_down()
-            if self._obs is not None:
-                self._obs.emit(
-                    self.env.now, self.component, "encoder.level",
-                    level=encoder.level, direction=(
-                        "up" if decision is Adjustment.UP else "down"))
-            if self.controller is not None:
-                self.controller.reset()
-
-        ev = self.env.timeout(self.feedback_delay_s)
-        ev.callbacks.append(apply)
+    def _apply_feedback(self, decision: Adjustment) -> None:
+        """The request reached the server: adjust the encoder."""
+        self._feedback_pending = False
+        encoder = self.server.encoders.get(self.player_id)
+        if encoder is None:
+            return
+        if decision is Adjustment.UP:
+            encoder.adjust_up()
+        else:
+            encoder.adjust_down()
+        if self._emit is not None:
+            self._emit(
+                self.env.now, self.component, "encoder.level",
+                level=encoder.level, direction=(
+                    "up" if decision is Adjustment.UP else "down"))
+        if self.controller is not None:
+            self.controller.reset()
 
     # -- reporting ---------------------------------------------------------------
     @property

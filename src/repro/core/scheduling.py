@@ -156,7 +156,7 @@ class DeadlineSenderBuffer:
         self._queue: list[_QueueEntry] = []
         self._head = 0
         self._seq = itertools.count()
-        self._obs = obs
+        self._emit = obs.emit if obs is not None and obs.listening else None
         self.component = component
         registry = obs.metrics if obs is not None else MetricsRegistry()
         self._c_enqueued = registry.counter("sender.segments_enqueued")
@@ -237,8 +237,8 @@ class DeadlineSenderBuffer:
         self._p_in += packets
         self._p_pend += packets
         self._g_queue_len.set(len(self._queue) - self._head)
-        if self._obs is not None:
-            self._obs.emit(
+        if self._emit is not None:
+            self._emit(
                 now_s, self.component, "buffer.enqueue",
                 disc="edf", player=segment.player_id,
                 deadline=segment.deadline_s, packets=packets,
@@ -289,8 +289,8 @@ class DeadlineSenderBuffer:
                 self._c_segments_fully_dropped.inc()
         self._p_out += segment.remaining_packets
         self._g_queue_len.set(len(self._queue) - self._head)
-        if self._obs is not None:
-            self._obs.emit(
+        if self._emit is not None:
+            self._emit(
                 self._last_now, self.component, "buffer.dequeue",
                 disc="edf", player=segment.player_id,
                 deadline=entry.deadline_s,
@@ -328,8 +328,8 @@ class DeadlineSenderBuffer:
         self._c_packets_dropped.inc(n_packets)
         self._c_segments_fully_dropped.inc()
         self._p_out -= n_packets
-        if self._obs is not None:
-            self._obs.emit(
+        if self._emit is not None:
+            self._emit(
                 self._last_now, self.component, "buffer.drop",
                 disc="edf", reason="post_dequeue", packets=n_packets,
                 player=segment.player_id,
@@ -363,8 +363,8 @@ class DeadlineSenderBuffer:
             self._c_segments_fully_dropped.inc(lost)
             self._p_pend -= dropped_packets
         self._g_queue_len.set(0)
-        if self._obs is not None and had_entries:
-            self._obs.emit(
+        if self._emit is not None and had_entries:
+            self._emit(
                 now_s, self.component, "buffer.flush",
                 disc="edf", segments=lost, packets=dropped_packets,
                 qlen=0, p_in=self._p_in, p_out=self._p_out,
@@ -484,8 +484,8 @@ class DeadlineSenderBuffer:
                 break
         self._c_packets_dropped.inc(total_dropped)
         self._p_pend -= total_dropped
-        if total_dropped and self._obs is not None:
-            self._obs.emit(
+        if total_dropped and self._emit is not None:
+            self._emit(
                 now_s, self.component, "buffer.drop",
                 disc="edf", reason="rebalance", packets=total_dropped,
                 player=trigger.player_id,

@@ -12,13 +12,12 @@ cloud gaming baseline. The differences between system variants reduce to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.scheduling import DeadlineSenderBuffer, SchedulingParams
 from repro.network.packet import VideoSegment
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Environment
-from repro.sim.events import Event
 from repro.streaming.encoder import SegmentEncoder
 from repro.streaming.sender_buffer import FifoSenderBuffer
 
@@ -69,7 +68,7 @@ class StreamingServer:
         self.uplink_rate_bps = uplink_rate_bps
         self.render_delay_s = render_delay_s
         self.use_deadline_scheduling = use_deadline_scheduling
-        self._obs = obs
+        self._emit = obs.emit if obs is not None and obs.listening else None
         self.component = f"server:{host_id}"
         if use_deadline_scheduling:
             self.buffer = DeadlineSenderBuffer(
@@ -93,8 +92,10 @@ class StreamingServer:
         #: Set by the fault injector; a crashed server has no encoders or
         #: routes, so rendering and sending degrade to no-ops.
         self.crashed = False
-        self._wake: Optional[Event] = None
-        self._proc = env.process(self._sender_loop())
+        #: True while the uplink waits for a segment; the next enqueue
+        #: wakes it with one zero-delay call.
+        self._idle = False
+        env.call_later(0.0, self._send_next)
 
     @property
     def bytes_sent(self) -> float:
@@ -158,9 +159,9 @@ class StreamingServer:
         self.encoders.clear()
         self._routes.clear()
         self.crashed = True
-        if self._obs is not None:
-            self._obs.emit(now, self.component, "server.fail",
-                           segments_lost=lost)
+        if self._emit is not None:
+            self._emit(now, self.component, "server.fail",
+                       segments_lost=lost)
         return lost
 
     def recover(self) -> None:
@@ -168,8 +169,8 @@ class StreamingServer:
         if not self.crashed:
             return
         self.crashed = False
-        if self._obs is not None:
-            self._obs.emit(self.env.now, self.component, "server.recover")
+        if self._emit is not None:
+            self._emit(self.env.now, self.component, "server.recover")
 
     # -- pipeline --------------------------------------------------------------
     def render_and_send(self, player_id: int, action_time_s: float) -> None:
@@ -177,41 +178,36 @@ class StreamingServer:
 
         The segment enters the sender buffer after the render delay.
         """
+        if player_id not in self.encoders:
+            return
+        self.env.call_later(self.render_delay_s, self._rendered, player_id,
+                            action_time_s, self.env.now)
+
+    def _rendered(self, player_id: int, action_time_s: float,
+                  state_ready_s: float) -> None:
+        """Encode the rendered segment, queue it, wake an idle uplink."""
         encoder = self.encoders.get(player_id)
         if encoder is None:
             return
-        state_ready_s = self.env.now
+        now = self.env.now
+        segment = encoder.encode_segment(
+            action_time_s, now, state_ready_s=state_ready_s)
+        self.buffer.enqueue(segment, now)
+        if self._idle:
+            self._idle = False
+            self.env.call_later(0.0, self._send_next)
 
-        def after_render(_ev, player_id=player_id,
-                         action_time_s=action_time_s,
-                         state_ready_s=state_ready_s):
-            enc = self.encoders.get(player_id)
-            if enc is None:
-                return
-            segment = enc.encode_segment(
-                action_time_s, self.env.now, state_ready_s=state_ready_s)
-            self.buffer.enqueue(segment, self.env.now)
-            self._wake_sender()
-
-        ev = self.env.timeout(self.render_delay_s)
-        ev.callbacks.append(after_render)
-
-    def _wake_sender(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
-
-    def _sender_loop(self):
-        """Drain the sender buffer at the uplink rate, forever."""
+    def _send_next(self) -> None:
+        """Start serialising the next queued segment, or go idle."""
+        now = self.env.now
         while True:
             # Expiry is done here, not in the buffer: the server knows the
             # exact route (uplink rate, path rate, propagation), so only
             # truly hopeless segments get expired.
-            segment = self.buffer.dequeue(self.env.now, expire=False)
+            segment = self.buffer.dequeue(now, expire=False)
             if segment is None:
-                self._wake = self.env.event()
-                yield self._wake
-                self._wake = None
-                continue
+                self._idle = True
+                return
             route = self._routes.get(segment.player_id)
 
             if (self.use_deadline_scheduling and route is not None
@@ -221,36 +217,45 @@ class StreamingServer:
                 tx = 8.0 * size / self.uplink_rate_bps
                 pipe = (8.0 * size / rate_bps
                         if rate_bps != float("inf") else 0.0)
-                if self.env.now + tx + pipe + prop_s > segment.deadline_s:
+                if now + tx + pipe + prop_s > segment.deadline_s:
                     expired = segment.drop_all()
-                    self.buffer.note_expired(
-                        segment, expired, now_s=self.env.now)
+                    self.buffer.note_expired(segment, expired, now_s=now)
 
             size = segment.remaining_bytes
             if size > 0:
-                yield self.env.timeout(8.0 * size / self.uplink_rate_bps)
-                self._c_bytes_sent.inc(size)
-                self._c_segments_sent.inc()
-                if self._obs is not None:
-                    self._obs.emit(
-                        self.env.now, self.component, "server.send",
-                        player=segment.player_id, bytes=size,
-                        packets=segment.remaining_packets)
-            if route is None:
-                continue  # player left while the segment queued
-            deliver, propagation_s, path_rate_bps = route
-            # Downstream delay: the path pipes the segment at its
-            # window-limited rate, then the last packet propagates.
-            path_transfer_s = (8.0 * size / path_rate_bps
-                               if size > 0 and path_rate_bps != float("inf")
-                               else 0.0)
-            downstream_s = path_transfer_s + propagation_s
-            if self.use_deadline_scheduling:
-                self.buffer.propagation.record(
-                    segment.player_id, downstream_s)
+                # The route is captured now: a segment on the wire when
+                # the host crashes still reaches its player.
+                self.env.call_later(8.0 * size / self.uplink_rate_bps,
+                                    self._sent, segment, route, size)
+                return
+            self._route(segment, route, size)
 
-            def arrive(_ev, segment=segment, deliver=deliver):
-                deliver(segment, self.env.now)
+    def _sent(self, segment: VideoSegment, route, size: int) -> None:
+        """``segment`` left the uplink: count it, route it, send the next."""
+        self._c_bytes_sent.inc(size)
+        self._c_segments_sent.inc()
+        if self._emit is not None:
+            self._emit(self.env.now, self.component, "server.send",
+                       player=segment.player_id, bytes=size,
+                       packets=segment.remaining_packets)
+        self._route(segment, route, size)
+        self._send_next()
 
-            ev = self.env.timeout(downstream_s)
-            ev.callbacks.append(arrive)
+    def _route(self, segment: VideoSegment, route, size: int) -> None:
+        """Hand ``segment`` to its player's downstream path."""
+        if route is None:
+            return  # player left while the segment queued
+        deliver, propagation_s, path_rate_bps = route
+        # Downstream delay: the path pipes the segment at its
+        # window-limited rate, then the last packet propagates.
+        path_transfer_s = (8.0 * size / path_rate_bps
+                           if size > 0 and path_rate_bps != float("inf")
+                           else 0.0)
+        downstream_s = path_transfer_s + propagation_s
+        if self.use_deadline_scheduling:
+            self.buffer.propagation.record(segment.player_id, downstream_s)
+        self.env.call_later(downstream_s, self._arrive, deliver, segment)
+
+    def _arrive(self, deliver: DeliverFn, segment: VideoSegment) -> None:
+        """The segment's last packet reached the player."""
+        deliver(segment, self.env.now)

@@ -88,17 +88,20 @@ def simulate_churn(
         for _ in range(cfg.players_per_supernode):
             hood.join(sn)
 
-    def relocate(player_id: int) -> None:
-        # The recorded backup: the first live supernode with a free slot.
-        backups = [sn for sn in alive.values()
-                   if sn.n_players < sn.capacity_slots] if use_backups else []
-        if backups:
-            hood.move(player_id, backups[0],
-                      hood.players[player_id].downstream_s)
-        else:
-            stats["failovers_to_cloud"] += 1
-            hood.move(player_id, cloud, cfg.cloud_one_way_s,
-                      cfg.cloud_path_rate_bps)
+    def relocate(moved: tuple[int, ...]) -> None:
+        for player_id in moved:
+            # The recorded backup: the first live supernode with a free
+            # slot.
+            backups = ([sn for sn in alive.values()
+                        if sn.n_players < sn.capacity_slots]
+                       if use_backups else [])
+            if backups:
+                hood.move(player_id, backups[0],
+                          hood.players[player_id].downstream_s)
+            else:
+                stats["failovers_to_cloud"] += 1
+                hood.move(player_id, cloud, cfg.cloud_one_way_s,
+                          cfg.cloud_path_rate_bps)
 
     def churn_proc():
         if departures_per_minute == 0:
@@ -119,13 +122,7 @@ def simulate_churn(
                      if r.server is victim]
             for p in moved:
                 victim.detach_player(p)
-
-            def do_moves(_ev, moved=tuple(moved)):
-                for p in moved:
-                    relocate(p)
-
-            ev = env.timeout(cfg.switch_delay_s)
-            ev.callbacks.append(do_moves)
+            env.call_later(cfg.switch_delay_s, relocate, tuple(moved))
 
     env.process(churn_proc())
     hood.run()

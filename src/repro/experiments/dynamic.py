@@ -237,13 +237,8 @@ class DynamicSimulation:
         end = min(self.env.now + duration_s, self.horizon_s)
         interval = self.config.segment_interval_s
         while self.env.now < end:
-            action_time = self.env.now
-
-            def start_render(_ev, action_time=action_time):
-                server.render_and_send(pid, action_time)
-
-            ev = self.env.timeout(l_r)
-            ev.callbacks.append(start_render)
+            self.env.call_later(l_r, server.render_and_send, pid,
+                                self.env.now)
             yield self.env.timeout(interval)
 
         # Leave: free everything.

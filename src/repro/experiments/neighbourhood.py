@@ -17,7 +17,6 @@ these figures trace and check invariants like the session figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -124,11 +123,10 @@ class Neighbourhood:
         yield env.timeout(float(
             self.phase_rng(pid).uniform(0, SEGMENT_DURATION_S)))
         while env.now < self.cfg.duration_s:
-            ev = env.timeout(p.l_r)
-            ev.callbacks.append(partial(self._start_render, p, env.now))
+            env.call_later(p.l_r, self._start_render, p, env.now)
             yield env.timeout(SEGMENT_DURATION_S)
 
-    def _start_render(self, p: Resident, action_time_s: float, _ev) -> None:
+    def _start_render(self, p: Resident, action_time_s: float) -> None:
         pid = p.endpoint.player_id
         if pid in p.server.encoders:
             p.server.render_and_send(pid, action_time_s)

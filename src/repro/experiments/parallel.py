@@ -115,8 +115,7 @@ def run_spec(
 
     # Trace/checker replay needs the task's event stream; a metrics-only
     # or absent context does not.
-    capture = obs is not None and (obs.trace is not None
-                                   or bool(obs.checkers))
+    capture = obs is not None and obs.listening
     read_cache = cache is not None and obs is None
 
     journal: Optional[RunJournal] = None

@@ -187,12 +187,8 @@ class FailoverController:
             return  # already recovering (server crashed mid-failover)
         self._pending[player_id] = {
             "host": int(host_id), "t_crash": float(now_s), "attempt": 0}
-
-        def detect(_ev, player_id=player_id):
-            self._on_detect(player_id)
-
-        ev = self.env.timeout(self.params.detection_timeout_s)
-        ev.callbacks.append(detect)
+        self.env.call_later(self.params.detection_timeout_s,
+                            self._on_detect, player_id)
 
     def note_delivery(self, player_id: int, now_s: float) -> None:
         """A segment with data reached the player (downtime bookkeeping)."""
@@ -228,12 +224,8 @@ class FailoverController:
         if attempt >= self.params.max_retries:
             self._emit("failover.giveup", player=player_id, host=host,
                        retries=attempt)
-
-            def switch(_ev, player_id=player_id):
-                self._switch(player_id)
-
-            ev = self.env.timeout(self.params.switch_delay_s)
-            ev.callbacks.append(switch)
+            self.env.call_later(self.params.switch_delay_s, self._switch,
+                                player_id)
             return
         state["attempt"] = attempt + 1
         self.retries += 1
@@ -241,12 +233,8 @@ class FailoverController:
         self._emit("failover.retry", player=player_id, host=host,
                    attempt=attempt + 1,
                    backoff_s=self.params.backoff_s(attempt))
-
-        def retry(_ev, player_id=player_id):
-            self._probe(player_id)
-
-        ev = self.env.timeout(self.params.backoff_s(attempt))
-        ev.callbacks.append(retry)
+        self.env.call_later(self.params.backoff_s(attempt), self._probe,
+                            player_id)
 
     def _switch(self, player_id: int) -> None:
         """Retries exhausted: migrate to next-best supernode or cloud."""

@@ -77,12 +77,7 @@ class FaultInjector:
                 raise ValueError(
                     f"fault at t={fault.at_s} is in the past "
                     f"(now={self.env.now})")
-
-            def fire(_ev, fault=fault):
-                self._fire(fault)
-
-            ev = self.env.timeout(delay)
-            ev.callbacks.append(fire)
+            self.env.call_later(delay, self._fire, fault)
         return len(self.plan)
 
     # -- edges --------------------------------------------------------------
@@ -98,14 +93,13 @@ class FaultInjector:
         clear_at = self._clear_time(fault)
         if clear_at is None:
             return
+        self.env.call_later(clear_at - now, self._clear, fault, token)
 
-        def end(_ev, fault=fault, token=token):
-            self.handler.clear(fault, token, self.env.now)
-            self.cleared += 1
-            self._emit("fault.clear", fault)
-
-        ev = self.env.timeout(clear_at - now)
-        ev.callbacks.append(end)
+    def _clear(self, fault, token) -> None:
+        """The fault's window ended: undo what :meth:`_fire` applied."""
+        self.handler.clear(fault, token, self.env.now)
+        self.cleared += 1
+        self._emit("fault.clear", fault)
 
     @staticmethod
     def _clear_time(fault) -> Optional[float]:

@@ -121,20 +121,21 @@ class SessionChaos:
                     return
             extra = self._latency_extra(host_id) if self._latency else 0.0
             if extra > 0.0:
-                env = self._session.env
-
-                def arrive(_ev, segment=segment):
-                    if self._epochs.get(player_id, 0) != epoch:
-                        self.stale_suppressed += 1
-                        return
-                    self._finish(player_id, endpoint, segment, env.now)
-
-                ev = env.timeout(extra)
-                ev.callbacks.append(arrive)
+                self._session.env.call_later(
+                    extra, self._arrive_late, player_id, epoch, endpoint,
+                    segment)
                 return
             self._finish(player_id, endpoint, segment, now_s)
 
         return deliver
+
+    def _arrive_late(self, player_id: int, epoch: int, endpoint,
+                     segment) -> None:
+        """A spike-delayed segment lands, unless its player moved on."""
+        if self._epochs.get(player_id, 0) != epoch:
+            self.stale_suppressed += 1
+            return
+        self._finish(player_id, endpoint, segment, self._session.env.now)
 
     def _finish(self, player_id: int, endpoint, segment,
                 now_s: float) -> None:

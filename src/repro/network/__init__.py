@@ -11,8 +11,8 @@ with a synthetic but calibrated model:
   times a route-inflation factor) + pairwise jitter
   (:mod:`repro.network.latency`);
 * video segments travel as packets (:mod:`repro.network.packet`); the
-  uplink that serializes them is the streaming server's sender loop
-  (:mod:`repro.core.server`);
+  uplink that serializes them is the streaming server's callback-driven
+  uplink (:mod:`repro.core.server`);
 * the paper's 750-host PlanetLab testbed is
   :func:`repro.experiments.scenarios.planetlab_scenario`: the usual
   ``build_population`` with university-site placement and

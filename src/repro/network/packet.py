@@ -79,17 +79,16 @@ class VideoSegment:
     created_at_s: float = 0.0
     enqueued_at_s: float = 0.0
     dropped_packets: int = 0
+    #: Number of packets the segment is carried in, fixed by its size.
+    total_packets: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("segment size must be positive")
         if not 0.0 <= self.loss_tolerance <= 1.0:
             raise ValueError("loss tolerance must be in [0, 1]")
-
-    @property
-    def total_packets(self) -> int:
-        """Number of packets the segment is carried in."""
-        return max(1, -(-self.size_bytes // PACKET_PAYLOAD_BYTES))
+        self.total_packets = max(
+            1, -(-self.size_bytes // PACKET_PAYLOAD_BYTES))
 
     @property
     def remaining_packets(self) -> int:

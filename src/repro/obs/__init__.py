@@ -14,9 +14,12 @@ subsystem:
   simulation runs, so a broken invariant raises at the offending step.
 
 Components take an optional ``obs`` argument and emit through
-:meth:`Observability.emit`; with no observability attached they fall back
-to private metric instruments and skip tracing entirely (a single ``is
-None`` check on the hot paths). Experiment drivers install a context via
+:meth:`Observability.emit`, resolved once at construction: events are
+built only when :attr:`Observability.listening` (a trace or a checker
+is attached), and metrics are recorded whenever ``obs`` is given. With
+no observability attached components fall back to private metric
+instruments, so the hot paths pay a single ``is None`` check per event
+site either way. Experiment drivers install a context via
 :func:`use` so deeply nested construction (sessions build servers build
 buffers) picks the run's observability up without threading it through
 every signature:
@@ -74,6 +77,15 @@ class Observability:
         self.trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.checkers = list(checkers)
+
+    @property
+    def listening(self) -> bool:
+        """True when an emitted event goes somewhere: a trace or a checker.
+
+        Components read this once, at construction, and build no event
+        payload when it is false; their metrics are recorded either way.
+        """
+        return self.trace is not None or bool(self.checkers)
 
     def emit(self, t: float, component: str, kind: str, **data: Any) -> None:
         """Record one event and run it through the live checkers."""

@@ -4,8 +4,9 @@ This package is CloudFog's substitute for the PeerSim simulator used in the
 paper: a small, deterministic, generator-based discrete-event kernel in the
 style of SimPy, built from scratch so the reproduction has no external
 simulator dependency. It holds what the two simulators run: the
-packet-level ``GamingSession`` (processes on the binary heap) and the
-cohort kernel's tick driver (timeouts on the calendar queue).
+packet-level ``GamingSession`` (processes and callbacks on the binary
+heap) and the cohort kernel's tick driver (callbacks on the calendar
+queue).
 
 Core pieces
 -----------

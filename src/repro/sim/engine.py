@@ -1,9 +1,11 @@
 """The discrete-event simulation kernel.
 
 The :class:`Environment` owns the clock and the future event list.
-Entries are ``(time, sequence, event)`` tuples; the monotonically
-increasing sequence number breaks time ties in insertion order, so a run
-is a pure function of its inputs — the property PeerSim gives the
+Entries are ``(time, sequence, fire)`` tuples, ``fire`` a zero-argument
+callable: an event's :meth:`~repro.sim.events.Event._fire`, or a
+callback queued with :meth:`Environment.call_later`. The monotonically
+increasing sequence number breaks time ties in insertion order, so a
+run is a pure function of its inputs — the property PeerSim gives the
 paper's simulation and that the whole reproduction relies on.
 
 Two interchangeable event structures back the list (DESIGN.md §11),
@@ -18,23 +20,23 @@ chosen per environment with ``Environment(queue=...)``:
     cohort kernel runs on it. Pops events in exactly the same
     ``(time, seq)`` order as the heap, so traces (and their digests)
     are byte-identical.
+
+Scheduling has one body for both kinds; the kind picks only how an
+entry is pushed, peeked at and popped.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional
+from functools import partial
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event, SimulationError, Timeout
 from repro.sim.process import Process
 
 #: Recognised future-event-list implementations.
 QUEUE_KINDS = ("heap", "calendar")
-
-
-class SimulationError(Exception):
-    """An error raised by the simulation kernel itself."""
 
 
 class Environment:
@@ -66,17 +68,19 @@ class Environment:
                 f"unknown event queue kind {queue!r}; "
                 f"expected one of {QUEUE_KINDS}")
         self._now = float(initial_time)
-        self._heap: list[tuple[float, int, Event]] = []
         #: Events queued so far (also the last sequence number issued).
         self._seq = 0
         self.queue_kind = queue
-        self._cal: Optional[CalendarQueue] = None
         if queue == "calendar":
-            self._cal = CalendarQueue()
-            # Instance-attribute swap: the heap fast paths carry no
-            # queue-kind branch.
-            self.schedule = self._schedule_calendar  # type: ignore[method-assign]
-            self.step = self._step_calendar  # type: ignore[method-assign]
+            cal = CalendarQueue()
+            self._queue: Any = cal
+            self._push = lambda entry: cal.push(*entry)
+            self._pop = cal.pop
+        else:
+            heap: list[tuple[float, int, Callable[[], None]]] = []
+            self._queue = heap
+            self._push = partial(heapq.heappush, heap)
+            self._pop = partial(heapq.heappop, heap)
 
     # -- clock ------------------------------------------------------------
     @property
@@ -85,24 +89,29 @@ class Environment:
         return self._now
 
     # -- scheduling -------------------------------------------------------
+    def call_later(self, delay: float, fn: Callable[..., None],
+                   *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now.
+
+        One queue entry and one sequence number, exactly what a
+        :class:`~repro.sim.events.Timeout` with one callback costs, but
+        without the event object: the callback reads :attr:`now` when it
+        needs the time.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        self._push((self._now + delay, self._seq,
+                    partial(fn, *args) if args else fn))
+
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-
-    def _schedule_calendar(self, event: Event, delay: float = 0.0) -> None:
-        """:meth:`schedule` against the calendar queue."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        self._cal.push(self._now + delay, self._seq, event)
+        self.call_later(delay, event._fire)
 
     @property
     def pending(self) -> int:
         """Number of events awaiting processing."""
-        return len(self._cal) if self._cal is not None else len(self._heap)
+        return len(self._queue)
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -120,38 +129,10 @@ class Environment:
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event. Raises ``SimulationError`` if empty."""
-        if not self._heap:
+        if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        self._now, _, event = heapq.heappop(self._heap)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
-    def _step_calendar(self) -> None:
-        """:meth:`step` against the calendar queue."""
-        cal = self._cal
-        if not cal:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = cal.pop()
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
-    def _raise_uncaught(self, exc: BaseException) -> None:
-        """Propagate an exception nobody handled out of the event loop."""
-        raise exc
+        self._now, _, fire = self._pop()
+        fire()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
@@ -164,16 +145,19 @@ class Environment:
         if stop_at < self._now:
             raise SimulationError(
                 f"until={stop_at} lies in the past (now={self._now})")
-        if self._cal is None:
-            heap = self._heap
-            while heap and heap[0][0] <= stop_at:
-                self.step()
+        queue = self._queue
+        if self.queue_kind == "heap":
+            pop = heapq.heappop
+            while queue and queue[0][0] <= stop_at:
+                self._now, _, fire = pop(queue)
+                fire()
         else:
-            cal = self._cal
-            # peek_time() caches the located bucket, so the pop inside
-            # step() does not scan a second time.
-            while cal and cal.peek_time() <= stop_at:
-                self.step()
+            # peek_time() caches the located bucket, so the pop does not
+            # scan a second time.
+            pop = self._pop
+            while queue and queue.peek_time() <= stop_at:
+                self._now, _, fire = pop()
+                fire()
         if until is not None:
             self._now = stop_at
 

@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
+class SimulationError(Exception):
+    """An error raised by the simulation kernel itself."""
+
+
 class Event:
     """A one-shot waitable occurrence.
 
@@ -76,6 +80,17 @@ class Event:
         self._value = value
         self.env.schedule(self)
         return self
+
+    def _fire(self) -> None:
+        """Process the event: the queue entry the environment pops."""
+        callbacks, self.callbacks = self.callbacks, None
+        if callbacks is None:
+            raise SimulationError(f"{self!r} processed twice")
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not self.defused:
+            # Nobody handled the failure: it leaves the event loop.
+            raise self._value
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (

@@ -124,9 +124,11 @@ class PlaybackBuffer:
     def __post_init__(self) -> None:
         # Response-latency distribution, exported through the run's
         # metrics registry when observability is attached.
+        obs = self.obs
         self._hist_latency = (
-            self.obs.metrics.histogram("playback.response_latency_s")
-            if self.obs is not None else None)
+            obs.metrics.histogram("playback.response_latency_s")
+            if obs is not None else None)
+        self._emit = obs.emit if obs is not None and obs.listening else None
 
     def on_segment_arrival(self, segment: VideoSegment, now_s: float) -> None:
         """Account an arriving segment and add its video to the buffer.
@@ -157,9 +159,10 @@ class PlaybackBuffer:
         if not self._playing and self._buffered_video_s > 0:
             self._playing = True
             self._last_drain_s = now_s
-        if self.obs is not None:
+        if self._hist_latency is not None:
             self._hist_latency.observe(latency_s)
-            self.obs.emit(
+        if self._emit is not None:
+            self._emit(
                 now_s, self.component, "playback.arrival",
                 buffered_s=self._buffered_video_s, on_time=bool(on_time),
                 packets=arrived, latency_s=latency_s)
@@ -169,8 +172,8 @@ class PlaybackBuffer:
         """Account a segment that will never arrive (whole segment lost)."""
         self.stats.packets_expected += segment.total_packets
         self.stats.packets_dropped += segment.total_packets
-        if self.obs is not None:
-            self.obs.emit(
+        if self._emit is not None:
+            self._emit(
                 now_s if now_s is not None else self._last_drain_s,
                 self.component, "playback.lost",
                 packets=segment.total_packets)
@@ -189,9 +192,9 @@ class PlaybackBuffer:
                 self.stall_time_s += stall
                 if self._buffered_video_s > 0:
                     self.stall_count += 1
-                if self.obs is not None:
-                    self.obs.emit(now_s, self.component, "playback.stall",
-                                  stall_s=stall)
+                if self._emit is not None:
+                    self._emit(now_s, self.component, "playback.stall",
+                               stall_s=stall)
             self._buffered_video_s = 0.0
         else:
             self._buffered_video_s -= elapsed

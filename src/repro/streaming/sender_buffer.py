@@ -29,7 +29,7 @@ class FifoSenderBuffer:
     def __init__(self, obs: "Observability | None" = None,
                  component: str = "fifo") -> None:
         self._queue: deque[VideoSegment] = deque()
-        self._obs = obs
+        self._emit = obs.emit if obs is not None and obs.listening else None
         self.component = component
         registry = obs.metrics if obs is not None else MetricsRegistry()
         self._c_enqueued = registry.counter("sender.segments_enqueued")
@@ -70,8 +70,8 @@ class FifoSenderBuffer:
         self._p_in += packets
         self._p_pend += packets
         self._g_queue_len.set(len(self._queue))
-        if self._obs is not None:
-            self._obs.emit(
+        if self._emit is not None:
+            self._emit(
                 now_s, self.component, "buffer.enqueue",
                 disc="fifo", player=segment.player_id,
                 deadline=segment.deadline_s, packets=packets,
@@ -97,8 +97,8 @@ class FifoSenderBuffer:
         self._p_pend -= packets
         self._p_out += packets
         self._g_queue_len.set(len(self._queue))
-        if self._obs is not None:
-            self._obs.emit(
+        if self._emit is not None:
+            self._emit(
                 self._last_now, self.component, "buffer.dequeue",
                 disc="fifo", player=segment.player_id,
                 deadline=segment.deadline_s, packets=packets,
@@ -124,8 +124,8 @@ class FifoSenderBuffer:
         self._p_pend -= dropped_packets
         self._p_drop += dropped_packets
         self._g_queue_len.set(0)
-        if self._obs is not None and lost:
-            self._obs.emit(
+        if self._emit is not None and lost:
+            self._emit(
                 now_s, self.component, "buffer.flush",
                 disc="fifo", segments=lost, packets=dropped_packets,
                 qlen=0, p_in=self._p_in, p_out=self._p_out,

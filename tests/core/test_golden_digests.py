@@ -17,6 +17,9 @@ draws — shows up here first. If a change is intentional, regenerate:
 below — see each test's parameters).
 """
 
+import hashlib
+import json
+
 import pytest
 
 #: RunResult series digests of seed figures exercising the greedy
@@ -36,6 +39,13 @@ GOLDEN_CHAOS_TRACE = (
 #: per-event kernel probes counted them before run-end counts replaced
 #: them.
 GOLDEN_SIM_EVENTS = 83_094
+
+#: SHA-256 of that session's whole metrics snapshot
+#: (``json.dumps(snapshot, sort_keys=True)``), so a counter increment or
+#: histogram observation that goes missing fails as surely as a changed
+#: event count.
+GOLDEN_SESSION_METRICS_SHA256 = (
+    "94b34222bd3a6b473b00966a3c9d91f40137703129ba5c39f3a7e433ca33606e")
 
 #: SessionResult aggregates of a CloudFog/A session (peersim scale=0.05,
 #: seed=42, duration 15 s, warmup 2 s) — captured pre-refactor.
@@ -108,6 +118,9 @@ class TestGreedySeedEquivalence:
                                   "sim.events_processed"]
         assert snap["sim.events_scheduled"]["value"] == GOLDEN_SIM_EVENTS
         assert snap["sim.events_processed"]["value"] == GOLDEN_SIM_EVENTS
+        assert hashlib.sha256(json.dumps(
+            snap, sort_keys=True).encode()).hexdigest() == (
+                GOLDEN_SESSION_METRICS_SHA256)
         # The refactor *adds* load indices without touching the QoE
         # envelope: greedy sessions now report them too.
         assert res.load_indices is not None

@@ -1,6 +1,8 @@
 """Unit tests for packets and video segments."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.network.packet import PACKET_PAYLOAD_BYTES, Packet, VideoSegment
 
@@ -47,6 +49,13 @@ class TestSegmentBasics:
 
     def test_tiny_segment_one_packet(self):
         assert make_segment(size_bytes=10).total_packets == 1
+
+    def test_total_packets_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            VideoSegment(player_id=1, quality_level=4, size_bytes=14000,
+                         duration_s=0.1, action_time_s=1.0,
+                         latency_req_s=0.09, loss_tolerance=0.3,
+                         total_packets=3)
 
     def test_deadline_anchored_at_action_by_default(self):
         seg = make_segment(action_time_s=2.0, latency_req_s=0.05)
@@ -115,3 +124,34 @@ class TestDropping:
         seg = make_segment(loss_tolerance=0.0)
         assert seg.drop(5) == 0
         assert seg.remaining_packets == seg.total_packets
+
+
+def _reference_total(size_bytes):
+    """Packet count as a property recomputed from the size on each read."""
+    return max(1, -(-size_bytes // PACKET_PAYLOAD_BYTES))
+
+
+def _reference_remaining_bytes(size_bytes, dropped):
+    full = _reference_total(size_bytes)
+    if full == 1:
+        return 0 if dropped else size_bytes
+    return int(round(size_bytes / full * (full - dropped)))
+
+
+class TestPacketAccountingReference:
+    @given(size_bytes=st.integers(1, 400_000),
+           drops=st.lists(st.integers(0, 300), max_size=4),
+           drop_all=st.booleans())
+    def test_matches_reference_formulas(self, size_bytes, drops, drop_all):
+        seg = make_segment(size_bytes=size_bytes, loss_tolerance=1.0)
+        total = _reference_total(size_bytes)
+        for n in drops:
+            seg.drop(n)
+        if drop_all:
+            seg.drop_all()
+        dropped = seg.dropped_packets
+        assert 0 <= dropped <= total
+        assert seg.total_packets == total
+        assert seg.remaining_packets == total - dropped
+        assert seg.remaining_bytes == _reference_remaining_bytes(
+            size_bytes, dropped)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Environment, SimulationError
+from repro.sim.engine import QUEUE_KINDS, Environment, SimulationError
 from repro.sim.events import Event
 
 
@@ -55,6 +55,44 @@ class TestScheduling:
         ev.callbacks.append(lambda e: seen.append(env.now))
         env.run()
         assert seen == [7.25]
+
+
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
+class TestCallLater:
+    def test_fires_at_now_plus_delay_with_its_arguments(self, queue):
+        env = Environment(initial_time=1.0, queue=queue)
+        fired = []
+        env.call_later(2.5, lambda *args: fired.append((env.now, args)),
+                       "a", 7)
+        env.call_later(0.5, lambda: fired.append((env.now, ())))
+        env.run()
+        assert fired == [(1.5, ()), (3.5, ("a", 7))]
+
+    def test_interleaves_with_timeouts_in_insertion_order(self, queue):
+        env = Environment(queue=queue)
+        fired = []
+        for tag in "abcd":
+            if tag in "ac":
+                env.call_later(2.0, fired.append, tag)
+            else:
+                ev = env.timeout(2.0, value=tag)
+                ev.callbacks.append(lambda e: fired.append(e.value))
+        env.run()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_negative_delay_rejected(self, queue):
+        env = Environment(queue=queue)
+        with pytest.raises(SimulationError):
+            env.call_later(-0.1, lambda: None)
+        assert env._seq == 0 and env.pending == 0
+
+    def test_one_sequence_number_like_a_timeout(self, queue):
+        env = Environment(queue=queue)
+        env.timeout(1.0)
+        assert env._seq == 1
+        env.call_later(1.0, lambda: None)
+        assert env._seq == 2
+        assert env.pending == 2
 
 
 class TestErrorPropagation:
