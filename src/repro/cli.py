@@ -28,10 +28,10 @@ Examples
                                       # distributed negotiation, with
                                       # Gini/Herfindahl/variation
                                       # load-distribution indices
-    cloudfog all --cache-dir ~/.cache/cloudfog --resume
-                                      # finish an interrupted sweep:
-                                      # the crash-safe journal skips
-                                      # every checkpointed task
+    cloudfog all --cache-dir ~/.cache/cloudfog
+                                      # run again to finish an
+                                      # interrupted sweep: every task
+                                      # already cached is skipped
     cloudfog fig9a --jobs 4 --task-timeout 120 --keep-going
                                       # watchdog + salvage: hung tasks
                                       # are cancelled and retried;
@@ -149,7 +149,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="content-addressed result cache directory; re-runs skip "
-             "sweep points already computed for the same parameters")
+             "sweep points already computed for the same parameters, "
+             "so re-running an interrupted sweep finishes it")
     group.add_argument(
         "--no-cache", action="store_true",
         help="ignore --cache-dir (force fresh execution)")
@@ -166,19 +167,12 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
         "--keep-going", action="store_true",
         help="on task failure, salvage completed sweep points and "
              "report the failed ones instead of aborting the run")
-    group.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run from its journal (requires "
-             "--cache-dir): only tasks not yet checkpointed execute")
 
 
 def _config_from_args(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> RunConfig:
     """Build the run's :class:`RunConfig`, mapping validation errors to
-    ``parser.error`` with CLI-flavoured messages."""
-    if args.resume and (not args.cache_dir or args.no_cache):
-        parser.error("--resume requires --cache-dir (the run journal "
-                     "lives next to the result cache)")
+    ``parser.error``."""
     try:
         return RunConfig.from_args(args)
     except ValueError as exc:
@@ -774,10 +768,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
              "(default 1 = sequential in the main thread)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="local payload cache keyed by task digest: repeat tasks "
-             "replay from disk, and tasks whose blob the scheduler "
-             "already stores are confirmed by hash instead of "
-             "re-shipped")
+        help="local result cache keyed by task digest, in the "
+             "scheduler's entry format: tasks this worker computed "
+             "before replay from disk")
     parser.add_argument(
         "--compress", nargs="?", const="auto", default="auto",
         choices=COMPRESS_NAMES, metavar="CODEC",
@@ -823,6 +816,16 @@ SUBCOMMANDS = {
 }
 
 
+def _recovery_hint(cache, then: str = "") -> str:
+    """What a stopped sweep kept of its completed tasks, and what to do
+    next: with a cache, re-running the command finishes the sweep."""
+    if cache is None:
+        return ("completed tasks were not kept; re-run with --cache-dir "
+                "to keep them")
+    return (f"completed tasks are cached in {cache.root}; re-run the "
+            f"same command{then}")
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -851,20 +854,17 @@ def main(argv: list[str] | None = None) -> int:
     except SweepFailure as exc:
         print("sweep failed:", file=sys.stderr)
         print(exc.report(), file=sys.stderr)
-        print("(completed tasks are cached and journalled; re-run with "
-              "--cache-dir to pick them up, or add --keep-going to "
-              "salvage partial results)", file=sys.stderr)
+        print(f"({_recovery_hint(cache)}, or add --keep-going to salvage "
+              "partial results)", file=sys.stderr)
         return 1
     except RemoteFabricError as exc:
         print(f"remote fabric failed: {exc}", file=sys.stderr)
-        print("(completed tasks are cached and journalled; re-run with "
-              "--cache-dir and --resume once workers are back)",
-              file=sys.stderr)
+        hint = _recovery_hint(cache, " once workers are back")
+        print(f"({hint})", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("\ninterrupted — completed tasks were checkpointed; "
-              "re-run with --cache-dir and --resume to finish the sweep",
-              file=sys.stderr)
+        hint = _recovery_hint(cache, " to finish the sweep")
+        print(f"\ninterrupted — {hint}", file=sys.stderr)
         return 130
     finally:
         cfg.close()
@@ -891,11 +891,9 @@ def main(argv: list[str] | None = None) -> int:
         errors = f", {cache.errors} errors" if cache.errors else ""
         print(f"[cache] {cache.hits} hits, {cache.misses} misses{errors} "
               f"({len(cache)} entries in {cache.root})", file=out)
-    resumed = sum(r.tasks_resumed for r in run_results_by_name.values())
     retried = sum(r.tasks_retried for r in run_results_by_name.values())
-    if resumed or retried:
-        print(f"[resilience] {resumed} task(s) restored from the run "
-              f"journal, {retried} retried", file=out)
+    if retried:
+        print(f"[resilience] {retried} task(s) retried", file=out)
     failures = [f for r in run_results_by_name.values()
                 for f in r.failures]
     print(f"\n[{time.perf_counter() - t0:.1f}s, scale={args.scale}, "

@@ -80,7 +80,8 @@ class TaskResult:
     #: Trace events captured in the task, as ``(t, component, kind,
     #: data)`` tuples — only populated when the parent run traces.
     events: tuple = ()
-    #: Wall-clock seconds the task took (0.0 on a cache hit).
+    #: Wall-clock seconds the task took (a cache hit carries the
+    #: stored run's).
     elapsed_s: float = 0.0
     #: Whether the payload came from the result cache.
     cached: bool = False
@@ -129,12 +130,10 @@ class RunResult:
     tasks_total: int = 0
     tasks_cached: int = 0
     #: Resilience accounting: tasks that exhausted their retry budget
-    #: (non-empty only in keep-going mode — otherwise the run raised),
-    #: attempts beyond the first across all tasks, and tasks satisfied
-    #: from a previous (interrupted) run's journal on ``resume``.
+    #: (non-empty only in keep-going mode — otherwise the run raised)
+    #: and attempts beyond the first across all tasks.
     tasks_failed: int = 0
     tasks_retried: int = 0
-    tasks_resumed: int = 0
     #: Structured per-task failure taxonomy
     #: (:class:`repro.experiments.resilience.TaskFailure` values).
     failures: tuple = ()
@@ -155,7 +154,6 @@ class RunResult:
             "tasks_cached": self.tasks_cached,
             "tasks_failed": self.tasks_failed,
             "tasks_retried": self.tasks_retried,
-            "tasks_resumed": self.tasks_resumed,
             "failures": [f.to_dict() for f in self.failures],
         }
 

@@ -1,8 +1,8 @@
 """Execution-backend contract for the sweep scheduler.
 
 :func:`repro.experiments.parallel.run_spec` owns everything that must
-be backend-agnostic — task decomposition, cache lookups, the crash-safe
-journal, deterministic task-order merging — and hands the residual work
+be backend-agnostic — task decomposition, cache lookups and writes,
+deterministic task-order merging — and hands the residual work
 ("run these task indices, call me back") to an
 :class:`ExecutionBackend` as a :class:`SweepPlan`:
 
@@ -78,8 +78,8 @@ class SweepPlan:
     """One sweep's remaining work, as handed to a backend.
 
     ``record(i, payload)`` accepts task ``i``'s successful payload (the
-    scheduler stores, caches and journals it — for the remote backend
-    this is the shared-artifact-store write-through). ``dispose(i,
+    scheduler keeps and caches it — for the remote backend this is the
+    shared-artifact-store write-through). ``dispose(i,
     attempt, kind, message)`` accounts one failed attempt and returns
     the backoff delay before the next attempt, or ``None`` when the
     task is terminally dead (it raises
@@ -104,16 +104,18 @@ class SweepPlan:
     stats: dict
     #: Per-task content-address digests (None entries when the run has
     #: no cache). The remote backend ships them with task frames so
-    #: workers can key their local payload caches identically.
+    #: workers key their local result caches identically.
     digests: Optional[list] = None
-    #: Todo indices whose blob the scheduler's store already holds but
+    #: Todo indices whose entry the scheduler's store already holds but
     #: could not serve directly (cache reads bypassed by an attached
     #: obs context): the remote backend marks their task frames
     #: ``have`` so workers answer with hash-only ``cached`` frames.
     known: Optional[set] = None
-    #: Resolve task ``i``'s payload from the scheduler's store (the
-    #: ``cached``-frame redemption path); None on a miss.
-    lookup: Optional[Callable[[int], Optional[Any]]] = None
+    #: Install task ``i``'s payload from the scheduler's store as its
+    #: result, without writing the store (the ``cached``-frame
+    #: redemption path); False on a miss. None when the run has no
+    #: cache.
+    restore: Optional[Callable[[int], bool]] = None
 
 
 class SchedulerCore:

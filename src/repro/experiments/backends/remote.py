@@ -20,7 +20,7 @@ task's content-address digest; when the scheduler's store already
 holds the blob the frame says so (``have``) and the worker answers
 with a hash-only ``cached`` frame. Results are written through
 ``plan.record``, the same atomic cache path every backend uses, so a
-run journalled under one backend resumes under any other.
+run killed under one backend is finished by a re-run under any other.
 
 Liveness: a dead worker closes its socket (EOF); a frozen one — or one
 stalled mid-frame — is dropped when no bytes at all arrive within
@@ -486,18 +486,16 @@ class RemoteBackend(ExecutionBackend):
                                  payload.get("kind", "exception"),
                                  payload.get("message", "worker error"))
                 elif kind == "cached":
-                    # Hash-only confirmation: serve the blob from our
+                    # Hash-only confirmation: serve the payload from our
                     # own store. A broken promise (entry vanished since
                     # the probe) redispatches the task penalty-free
                     # with the full-result path forced.
                     entry = core.take(worker, payload.get("tid"))
                     if entry is None:
                         continue
-                    blob = plan.lookup(entry[0]) if plan.lookup else None
-                    if blob is not None:
+                    if plan.restore is not None and plan.restore(entry[0]):
                         stats["cached_frames"] = (
                             stats.get("cached_frames", 0) + 1)
-                        plan.record(entry[0], blob)
                     else:
                         distrust.add(entry[0])
                         core.pending.append(entry)
@@ -546,7 +544,7 @@ class RemoteBackend(ExecutionBackend):
             # Run-fatal exit (SweepFailure, fabric loss, interrupt):
             # tear the fabric down so launched workers never outlive a
             # failed scheduler. Completed tasks were already recorded
-            # (and journalled) through plan.record.
+            # (and cached) through plan.record.
             self.close()
             raise
         finally:

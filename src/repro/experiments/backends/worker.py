@@ -37,14 +37,15 @@ processes die on SIGTERM, not through the daemon's SystemExit
 handler, so a terminated daemon reaps them.
 
 **Local result cache.** With ``cache_dir=`` the worker keeps a
-:class:`~repro.experiments.cache.BlobCache` of full task payloads
-keyed by the scheduler-computed task digest: a warm worker replays a
-repeat task from disk instead of recomputing it, and when the task
-frame says the scheduler's own store already holds the blob
-(``have``), the worker answers with a hash-only ``cached`` frame —
-warm re-runs ship hashes, not megabytes. Trace-capturing tasks bypass
-the cache both ways (a cached payload cannot carry another run's
-trace events).
+:class:`~repro.experiments.cache.ResultCache` keyed by the
+scheduler-computed task digest, in the scheduler's entry format: a
+warm worker replays a task it computed before from disk instead of
+recomputing it, and its entry for a digest is byte-identical to the
+scheduler's. Independently of that cache, when the task frame says the
+scheduler's own store already holds the result (``have``), the worker
+answers with a hash-only ``cached`` frame — warm re-runs ship hashes,
+not megabytes. Trace-capturing tasks bypass both (a cached payload
+cannot carry another run's trace events).
 
 **Liveness, both directions.** A background thread heartbeats
 worker → scheduler so the scheduler can tell "busy with a long task"
@@ -87,7 +88,7 @@ from repro.experiments.backends.protocol import (
     negotiate_codec,
     parse_addr,
 )
-from repro.experiments.cache import BlobCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import PoolManager, ResilienceConfig
 
 #: Seconds between heartbeat frames while serving a scheduler.
@@ -138,7 +139,7 @@ def _log(message: str) -> None:
 def serve_connection(sock: socket.socket, worker_id: str,
                      heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                      slots: int = 1,
-                     cache: Optional[BlobCache] = None,
+                     cache: Optional[ResultCache] = None,
                      compress: Optional[str] = "auto",
                      scheduler_timeout_s: float =
                      DEFAULT_SCHEDULER_TIMEOUT_S) -> str:
@@ -182,11 +183,11 @@ def serve_connection(sock: socket.socket, worker_id: str,
         if not digest or payload.get("capture"):
             return None
         if payload.get("have"):
-            # The scheduler's store already holds this digest's blob:
+            # The scheduler's store already holds this digest's result:
             # confirm by hash, ship nothing.
             return "cached", {**head, "digest": digest}
         if cache is not None:
-            hit = cache.get(digest)
+            hit = cache.get_payload(digest)
             if hit is not None:
                 return "result", {**head, "payload": hit}
         return None
@@ -200,7 +201,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
             return "error", {**head, "kind": failure, "message": value}
         digest = payload.get("digest")
         if digest and cache is not None and not payload.get("capture"):
-            cache.put(digest, value)
+            cache.put_payload(digest, value)
         return "result", {**head, "payload": value}
 
     def pump_pool() -> None:
@@ -311,7 +312,7 @@ def run_worker(connect: Optional[str] = None,
     Exactly one of ``connect`` (dial the scheduler) and ``listen``
     (await schedulers) must be given. ``slots`` sizes the in-worker
     slot pool (1 = sequential in the main thread); ``cache_dir``
-    enables the local payload cache; ``compress`` is the wire codec
+    enables the local result cache; ``compress`` is the wire codec
     policy (``auto`` / ``zlib`` / ``zstd`` / ``none``);
     ``scheduler_timeout_s`` is the scheduler-silence deadline (0
     disables it). With ``reconnect=True`` a ``connect`` worker redials
@@ -325,7 +326,7 @@ def run_worker(connect: Optional[str] = None,
     if reconnect and not connect:
         raise ValueError("reconnect requires connect= mode")
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    cache = BlobCache(cache_dir) if cache_dir else None
+    cache = ResultCache(cache_dir) if cache_dir else None
 
     # Die *through* the cleanup path on SIGTERM: the scheduler tears
     # launched workers down with terminate(), and a multi-slot daemon

@@ -8,13 +8,21 @@ to. Entries live under ``<root>/<digest[:2]>/<digest>.json`` and store
 the task payload plus its metrics snapshot and cold timing, which is
 exactly what the merge step needs; warm re-runs therefore skip the
 simulation entirely and still produce the same series, digest and
-merged metrics as a cold run.
+merged metrics as a cold run. :meth:`ResultCache.get_payload` and
+:meth:`ResultCache.put_payload` are the one mapping between an entry
+and an ``execute_task`` payload; the scheduler and the worker daemon's
+local cache both go through them, so the two write identical bytes.
+
+The cache is also the sweep's only checkpoint: each task is stored as
+soon as its result arrives, so re-running a killed sweep with the same
+cache directory executes only the tasks it finds no entry for.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers
 sharing a cache directory cannot corrupt entries; a torn or unreadable
 entry is treated as a miss and rewritten, and additionally counted in
 :attr:`ResultCache.errors` so corruption is observable instead of
-folded silently into the miss count. Opening a cache sweeps ``*.tmp``
+folded silently into the miss count. A lost entry costs a re-run of
+its task, never a wrong result. Opening a cache sweeps ``*.tmp``
 droppings left by workers killed between ``mkstemp`` and
 ``os.replace``.
 """
@@ -24,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from typing import Any, Optional
 
@@ -77,9 +84,9 @@ class ResultCache:
     def get(self, digest: str) -> Optional[dict[str, Any]]:
         """The stored entry for ``digest``, or ``None`` on a miss.
 
-        An entry that exists but cannot be parsed (torn write, bad
-        permissions) is a miss *and* an error, so corruption shows up
-        in the accounting.
+        An entry that exists but cannot be parsed (torn write, bytes
+        that are not UTF-8, bad permissions) is a miss *and* an error,
+        so corruption shows up in the accounting.
         """
         try:
             with open(self._path(digest), "r", encoding="utf-8") as fp:
@@ -87,7 +94,7 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, OSError):  # JSONDecodeError, UnicodeDecodeError
             self.misses += 1
             self.errors += 1
             return None
@@ -113,6 +120,28 @@ class ResultCache:
             raise
         return path
 
+    def get_payload(self, digest: str) -> Optional[tuple]:
+        """The entry for ``digest`` as an ``execute_task`` payload
+        ``(data, metrics, events, elapsed_s)``, or ``None`` on a miss.
+        Entries keep no trace events, so ``events`` is empty."""
+        entry = self.get(digest)
+        if entry is None:
+            return None
+        return (entry["data"], entry.get("metrics", {}), (),
+                entry.get("elapsed_s", 0.0))
+
+    def put_payload(self, digest: str, payload: tuple) -> None:
+        """Store an ``execute_task`` payload under ``digest``, without
+        its trace events. A failed write is counted in :attr:`errors`
+        and swallowed: the task itself succeeded, and the missing entry
+        only costs a re-run."""
+        data, metrics, _events, elapsed = payload
+        try:
+            self.put(digest, {"data": data, "metrics": metrics,
+                              "elapsed_s": elapsed})
+        except OSError:
+            self.errors += 1
+
     def __len__(self) -> int:
         n = 0
         for _dir, _subdirs, files in os.walk(self.root):
@@ -122,81 +151,3 @@ class ResultCache:
     def __repr__(self) -> str:
         return (f"<ResultCache {self.root!r} hits={self.hits} "
                 f"misses={self.misses} errors={self.errors}>")
-
-
-class BlobCache:
-    """Content-addressed pickle store for whole task payloads.
-
-    The worker daemon's local result cache. Where :class:`ResultCache`
-    stores the scheduler's canonical JSON entries (data + metrics, no
-    trace events — they would dwarf everything else), a worker caches
-    the *entire* ``execute_task`` payload tuple as a pickle, so a warm
-    worker can replay a task byte-for-byte — same floats, same tuple
-    shapes — without recomputing it. Keys are the same task digests
-    the scheduler computes, so the two caches agree about identity
-    without ever comparing contents.
-
-    Same durability contract as :class:`ResultCache`: atomic writes
-    via temp file + ``os.replace``, a torn or unreadable entry is a
-    miss, ``*.tmp`` droppings are swept on open.
-    """
-
-    def __init__(self, root: str):
-        self.root = str(root)
-        self.hits = 0
-        self.misses = 0
-        os.makedirs(self.root, exist_ok=True)
-        for dirpath, _subdirs, files in os.walk(self.root):
-            for name in files:
-                if name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(dirpath, name))
-                    except OSError:
-                        pass
-
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".pkl")
-
-    def get(self, digest: str) -> Optional[Any]:
-        try:
-            with open(self._path(digest), "rb") as fp:
-                payload = pickle.load(fp)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, digest: str, payload: Any) -> None:
-        """Atomically store ``payload``; best-effort (an unwritable
-        cache never fails the task that produced the payload)."""
-        path = self._path(digest)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       suffix=".tmp")
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                pickle.dump(payload, fp,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def __len__(self) -> int:
-        n = 0
-        for _dir, _subdirs, files in os.walk(self.root):
-            n += sum(1 for f in files if f.endswith(".pkl"))
-        return n
-
-    def __repr__(self) -> str:
-        return (f"<BlobCache {self.root!r} hits={self.hits} "
-                f"misses={self.misses}>")

@@ -1,8 +1,7 @@
 """Unified execution configuration for the sweep engine.
 
 :class:`RunConfig` is the one frozen value object that carries how a
-sweep executes — backend, parallelism, cache, resilience and resume —
-into :func:`~repro.experiments.parallel.run_spec`,
+sweep executes — backend, parallelism, cache and resilience — into :func:`~repro.experiments.parallel.run_spec`,
 :func:`~repro.experiments.parallel.run_named`,
 :func:`~repro.experiments.runner.run_results`,
 :func:`~repro.experiments.runner.run_experiment` and
@@ -15,9 +14,9 @@ into :func:`~repro.experiments.parallel.run_spec`,
 Each entry point reads ``config=None`` as ``RunConfig()``. Validation
 happens in one place — :meth:`RunConfig.__post_init__` — so direct
 construction and ``RunConfig.from_args`` on a parsed CLI namespace
-reject bad combinations with the same message: negative ``jobs``,
-``resume`` without a cache, an unknown backend name, or a remote
-backend with no way to reach workers.
+reject bad combinations with the same message: negative ``jobs``, an
+unknown backend name, or a remote backend with no way to reach
+workers.
 
 ``jobs`` semantics (documented here once, enforced by
 :func:`resolve_jobs`): ``None`` and ``0`` both mean "use every core
@@ -83,14 +82,13 @@ class RunConfig:
     #: cores; see :func:`resolve_jobs`).
     jobs: Optional[int] = 1
     #: Content-addressed result cache (shared artifact store for the
-    #: remote backend). Built from ``cache_dir`` when not given.
+    #: remote backend, and the checkpoint a re-run of a killed sweep
+    #: finishes from). Built from ``cache_dir`` when not given.
     cache: Optional[ResultCache] = None
     #: Convenience: directory to build :attr:`cache` from.
     cache_dir: Optional[str] = None
     #: Retry/timeout/keep-going policy (None = the default policy).
     resilience: Optional[ResilienceConfig] = None
-    #: Replay the run journal and execute only unfinished tasks.
-    resume: bool = False
     #: Remote backend: ``"host:port"`` addresses of listening worker
     #: daemons to dial (``cloudfog worker --listen ...``). A comma
     #: separated string is accepted and split.
@@ -149,10 +147,6 @@ class RunConfig:
                 f"(choose from {', '.join(COMPRESS_NAMES)})")
         if self.cache is None and self.cache_dir:
             object.__setattr__(self, "cache", ResultCache(self.cache_dir))
-        if self.resume and self.cache is None:
-            raise ValueError(
-                "resume requires a result cache (the journal lives next "
-                "to it); pass cache= or cache_dir=")
         if (name == "remote" and isinstance(self.backend, str)
                 and not (self.workers or self.listen or self.launch)):
             # An already-constructed RemoteBackend instance carries its
@@ -254,7 +248,6 @@ class RunConfig:
             jobs=getattr(args, "jobs", 1),
             cache_dir=cache_dir,
             resilience=resilience,
-            resume=getattr(args, "resume", False),
             workers=getattr(args, "workers", None) or (),
             listen=getattr(args, "listen", None),
             launch=getattr(args, "launch", 0) or 0,

@@ -23,14 +23,17 @@ Caching: with a :class:`~repro.experiments.cache.ResultCache` attached,
 each task is looked up by the SHA-256 of its content-addressed cache
 material before executing and stored **as soon as its result arrives**
 (completion order), so a crash late in a sweep never discards earlier
-tasks' entries; warm re-runs skip the simulation wholesale. For the
-remote backend the cache doubles as the fabric's shared artifact store:
-workers push result blobs back with their task replies and the
-scheduler writes them through the same atomic cache path. Cache
-*reads* are disabled while an observability context is attached,
-because a cache hit cannot replay the trace events the context would
-have recorded (entries are still written, so a traced cold run warms
-the cache for later untraced runs).
+tasks' entries; warm re-runs skip the simulation wholesale. The cache
+is therefore also the sweep's checkpoint: a sweep killed under any
+backend is finished by running it again with the same cache, which
+executes only the tasks with no entry. For the remote backend the
+cache doubles as the fabric's shared artifact store: workers push
+results back with their task replies and the scheduler writes them
+through the same atomic cache path. Cache *reads* are disabled while
+an observability context is attached, because a cache hit cannot
+replay the trace events the context would have recorded (entries are
+still written, so a traced cold run warms the cache for later
+untraced runs).
 
 Resilience (see :mod:`repro.experiments.resilience`): every task runs
 under a :class:`~repro.experiments.resilience.ResilienceConfig` —
@@ -39,15 +42,12 @@ wall-clock watchdogs for backends whose workers can be terminated, and
 transparent recovery from dead workers (pool rebuild, remote requeue).
 Because task payloads are pure functions of ``(task, scale, seed)``, a
 task that fails and then succeeds on retry yields a byte-identical
-series/trace/metrics digest to a run that never failed. With a cache
-attached, a crash-safe JSONL journal checkpoints each completed task so
-``resume=True`` re-executes only the remaining tasks after the
-scheduler itself is killed — under *any* backend, since journal keys
-are content-addressed, not backend-addressed. Harness-level telemetry
-(``harness.retries``, ``harness.timeouts``, ``harness.worker_crashes``,
-``harness.workers_lost``, ...) is emitted to the ambient
-:mod:`repro.obs` context and deliberately kept *out* of the merged
-:class:`RunResult` metrics, which stay inside the determinism envelope.
+series/trace/metrics digest to a run that never failed. Harness-level
+telemetry (``harness.retries``, ``harness.timeouts``,
+``harness.worker_crashes``, ``harness.workers_lost``, ...) is emitted
+to the ambient :mod:`repro.obs` context and deliberately kept *out* of
+the merged :class:`RunResult` metrics, which stay inside the
+determinism envelope.
 """
 
 from __future__ import annotations
@@ -66,13 +66,7 @@ from repro.experiments.api import (
 from repro.experiments.backends.base import SweepPlan
 from repro.experiments.cache import material_digest
 from repro.experiments.config import RunConfig
-from repro.experiments.resilience import (
-    RunJournal,
-    SweepFailure,
-    TaskFailure,
-    journal_path,
-    run_material,
-)
+from repro.experiments.resilience import SweepFailure, TaskFailure
 from repro.obs.metrics import MetricsRegistry
 
 #: Failure kind -> harness stats counter name.
@@ -95,17 +89,15 @@ def run_spec(
 
     ``config`` selects the backend, parallelism, cache and resilience
     policy (``None``: :class:`RunConfig`'s defaults — inline execution,
-    no cache). ``resume=True`` on the config requires a cache and
-    replays the run's journal so only tasks not checkpointed by an
-    earlier (killed) invocation execute; the final result is
-    byte-identical to an uninterrupted run on any backend.
+    no cache). With a cache, tasks an earlier (killed) invocation
+    stored are not executed again; the final result is byte-identical
+    to an uninterrupted run on any backend.
     """
     t_run = now()
     if config is None:
         config = RunConfig()
     cfg = config.resolved_resilience
     cache = config.cache
-    resume = config.resume
     backend = config.make_backend()
 
     tasks = spec.decompose(scale, seed)
@@ -118,53 +110,35 @@ def run_spec(
     capture = obs is not None and obs.listening
     read_cache = cache is not None and obs is None
 
-    journal: Optional[RunJournal] = None
-    journal_done: set = set()
-    if cache is not None:
-        material = run_material(spec.name, scale, seed, __version__)
-        journal = RunJournal(journal_path(cache.root, material))
-        try:
-            journal_done = journal.start(material, resume=resume)
-        except OSError:
-            # Unwritable cache directory: run without checkpointing.
-            journal = None
-
     stats = {"retries": 0, "task_errors": 0, "timeouts": 0,
-             "worker_crashes": 0, "pool_rebuilds": 0, "resumed": 0}
+             "worker_crashes": 0, "pool_rebuilds": 0}
     failures: list[TaskFailure] = []
 
     digests: list[Optional[str]] = [None] * len(tasks)
     results: list[Optional[TaskResult]] = [None] * len(tasks)
+
+    def record(i: int, payload) -> None:
+        """Accept one task's result: keep it and cache it."""
+        results[i] = TaskResult(tasks[i], *payload)
+        if cache is not None:
+            cache.put_payload(digests[i], payload)
+
+    def restore(i: int, cached: bool = False) -> bool:
+        """Install task ``i``'s cached payload as its result, without
+        writing it back; False on a miss. ``cached`` marks a cache hit
+        (the remote backend's hash-only replies are not)."""
+        payload = cache.get_payload(digests[i])
+        if payload is not None:
+            results[i] = TaskResult(tasks[i], *payload, cached=cached)
+        return payload is not None
+
     todo: list[int] = []
     for i, task in enumerate(tasks):
         if cache is not None:
             digests[i] = material_digest(
                 task.cache_material(scale, seed, __version__))
-        entry = cache.get(digests[i]) if read_cache else None
-        if entry is not None:
-            results[i] = TaskResult(task, entry["data"],
-                                    metrics=entry.get("metrics", {}),
-                                    cached=True)
-            if resume and digests[i] in journal_done:
-                stats["resumed"] += 1
-        else:
+        if not (read_cache and restore(i, cached=True)):
             todo.append(i)
-
-    def record(i: int, payload) -> None:
-        """Accept one task's result: store, cache and checkpoint it."""
-        data, metrics, events, elapsed = payload
-        results[i] = TaskResult(tasks[i], data, metrics, events, elapsed)
-        if cache is not None:
-            try:
-                cache.put(digests[i], {"data": data, "metrics": metrics,
-                                       "elapsed_s": elapsed})
-            except OSError:
-                cache.errors += 1
-            if journal is not None:
-                try:
-                    journal.record_task(digests[i], tasks[i].key, elapsed)
-                except OSError:
-                    pass
 
     def dispose(i: int, attempt: int, kind: str,
                 message: str) -> Optional[float]:
@@ -183,36 +157,19 @@ def run_spec(
 
     # Remote-fabric cache shipping: when cache *reads* are bypassed by
     # an attached obs context but no trace events are needed, the store
-    # may still hold a task's blob — the remote backend then marks the
-    # task frame ``have`` and the worker confirms by hash instead of
-    # shipping the payload back. ``lookup`` redeems those hashes.
+    # may still hold a task's result — the remote backend then marks
+    # the task frame ``have``, the worker confirms by hash instead of
+    # shipping the payload back, and ``restore`` redeems the hash.
     known: Optional[set] = None
-    lookup = None
-    if cache is not None:
-        if not read_cache and not capture:
-            known = {i for i in todo
-                     if digests[i] is not None
-                     and cache.contains(digests[i])}
-
-        def lookup(i: int):
-            entry = cache.get(digests[i])
-            if entry is None:
-                return None
-            return (entry["data"], entry.get("metrics", {}), (),
-                    entry.get("elapsed_s", 0.0))
+    if cache is not None and not read_cache and not capture:
+        known = {i for i in todo if cache.contains(digests[i])}
 
     plan = SweepPlan(tasks=tasks, todo=todo, scale=scale, seed=seed,
                      capture=capture, resilience=cfg, record=record,
                      dispose=dispose, stats=stats, digests=digests,
-                     known=known, lookup=lookup)
-    try:
-        backend.execute(plan)
-    except BaseException:
-        # Crash-safe exit: every completed task was already cached and
-        # journalled in record(); just seal the file.
-        if journal is not None:
-            journal.close()
-        raise
+                     known=known,
+                     restore=restore if cache is not None else None)
+    backend.execute(plan)
 
     # Deterministic absorption: task order, regardless of which worker
     # (or host) produced each payload.
@@ -242,14 +199,8 @@ def run_spec(
         tasks_cached=sum(1 for r in done if r.cached),
         tasks_failed=len(failures),
         tasks_retried=stats["retries"],
-        tasks_resumed=stats["resumed"],
         failures=tuple(failures),
     )
-    if journal is not None:
-        try:
-            journal.complete(result.digest)
-        except OSError:
-            journal.close()
 
     # Harness telemetry goes to the ambient obs context, never into the
     # merged result metrics (those must match a run that never failed).

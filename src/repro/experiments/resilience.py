@@ -1,5 +1,5 @@
 """Resilience primitives for the sweep engine: failure taxonomy,
-retry/backoff policy, crash-safe run journal and process-pool recovery.
+retry/backoff policy and process-pool recovery.
 
 This is the harness-level twin of :mod:`repro.faults`: the fog layer of
 the *simulated* system already detects crashed supernodes, retries with
@@ -16,12 +16,6 @@ produces the paper's figures the same discipline. The pieces:
   tasks are pure functions of ``(task, scale, seed)``, so a task that
   fails then succeeds on a later attempt produces a byte-identical
   payload — the determinism contract survives recovery;
-* :class:`RunJournal` — an append-only JSONL manifest next to the
-  :class:`~repro.experiments.cache.ResultCache` that checkpoints every
-  completed task by its content-addressed digest (each record is
-  flushed and fsynced, so a crash can tear at most the final line).
-  ``run_spec(..., config=RunConfig(resume=True, ...))`` replays the
-  journal against the cache and executes only the remaining tasks;
 * :class:`PoolManager` — the slot pool the pool backend and
   multi-slot workers share: a
   :class:`~concurrent.futures.ProcessPoolExecutor` wrapper that
@@ -37,7 +31,6 @@ produces the paper's figures the same discipline. The pieces:
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -49,8 +42,6 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from typing import Any, Optional
-
-from repro.experiments.cache import material_digest
 
 #: The three ways a sweep task can fail.
 FAILURE_KINDS = ("exception", "timeout", "worker-crash")
@@ -137,106 +128,6 @@ class ResilienceConfig:
 
 #: Policy used when ``run_spec`` is called without an explicit config.
 DEFAULT_RESILIENCE = ResilienceConfig()
-
-
-def run_material(spec_name: str, scale: float, seed: int,
-                 version: str) -> dict[str, Any]:
-    """The content that identifies one run for journalling purposes."""
-    return {"experiment": spec_name, "scale": scale, "seed": seed,
-            "version": version}
-
-
-def journal_path(cache_root: str, material: dict[str, Any]) -> str:
-    """Where the journal for ``material``'s run lives under the cache."""
-    return os.path.join(cache_root, "journals",
-                        material_digest(material) + ".jsonl")
-
-
-class RunJournal:
-    """Append-only JSONL manifest of one run's completed tasks.
-
-    Record kinds::
-
-        {"kind": "run",  "run_id": ..., "material": {...}, "resumed": bool}
-        {"kind": "task", "digest": ..., "key": [...], "elapsed_s": ...}
-        {"kind": "end",  "digest": <RunResult.digest>}
-
-    Every record is written as one line, flushed and fsynced, so a
-    SIGKILL of the harness can tear at most the trailing line — which
-    the loader skips. A journal whose ``run`` header does not match the
-    resuming run's material is discarded and restarted from scratch.
-    """
-
-    def __init__(self, path: str):
-        self.path = str(path)
-        self._fp = None
-
-    def start(self, material: dict[str, Any], resume: bool = False) -> set:
-        """Open the journal; returns the completed digests to skip.
-
-        Fresh runs truncate any stale journal; ``resume`` replays a
-        matching journal and appends to it.
-        """
-        run_id = material_digest(material)
-        done: Optional[set] = None
-        if resume and os.path.exists(self.path):
-            done = self.load_completed(self.path, run_id)
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        self._fp = open(self.path, "a" if done else "w", encoding="utf-8")
-        self._write({"kind": "run", "run_id": run_id, "material": material,
-                     "resumed": bool(done)})
-        return done or set()
-
-    @staticmethod
-    def load_completed(path: str, run_id: str) -> Optional[set]:
-        """Completed task digests recorded for ``run_id``, or ``None``
-        when the journal belongs to a different run (or is unreadable)."""
-        done: set = set()
-        matched = False
-        try:
-            with open(path, "r", encoding="utf-8") as fp:
-                for line in fp:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn trailing line from a crash
-                    kind = rec.get("kind")
-                    if kind == "run":
-                        matched = rec.get("run_id") == run_id
-                    elif kind == "task" and matched:
-                        done.add(rec.get("digest"))
-        except OSError:
-            return None
-        return done if matched else None
-
-    def record_task(self, digest: str, key: tuple,
-                    elapsed_s: float = 0.0) -> None:
-        """Checkpoint one completed task (durable before returning)."""
-        self._write({"kind": "task", "digest": digest, "key": list(key),
-                     "elapsed_s": elapsed_s})
-
-    def complete(self, run_digest: str) -> None:
-        """Mark the run finished and close the journal."""
-        self._write({"kind": "end", "digest": run_digest})
-        self.close()
-
-    def close(self) -> None:
-        if self._fp is not None:
-            try:
-                self._fp.close()
-            finally:
-                self._fp = None
-
-    def _write(self, record: dict[str, Any]) -> None:
-        if self._fp is None:
-            return
-        self._fp.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fp.flush()
-        os.fsync(self._fp.fileno())
 
 
 def _default_sigterm() -> None:

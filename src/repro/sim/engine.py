@@ -114,10 +114,6 @@ class Environment:
         return len(self._queue)
 
     # -- factories ----------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh untriggered event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)

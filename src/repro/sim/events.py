@@ -32,9 +32,9 @@ class Event:
 
     Notes
     -----
-    Callbacks receive the event itself. After :meth:`succeed` the event
-    is scheduled for processing at the current simulation time;
-    callbacks run when the event is popped.
+    Callbacks receive the event itself and run when the environment
+    pops the event. A :class:`Timeout` is triggered when created; a
+    :class:`~repro.sim.process.Process` when its generator finishes.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
@@ -70,16 +70,6 @@ class Event:
         if self._value is _PENDING:
             raise AttributeError(f"value of {self!r} is not yet available")
         return self._value
-
-    # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        self.env.schedule(self)
-        return self
 
     def _fire(self) -> None:
         """Process the event: the queue entry the environment pops."""

@@ -1,11 +1,11 @@
-"""Journal resume across execution backends.
+"""Resuming across execution backends.
 
-The run journal is keyed by content-addressed material, not by backend:
-a sweep whose scheduler is SIGKILLed while running on one backend must
-resume on a *different* backend and converge to a digest byte-identical
-to an uninterrupted run. This extends the kill-the-harness suite in
-``test_resilience_resume.py`` (pool-only) to the inline and remote
-backends.
+The result cache is keyed by content-addressed material, not by
+backend: a sweep whose scheduler is SIGKILLed while running on one
+backend must be finished by a re-run on a *different* backend and
+converge to a digest byte-identical to an uninterrupted run. This
+extends the kill-the-harness suite in ``test_resilience_resume.py``
+(pool-only) to the inline and remote backends.
 """
 
 import json
@@ -18,15 +18,10 @@ import textwrap
 import pytest
 
 from repro.experiments.api import ExperimentSpec, SweepTask
-from repro.experiments.cache import material_digest
+from repro.experiments.cache import ResultCache
 from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_spec
-from repro.experiments.resilience import (
-    ResilienceConfig,
-    RunJournal,
-    journal_path,
-    run_material,
-)
+from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.specs import merge_series_fragments
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -35,8 +30,8 @@ SEED = 7
 
 #: Harness subprocess: runs the sweep on the backend under test until a
 #: kill-parent task SIGKILLs it. The spec is rebuilt from a shared
-#: params file so the resuming process addresses byte-identical
-#: cache/journal keys.
+#: params file so the re-running process addresses byte-identical
+#: cache keys.
 HARNESS = textwrap.dedent("""
     import json, os, sys
     sys.path.insert(0, {src!r})
@@ -104,13 +99,6 @@ def launch_harness(tmp_path, params, config_kwargs):
                             stderr=subprocess.DEVNULL)
 
 
-def journal_state(tmp_path):
-    from repro import __version__
-    material = run_material("xresume", SCALE, SEED, __version__)
-    jpath = journal_path(str(tmp_path / "cache"), material)
-    return jpath, material_digest(material)
-
-
 def uninterrupted_pool_digest(n=4):
     clean = [{"index": i, "value": float(i * 10)} for i in range(n)]
     return run_spec(spec_from_params(clean), SCALE, SEED,
@@ -128,25 +116,22 @@ def test_killed_scheduler_resumes_on_pool_backend(tmp_path,
     proc.wait(timeout=120)
     assert proc.returncode == -signal.SIGKILL
 
-    # The journal checkpointed whatever finished before the kill —
-    # under any backend, at least the tasks ahead of the killer.
-    jpath, run_id = journal_state(tmp_path)
-    assert os.path.exists(jpath)
-    done = RunJournal.load_completed(jpath, run_id)
-    assert len(done) >= 2
+    # The cache kept whatever finished before the kill — under any
+    # backend, at least the tasks ahead of the killer.
+    done = len(ResultCache(str(tmp_path / "cache")))
+    assert done >= 2
 
-    # Resume on a *different* backend: journal keys are content
+    # Re-run on a *different* backend: cache keys are content
     # addressed, so the pool picks up exactly where the killed
     # scheduler stopped.
-    resumed = run_spec(
+    result = run_spec(
         spec_from_params(params), SCALE, SEED,
         config=RunConfig(backend="pool", jobs=2,
-                         cache_dir=str(tmp_path / "cache"), resume=True,
+                         cache_dir=str(tmp_path / "cache"),
                          resilience=ResilienceConfig(
                              max_retries=0, backoff_base_s=0.001)))
-    assert resumed.ok
-    assert resumed.tasks_resumed == len(done)
-    assert resumed.tasks_cached >= len(done)
-    assert resumed.digest == uninterrupted_pool_digest()
-    # The journal now records the complete run.
-    assert len(RunJournal.load_completed(jpath, run_id)) == len(params)
+    assert result.ok
+    assert result.tasks_cached == done
+    assert result.digest == uninterrupted_pool_digest()
+    # The cache now holds the complete run.
+    assert len(ResultCache(str(tmp_path / "cache"))) == len(params)

@@ -176,6 +176,39 @@ class TestResultCache:
         with open(path, "w") as fp:
             fp.write("{not json")
         assert cache.get(digest) is None
+        assert cache.errors == 1
+        with open(path, "wb") as fp:
+            fp.write(b"\x80torn")  # not even UTF-8
+        assert cache.get(digest) is None
+        assert cache.errors == 2
+
+    def test_tmp_droppings_swept_on_open(self, tmp_path):
+        root = tmp_path / "cache"
+        (root / "ab").mkdir(parents=True)
+        (root / "ab" / "orphan.tmp").write_bytes(b"dead")
+        cache = ResultCache(str(root))
+        assert not (root / "ab" / "orphan.tmp").exists()
+        assert cache.tmp_swept == 1
+
+    def test_payload_roundtrip_and_accounting(self, tmp_path):
+        # One entry format: an execute_task payload maps onto the entry
+        # without its trace events, and back with none.
+        cache = ResultCache(str(tmp_path))
+        digest = "ab" * 32
+        assert cache.get_payload(digest) is None
+        events = ((0.0, "c", "k", {}),)
+        cache.put_payload(digest, ({"series": [1.0, 2.0]},
+                                   {"m": {"kind": "counter", "value": 2}},
+                                   events, 0.5))
+        assert cache.get(digest) == {
+            "data": {"series": [1.0, 2.0]},
+            "metrics": {"m": {"kind": "counter", "value": 2}},
+            "elapsed_s": 0.5}
+        assert cache.get_payload(digest) == (
+            {"series": [1.0, 2.0]},
+            {"m": {"kind": "counter", "value": 2}}, (), 0.5)
+        assert len(cache) == 1
+        assert cache.hits == 2 and cache.misses == 1
 
     def test_parallel_run_shares_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -37,7 +37,7 @@ from repro.experiments.backends.remote import (
     RemoteBackend,
     RemoteFabricError,
 )
-from repro.experiments.cache import BlobCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import run_spec
 from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.specs import merge_series_fragments
@@ -83,6 +83,29 @@ def run_bounded(fn, timeout_s=30.0):
     if "error" in box:
         raise box["error"]
     return box["value"]
+
+
+def tree_bytes(root) -> dict:
+    """Relative path -> bytes of every file under ``root``."""
+    out = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fp:
+                out[os.path.relpath(path, root)] = fp.read()
+    return out
+
+
+class _CountingCache(ResultCache):
+    """A result cache that counts its entry writes."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = 0
+
+    def put(self, digest, entry):
+        self.puts += 1
+        return super().put(digest, entry)
 
 
 def listening_worker(*args):
@@ -244,7 +267,7 @@ class TestLoopbackParity:
             second = run_named("fig5b", SCALE, SEED, config=cfg)
             assert cfg.make_backend() is backend  # one fabric, both runs
         assert first.tasks_cached == 0
-        # Worker-computed blobs landed in the scheduler-side cache: a
+        # Worker-computed results landed in the scheduler-side cache: a
         # plain inline re-run is served entirely from it.
         warm = run_named(
             "fig5a", SCALE, SEED,
@@ -558,8 +581,7 @@ class TestThroughputFabric:
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
         assert codecs[0] == "None" and codecs[1] in ("zlib", "zstd")
-        banked = [len([f for _d, _s, files in os.walk(root)
-                       for f in files if f.endswith(".pkl")])
+        banked = [len(ResultCache(str(root)))
                   for root in (raw_cache, auto_cache)]
         assert min(banked) >= 1
         assert sum(banked) == remote.tasks_total
@@ -588,12 +610,29 @@ class TestThroughputFabric:
         assert warm_recv < cold_recv * 0.6
         assert snap["harness.wire_bytes_recv"]["value"] == warm_recv
 
-    def test_worker_local_blob_cache_replays_across_schedulers(
-            self, tmp_path):
-        # A --cache-dir worker keeps whole payload blobs keyed by the
-        # scheduler's task digests: a second scheduler with a fresh
-        # (empty) store still gets byte-identical results, served from
-        # the worker's local cache.
+    def test_cached_frames_do_not_rewrite_the_store(self, tmp_path):
+        # A hash-only reply is redeemed from the scheduler's store, which
+        # already holds the entry: the warm re-run writes nothing.
+        cache = _CountingCache(str(tmp_path / "store"))
+        with RunConfig(backend=RemoteBackend(launch=1, slots=2),
+                       cache=cache) as cfg:
+            cold = run_named("dynamics", 0.1, 168, config=cfg)
+            cold_puts = cache.puts
+            obs = Observability()
+            warm = run_named("dynamics", 0.1, 168, config=cfg, obs=obs)
+        assert cold_puts == cold.tasks_total
+        assert cache.puts - cold_puts == 0
+        assert warm.digest == cold.digest
+        assert warm.metrics == cold.metrics
+        snap = obs.metrics.snapshot()
+        assert (snap["harness.cached_frames"]["value"]
+                == warm.tasks_total)
+
+    def test_worker_local_cache_replays_across_schedulers(self, tmp_path):
+        # A --cache-dir worker keeps result cache entries keyed by the
+        # scheduler's task digests, in the scheduler's format: a second
+        # scheduler with a fresh (empty) store still gets byte-identical
+        # results, served from the worker's local cache.
         wcache = tmp_path / "worker-cache"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "worker",
@@ -608,14 +647,16 @@ class TestThroughputFabric:
             with RunConfig(backend="remote", workers=(addr,),
                            cache_dir=str(tmp_path / "s1")) as cfg:
                 first = run_named("fig5a", SCALE, SEED, config=cfg)
-            blobs = [f for _d, _s, files in os.walk(wcache)
-                     for f in files if f.endswith(".pkl")]
-            assert blobs  # the worker banked the payloads locally
+            banked = tree_bytes(wcache)
+            assert len(banked) == first.tasks_total
+            # One entry format: the worker's entries are the store's.
+            assert banked == tree_bytes(tmp_path / "s1")
             with RunConfig(backend="remote", workers=(addr,),
                            cache_dir=str(tmp_path / "s2")) as cfg:
                 second = run_named("fig5a", SCALE, SEED, config=cfg)
             assert second.digest == first.digest
             assert second.metrics == first.metrics
+            assert tree_bytes(tmp_path / "s2") == banked
         finally:
             proc.kill()
             proc.wait(timeout=10)
@@ -739,33 +780,3 @@ class TestThroughputFabric:
             if proc.poll() is None:
                 proc.kill()
             proc.stdout.close()
-
-
-class TestBlobCache:
-    def test_payload_roundtrip_and_accounting(self, tmp_path):
-        cache = BlobCache(str(tmp_path / "blobs"))
-        digest = "ab" * 32
-        assert cache.get(digest) is None
-        payload = ({"series": [1.0, 2.0]},
-                   {"m": {"kind": "counter", "value": 2}}, (), 0.5)
-        cache.put(digest, payload)
-        assert cache.get(digest) == payload
-        assert len(cache) == 1
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_torn_entry_is_a_miss(self, tmp_path):
-        cache = BlobCache(str(tmp_path / "blobs"))
-        digest = "cd" * 32
-        cache.put(digest, ("data", {}, (), 0.1))
-        path = cache._path(digest)
-        with open(path, "wb") as fp:
-            fp.write(b"\x80torn")
-        assert cache.get(digest) is None
-        assert cache.misses == 1
-
-    def test_tmp_droppings_swept_on_open(self, tmp_path):
-        root = tmp_path / "blobs"
-        root.mkdir()
-        (root / "orphan.tmp").write_bytes(b"dead")
-        BlobCache(str(root))
-        assert not (root / "orphan.tmp").exists()

@@ -6,11 +6,10 @@ produce series, result digests, trace digests and merged metrics
 byte-identical to a run that never failed. On top of that: the
 watchdog cancels hung tasks within its budget, ``keep_going`` salvages
 completed points with a structured failure list instead of raising,
-completed tasks are cached/journalled the moment they finish, and a
-run resumed from its journal executes only the remaining tasks.
+completed tasks are cached the moment they finish, and a re-run with
+the same cache executes only the remaining tasks.
 """
 
-import json
 import os
 import signal
 
@@ -18,18 +17,16 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.api import ExperimentSpec, RunResult, SweepTask
-from repro.experiments.cache import ResultCache, material_digest
+from repro.experiments.backends.remote import RemoteFabricError
+from repro.experiments.cache import ResultCache
 from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_spec as _run_spec
 from repro.experiments.resilience import (
     PoolManager,
     ResilienceConfig,
-    RunJournal,
     SweepFailure,
     claim_attempt,
     flaky_probe,
-    journal_path,
-    run_material,
 )
 from repro.experiments.specs import SPECS, merge_series_fragments
 
@@ -38,11 +35,11 @@ SEED = 11
 
 
 def run_spec(spec, scale, seed, *, jobs=1, resilience=None, cache=None,
-             resume=False, obs=None, **fabric):
+             obs=None, **fabric):
     """This module's historical kwargs, expressed as a RunConfig;
     ``fabric`` passes the remote backend's fields through."""
     with RunConfig(jobs=jobs, resilience=resilience, cache=cache,
-                   resume=resume, **fabric) as config:
+                   **fabric) as config:
         return _run_spec(spec, scale, seed, obs=obs, config=config)
 
 
@@ -279,66 +276,6 @@ class TestDeterminismUnderRetry:
         assert obs_flaky.metrics.snapshot()["harness.retries"]["value"] >= 1
 
 
-class TestRunJournal:
-    MATERIAL = {"experiment": "x", "scale": 0.02, "seed": 1,
-                "version": "0"}
-
-    def test_checkpoints_round_trip(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = RunJournal(path)
-        assert j.start(self.MATERIAL) == set()
-        j.record_task("d1", (1,), 0.5)
-        j.record_task("d2", (2,), 0.7)
-        j.complete("rundigest")
-        run_id = material_digest(self.MATERIAL)
-        assert RunJournal.load_completed(path, run_id) == {"d1", "d2"}
-
-    def test_resume_appends_and_returns_done(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = RunJournal(path)
-        j.start(self.MATERIAL)
-        j.record_task("d1", (1,))
-        j.close()  # simulated crash: no end record
-        j2 = RunJournal(path)
-        assert j2.start(self.MATERIAL, resume=True) == {"d1"}
-        j2.record_task("d2", (2,))
-        j2.close()
-        run_id = material_digest(self.MATERIAL)
-        assert RunJournal.load_completed(path, run_id) == {"d1", "d2"}
-
-    def test_mismatched_run_is_discarded(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = RunJournal(path)
-        j.start(self.MATERIAL)
-        j.record_task("d1", (1,))
-        j.close()
-        other = dict(self.MATERIAL, seed=2)
-        assert RunJournal.load_completed(
-            path, material_digest(other)) is None
-        j2 = RunJournal(path)
-        assert j2.start(other, resume=True) == set()  # truncated fresh
-        j2.close()
-        assert RunJournal.load_completed(
-            path, material_digest(self.MATERIAL)) is None
-
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = RunJournal(path)
-        j.start(self.MATERIAL)
-        j.record_task("d1", (1,))
-        j.close()
-        with open(path, "a", encoding="utf-8") as fp:
-            fp.write('{"kind": "task", "digest": "d2"')  # no newline/brace
-        run_id = material_digest(self.MATERIAL)
-        assert RunJournal.load_completed(path, run_id) == {"d1"}
-
-    def test_journal_path_is_content_addressed(self, tmp_path):
-        a = journal_path(str(tmp_path), run_material("x", 0.1, 1, "v"))
-        b = journal_path(str(tmp_path), run_material("x", 0.1, 2, "v"))
-        assert a != b
-        assert a.endswith(".jsonl") and "journals" in a
-
-
 class TestIncrementalCacheWrites:
     """Regression: cache.put used to run only after *all* futures
     resolved, so a late failure discarded every finished task's entry."""
@@ -371,16 +308,11 @@ class TestIncrementalCacheWrites:
         with pytest.raises(SweepFailure):
             run_spec(spec, SCALE, SEED, jobs=1, cache=cache,
                      resilience=fast_cfg(max_retries=0))
-        resumed = run_spec(spec, SCALE, SEED, jobs=1, cache=cache,
-                           resilience=fast_cfg(max_retries=0), resume=True)
-        assert resumed.ok
-        assert resumed.tasks_resumed == 3
-        assert resumed.tasks_cached == 3
-        assert resumed.digest == reference_run().digest
-
-    def test_resume_without_cache_rejected(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            run_spec(flaky_spec(), SCALE, SEED, resume=True)
+        rerun = run_spec(spec, SCALE, SEED, jobs=1, cache=cache,
+                         resilience=fast_cfg(max_retries=0))
+        assert rerun.ok
+        assert rerun.tasks_cached == 3
+        assert rerun.digest == reference_run().digest
 
 
 class _ReadOnlyCache(ResultCache):
@@ -395,14 +327,9 @@ class TestErrorPathParity:
     """Engine error paths behave identically at jobs=1 and jobs=4."""
 
     def test_read_only_cache_dir_parity(self, tmp_path):
-        # A "journals" file (not dir) also forces the journal-creation
-        # OSError branch alongside the unwritable entry store.
         runs = {}
         for jobs in (1, 4):
-            root = tmp_path / f"cache{jobs}"
-            root.mkdir()
-            (root / "journals").write_text("not a directory")
-            cache = _ReadOnlyCache(str(root))
+            cache = _ReadOnlyCache(str(tmp_path / f"cache{jobs}"))
             runs[jobs] = (run_spec(flaky_spec(), SCALE, SEED, jobs=jobs,
                                    cache=cache, resilience=fast_cfg()),
                           cache)
@@ -480,3 +407,35 @@ class TestCliFailureReport:
 
     def test_healthy_run_exit_zero_with_retries_flag(self, capsys):
         assert main(["fig5a", "--scale", "0.01", "--retries", "1"]) == 0
+
+
+class TestCliRecoveryHint:
+    """A stopped sweep's hint says what was kept: the cache root and a
+    plain re-run with --cache-dir, nothing without it."""
+
+    @pytest.mark.parametrize("error, code", [
+        (SweepFailure([]), 1),
+        (RemoteFabricError("every worker died"), 1),
+        (KeyboardInterrupt(), 130),
+    ], ids=["sweep-failure", "fabric-error", "interrupt"])
+    @pytest.mark.parametrize("with_cache", [True, False],
+                             ids=["cache-dir", "no-cache"])
+    def test_hint_names_what_was_kept(self, monkeypatch, tmp_path, capsys,
+                                      error, code, with_cache):
+        def stopped(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("repro.cli.run_results", stopped)
+        cache_dir = str(tmp_path / "cache")
+        argv = ["fig5a", "--scale", "0.01"]
+        if with_cache:
+            argv += ["--cache-dir", cache_dir]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if with_cache:
+            assert f"completed tasks are cached in {cache_dir}" in err
+            assert "re-run the same command" in err
+        else:
+            assert "completed tasks were not kept" in err
+            assert "re-run with --cache-dir to keep them" in err
+            assert "cached" not in err

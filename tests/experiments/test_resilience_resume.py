@@ -1,10 +1,10 @@
 """Crash-safe resume tests: the harness itself is killed and restarted.
 
 A subprocess runs a sweep whose fault-injecting task SIGKILLs the
-harness (or the test SIGINTs it) partway through; the journal next to
-the result cache must have checkpointed every completed task, and a
-``resume`` run must finish only the remaining work while producing a
-digest byte-identical to an uninterrupted run. This is the harness-level
+harness (or the test SIGINTs it) partway through; the result cache
+must hold every task that completed, and a plain re-run with the same
+cache must finish only the remaining work while producing a digest
+byte-identical to an uninterrupted run. This is the harness-level
 analogue of the supernode crash/failover chaos tests in tests/faults.
 """
 
@@ -20,15 +20,10 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.api import ExperimentSpec, SweepTask
-from repro.experiments.cache import ResultCache, material_digest
+from repro.experiments.cache import ResultCache
 from repro.experiments.config import RunConfig
 from repro.experiments.parallel import run_spec
-from repro.experiments.resilience import (
-    ResilienceConfig,
-    RunJournal,
-    journal_path,
-    run_material,
-)
+from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.specs import merge_series_fragments
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -36,7 +31,7 @@ SCALE = 0.02
 SEED = 7
 
 #: Harness subprocess: builds the spec from a shared params file so the
-#: in-process resume run addresses byte-identical cache/journal keys.
+#: in-process re-run addresses byte-identical cache keys.
 HARNESS = textwrap.dedent("""
     import json, sys
     sys.path.insert(0, {src!r})
@@ -126,15 +121,29 @@ def launch_harness():
             pass
 
 
-def journal_file(tmp_path):
-    material = run_material("resumable", SCALE, SEED, _version())
-    return journal_path(str(tmp_path / "cache"), material), \
-        material_digest(material)
+def wait_for_entry(root, proc, timeout_s=60.0):
+    """Block until the running harness has cached its first task.
+
+    Counts entry files instead of opening a :class:`ResultCache`,
+    whose sweep of ``*.tmp`` files would race the harness's writes.
+    """
+    deadline = time.monotonic() + timeout_s
+    while not any(name.endswith(".json")
+                  for _dir, _subdirs, files in os.walk(root)
+                  for name in files):
+        assert proc.poll() is None, "harness exited before caching a task"
+        assert time.monotonic() < deadline, "harness cached no task"
+        time.sleep(0.02)
 
 
-def _version():
-    from repro import __version__
-    return __version__
+def rerun(tmp_path, params):
+    """The same sweep again, in-process, with no flag but the cache."""
+    return run_spec(
+        spec_from_params(params), SCALE, SEED,
+        config=RunConfig(
+            jobs=2, cache=ResultCache(str(tmp_path / "cache")),
+            resilience=ResilienceConfig(max_retries=0,
+                                        backoff_base_s=0.001)))
 
 
 def uninterrupted_digest(tmp_path, n=4):
@@ -150,83 +159,58 @@ class TestParentKillResume:
         proc.wait(timeout=120)
         assert proc.returncode == -signal.SIGKILL
 
-        # The journal checkpointed the tasks that finished pre-kill.
-        jpath, run_id = journal_file(tmp_path)
-        assert os.path.exists(jpath)
-        done = RunJournal.load_completed(jpath, run_id)
-        assert done and len(done) >= 2
+        # The cache kept the tasks that finished pre-kill.
+        done = len(ResultCache(str(tmp_path / "cache")))
+        assert done >= 2
 
-        # Resume in-process: only the remaining tasks execute (the
+        # Re-run in-process: only the remaining tasks execute (the
         # killer's attempt counter has moved past its failure window).
-        resumed = run_spec(
-            spec_from_params(params), SCALE, SEED,
-            config=RunConfig(
-                jobs=2, cache=ResultCache(str(tmp_path / "cache")),
-                resume=True,
-                resilience=ResilienceConfig(max_retries=0,
-                                            backoff_base_s=0.001)))
-        assert resumed.ok
-        assert resumed.tasks_resumed == len(done)
-        assert resumed.digest == uninterrupted_digest(tmp_path)
-        # And the journal now records the whole run.
-        assert len(RunJournal.load_completed(jpath, run_id)) == 4
+        result = rerun(tmp_path, params)
+        assert result.ok
+        assert result.tasks_cached == done
+        assert result.digest == uninterrupted_digest(tmp_path)
+        # And the cache now holds the whole run.
+        assert len(ResultCache(str(tmp_path / "cache"))) == 4
 
     def test_second_kill_then_resume_still_converges(
             self, tmp_path, launch_harness):
         params = build_params(tmp_path, killer=2)
-        # fail_attempts=2: the killer strikes on resume as well.
+        # fail_attempts=2: the killer strikes on the re-run as well.
         params[2]["fail_attempts"] = 2
         for expected_kill in (True, True):
             proc = launch_harness(tmp_path, params)
             proc.wait(timeout=120)
             assert proc.returncode == -signal.SIGKILL
-        resumed = run_spec(
-            spec_from_params(params), SCALE, SEED,
-            config=RunConfig(
-                jobs=2, cache=ResultCache(str(tmp_path / "cache")),
-                resume=True,
-                resilience=ResilienceConfig(max_retries=0,
-                                            backoff_base_s=0.001)))
-        assert resumed.ok
-        assert resumed.digest == uninterrupted_digest(tmp_path)
+        assert len(ResultCache(str(tmp_path / "cache"))) >= 2
+        result = rerun(tmp_path, params)
+        assert result.ok
+        assert result.digest == uninterrupted_digest(tmp_path)
 
 
 class TestSigintDrain:
-    def test_sigint_flushes_journal_and_resume_completes(
+    def test_sigint_keeps_completed_tasks_and_rerun_completes(
             self, tmp_path, launch_harness):
         params = build_params(tmp_path, sleep_s=0.8)
         proc = launch_harness(tmp_path, params)
-        time.sleep(1.2)  # first worker batch done, second in flight
+        # First worker batch done, second in flight.
+        wait_for_entry(tmp_path / "cache", proc)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 130, (out, err)
 
-        jpath, run_id = journal_file(tmp_path)
-        assert os.path.exists(jpath)
-        resumed = run_spec(
-            spec_from_params(params), SCALE, SEED,
-            config=RunConfig(
-                jobs=2, cache=ResultCache(str(tmp_path / "cache")),
-                resume=True,
-                resilience=ResilienceConfig(max_retries=0,
-                                            backoff_base_s=0.001)))
-        assert resumed.ok
-        assert resumed.digest == uninterrupted_digest(tmp_path)
+        kept = len(ResultCache(str(tmp_path / "cache")))
+        assert kept >= 1
+        result = rerun(tmp_path, params)
+        assert result.ok
+        assert result.tasks_cached == kept
+        assert result.digest == uninterrupted_digest(tmp_path)
 
 
 class TestCliResume:
-    def test_resume_requires_cache_dir(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["fig5a", "--resume"])
-        assert exc_info.value.code == 2
-        assert "--resume requires --cache-dir" in capsys.readouterr().err
-
-    def test_resume_restores_from_journal(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["fig5a", "--scale", "0.01", "--seed", "3",
-                     "--cache-dir", cache_dir]) == 0
+    def test_rerun_serves_every_task_from_cache(self, tmp_path, capsys):
+        argv = ["fig5a", "--scale", "0.01", "--seed", "3",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert main(["fig5a", "--scale", "0.01", "--seed", "3",
-                     "--cache-dir", cache_dir, "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "[resilience] 5 task(s) restored from the run journal" in out
+        assert main(argv) == 0
+        assert "[cache] 5 hits, 0 misses" in capsys.readouterr().out

@@ -39,7 +39,6 @@ class TestRunConfigValidation:
         assert cfg.backend_name == "auto"
         assert cfg.jobs == 1
         assert cfg.cache is None
-        assert cfg.resume is False
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 0"):
@@ -48,14 +47,6 @@ class TestRunConfigValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend 'carrier'"):
             RunConfig(backend="carrier")
-
-    def test_resume_requires_cache(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            RunConfig(resume=True)
-
-    def test_resume_with_cache_dir_ok(self, tmp_path):
-        cfg = RunConfig(cache_dir=str(tmp_path), resume=True)
-        assert isinstance(cfg.cache, ResultCache)
 
     def test_remote_needs_an_endpoint(self):
         with pytest.raises(ValueError, match="remote backend needs"):
@@ -149,8 +140,7 @@ class TestFromArgs:
     def _namespace(self, **kw):
         base = dict(backend="auto", jobs=1, cache_dir=None, no_cache=False,
                     retries=2, task_timeout=None, keep_going=False,
-                    resume=False, workers="", listen=None, launch=0,
-                    launcher=None)
+                    workers="", listen=None, launch=0, launcher=None)
         base.update(kw)
         return argparse.Namespace(**base)
 
@@ -188,10 +178,6 @@ class TestFromArgs:
     def test_explicit_backend_wins(self):
         cfg = RunConfig.from_args(self._namespace(backend="inline"))
         assert cfg.backend_name == "inline"
-
-    def test_resume_without_cache_still_rejected(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            RunConfig.from_args(self._namespace(resume=True))
 
     def test_throughput_knobs_map_through(self):
         cfg = RunConfig.from_args(self._namespace(

@@ -3,32 +3,6 @@
 import pytest
 
 
-class TestEventLifecycle:
-    def test_fresh_event_is_pending(self, env):
-        ev = env.event()
-        assert not ev.triggered
-        assert not ev.processed
-
-    def test_value_unavailable_before_trigger(self, env):
-        with pytest.raises(AttributeError):
-            env.event().value
-
-    def test_succeed_sets_value(self, env):
-        ev = env.event().succeed(99)
-        assert ev.triggered
-        assert ev.ok
-        assert ev.value == 99
-
-    def test_succeed_twice_raises(self, env):
-        ev = env.event().succeed()
-        with pytest.raises(RuntimeError):
-            ev.succeed()
-
-    def test_processed_after_run(self, env):
-        ev = env.event().succeed("v")
-        env.run()
-        assert ev.processed
-
 class TestTimeout:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
@@ -38,7 +12,9 @@ class TestTimeout:
         fired = []
         ev = env.timeout(0.0, value="now")
         ev.callbacks.append(lambda e: fired.append((env.now, e.value)))
+        assert not ev.processed
         env.run()
+        assert ev.processed
         assert fired == [(0.0, "now")]
 
     def test_carries_value(self, env):
@@ -47,5 +23,7 @@ class TestTimeout:
             return got
 
         p = env.process(proc(env))
+        with pytest.raises(AttributeError):
+            p.value  # the process has not finished
         env.run()
         assert p.value == "ping"
