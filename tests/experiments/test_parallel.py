@@ -177,10 +177,18 @@ class TestResultCache:
             fp.write("{not json")
         assert cache.get(digest) is None
         assert cache.errors == 1
-        with open(path, "wb") as fp:
-            fp.write(b"\x80torn")  # not even UTF-8
-        assert cache.get(digest) is None
-        assert cache.errors == 2
+
+    def test_non_utf8_entry_is_a_miss(self, tmp_path):
+        # A worker's local cache reads entries through get_payload: an
+        # entry that is not even UTF-8 must be a miss, not an exception.
+        cache = ResultCache(str(tmp_path))
+        digest = "cd" * 32
+        cache.put_payload(digest, ("data", {}, (), 0.1))
+        with open(cache._path(digest), "wb") as fp:
+            fp.write(b"\x80torn")
+        assert cache.get_payload(digest) is None
+        assert cache.misses == 1
+        assert cache.errors == 1
 
     def test_tmp_droppings_swept_on_open(self, tmp_path):
         root = tmp_path / "cache"

@@ -2,6 +2,26 @@
 
 import pytest
 
+from repro.sim.events import Event
+
+
+class TestEventLifecycle:
+    def test_fresh_event_is_pending(self, env):
+        ev = Event(env)
+        assert not ev.triggered
+        assert not ev.processed
+
+    def test_value_unavailable_before_trigger(self, env):
+        with pytest.raises(AttributeError):
+            Event(env).value
+
+    def test_processed_after_run(self, env):
+        ev = env.timeout(0.0, value="v")
+        assert ev.triggered
+        env.run()
+        assert ev.processed
+        assert ev.value == "v"
+
 
 class TestTimeout:
     def test_negative_delay_rejected(self, env):
