@@ -22,11 +22,20 @@ import json
 
 import pytest
 
-#: RunResult series digests of seed figures exercising the greedy
-#: assignment protocol, captured pre-refactor at scale=0.02, seed=11.
+#: RunResult series digests at scale=0.02, seed=11. fig5a and fig8a
+#: exercise the greedy assignment protocol (captured pre-refactor); the
+#: other five pin the microcosm drivers' series: Figs. 10/11, churn and
+#: cooperation on ``repro.experiments.neighbourhood``, dynamic on
+#: ``DynamicSimulation``.
 GOLDEN_SERIES = {
     "fig5a": "5e7ea70dac21e994c7f5954c90b1a8e76bb67a0d1943059ceb80a338ff61859a",
     "fig8a": "6f78e3be579b2e7cd7c488fdac789f1d05f553eaf14dc6cf86e4a4682df7732a",
+    "fig10": "01f31385efca16594f27eebee73518a699505043620b390222be47f8a350cb3c",
+    "fig11": "4ab9d25e545afaa9900f2261c8f3f27ba54722415493da7911e46d9c81b29d2e",
+    "churn": "1db736e4e2b813cbea2e653a29145bbdf981c4b6fa008e361522528674059451",
+    "cooperation": (
+        "ceadc7b5dd2a947a099f6421baef911d9c9c77107254c5218e4864dee2ba82c8"),
+    "dynamic": "f7e76242c42c9df0ddb05e2d7c4995916803533edc4ede46a07098a81d4cdb6e",
 }
 
 #: Chaos trace digest (crash-recover preset: exercises mark_failed,
