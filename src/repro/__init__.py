@@ -37,7 +37,7 @@ from repro.streaming.video import QUALITY_LADDER
 from repro.workload.games import GAMES
 from repro.workload.players import Population, build_population
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "AdaptationParams",

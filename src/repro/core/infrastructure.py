@@ -48,7 +48,6 @@ from repro.faults.failover import FailoverController, FailoverParams
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.session import SessionChaos
-from repro.network.topology import HostKind
 from repro.sim.engine import Environment
 from repro.streaming.encoder import SegmentEncoder
 from repro.streaming.video import SEGMENT_DURATION_S
@@ -189,8 +188,113 @@ class SessionResult:
         return float(np.mean([o.served_by == kind for o in self.outcomes]))
 
 
+@dataclass(frozen=True)
+class Placement:
+    """Where one player is served, and how long its actions take to
+    reach the game state there."""
+
+    #: ``"supernode"``, ``"edge"`` or ``"cloud"`` (a datacenter).
+    served_by: str
+    #: Host that renders and streams the player's video.
+    site_host: int
+    #: l_r: from a player action to the serving site holding the
+    #: resulting game state.
+    l_r: float
+
+
+def place_player(
+    population: Population,
+    cloud: CloudCoordinator,
+    host: int,
+    latency_req_s: float,
+    sn_service: Optional[AssignmentStrategy] = None,
+    edge_service: Optional[SupernodeAssignment] = None,
+) -> Placement:
+    """Choose a player's serving site and its l_r.
+
+    With ``sn_service`` the player runs the §III-A-3 assignment: a
+    supernode if one qualifies, whose state update the cloud pushes
+    from the datacenter the protocol paired with the player, else that
+    datacenter. With ``edge_service`` (EdgeCloud) it connects to the
+    nearer of its edge server and that datacenter. With neither, the
+    nearest datacenter serves. Datacenters and edge servers compute the
+    game state themselves.
+    """
+    lat = population.latency
+    if sn_service is not None:
+        result = sn_service.assign(host, latency_req_s)
+        site = result.datacenter_host_id
+        if result.uses_supernode:
+            supernode = result.supernode_host_id
+            return Placement("supernode", supernode,
+                             cloud.action_to_update_delay_s(
+                                 lat.one_way_s(host, site),
+                                 lat.one_way_s(site, supernode)))
+    elif edge_service is not None:
+        result = edge_service.assign(host, latency_req_s)
+        site = result.datacenter_host_id
+        if result.uses_supernode:
+            edge = result.supernode_host_id
+            if lat.one_way_s(host, edge) <= lat.one_way_s(host, site):
+                return Placement("edge", edge, lat.one_way_s(host, edge)
+                                 + cloud.compute_delay_s)
+            edge_service.release(host)
+    else:
+        dc_lat = lat.one_way_matrix_s(
+            np.array([host]), population.datacenter_ids)[0]
+        site = int(population.datacenter_ids[int(np.argmin(dc_lat))])
+    return Placement("cloud", site,
+                     lat.one_way_s(host, site) + cloud.compute_delay_s)
+
+
+def site_server(
+    servers: dict[int, StreamingServer],
+    env: Environment,
+    population: Population,
+    variant: SystemVariant,
+    config: SessionConfig,
+    obs: "obs_mod.Observability | None",
+    host_id: int,
+    served_by: str,
+) -> StreamingServer:
+    """The server at ``host_id``, built on first use and kept in
+    ``servers``.
+
+    ``served_by`` is the placement's kind: a supernode's uplink comes
+    from its capacity slots, an edge server's from
+    ``config.edge_capacity_slots``, a datacenter's is
+    ``config.dc_egress_bps``.
+    """
+    server = servers.get(host_id)
+    if server is not None:
+        return server
+    common = dict(
+        render_delay_s=config.render_delay_s,
+        use_deadline_scheduling=variant.uses_scheduling,
+        scheduling_params=config.scheduling,
+        obs=obs,
+    )
+    if served_by == "supernode":
+        # Player hosts were appended after datacenters in build order.
+        player = population.players[
+            int(host_id) - population.datacenter_ids.size]
+        server = SupernodeServer(
+            env, host_id, capacity_slots=player.capacity_slots, **common)
+    elif served_by == "edge":
+        from repro.workload.capacities import SLOT_BANDWIDTH_BPS
+        server = StreamingServer(
+            env, host_id,
+            uplink_rate_bps=config.edge_capacity_slots * SLOT_BANDWIDTH_BPS,
+            **common)
+    else:
+        server = StreamingServer(
+            env, host_id, uplink_rate_bps=config.dc_egress_bps, **common)
+    servers[host_id] = server
+    return server
+
+
 class GamingSession:
-    """One assembled simulation: servers, endpoints, generators."""
+    """One assembled simulation: servers, endpoints, segment loops."""
 
     def __init__(
         self,
@@ -232,14 +336,13 @@ class GamingSession:
             if edge_server_host_ids is not None else np.empty(0, dtype=int))
         self._servers: dict[int, StreamingServer] = {}
         self._endpoints: dict[int, PlayerEndpoint] = {}
-        self._served_by: dict[int, str] = {}
         self._games: dict[int, Game] = {}
         # Per-player session state, indirected so failover can redirect
         # a player to a new server mid-run (the tick loop re-reads these
         # every segment interval).
         self._encoders: dict[int, SegmentEncoder] = {}
         self._serving: dict[int, StreamingServer] = {}
-        self._l_r: dict[int, float] = {}
+        self._placements: dict[int, Placement] = {}
         self._player_hosts: dict[int, int] = {}
         self._sn_service: Optional[AssignmentStrategy] = None
         #: Chaos machinery — constructed only when ``config.faults`` is
@@ -266,42 +369,6 @@ class GamingSession:
             self._games[int(pid)] = game
             playing[int(pid)] = game.game_id
 
-    def _get_server(
-        self, host_id: int, kind: str, capacity_slots: int | None = None
-    ) -> StreamingServer:
-        server = self._servers.get(host_id)
-        if server is not None:
-            return server
-        cfg = self.config
-        common = dict(
-            render_delay_s=cfg.render_delay_s,
-            use_deadline_scheduling=self.variant.uses_scheduling,
-            scheduling_params=cfg.scheduling,
-            obs=self.obs,
-        )
-        if kind == "supernode":
-            player_idx = self._host_to_player_idx(host_id)
-            slots = (capacity_slots if capacity_slots is not None
-                     else self.population.players[player_idx].capacity_slots)
-            server = SupernodeServer(
-                self.env, host_id, capacity_slots=slots, **common)
-        elif kind == "edge":
-            from repro.workload.capacities import SLOT_BANDWIDTH_BPS
-            server = StreamingServer(
-                self.env, host_id,
-                uplink_rate_bps=cfg.edge_capacity_slots * SLOT_BANDWIDTH_BPS,
-                **common)
-        else:  # datacenter streaming
-            server = StreamingServer(
-                self.env, host_id, uplink_rate_bps=cfg.dc_egress_bps, **common)
-        self._servers[host_id] = server
-        return server
-
-    def _host_to_player_idx(self, host_id: int) -> int:
-        # Player hosts were appended after datacenters in build order.
-        n_dc = self.population.datacenter_ids.size
-        return int(host_id) - n_dc
-
     def _build(self) -> None:
         pop = self.population
         cfg = self.config
@@ -309,8 +376,9 @@ class GamingSession:
 
         sn_service: Optional[AssignmentStrategy] = None
         if self.variant.uses_fog:
+            n_dc = pop.datacenter_ids.size
             sn_caps = np.array([
-                pop.players[self._host_to_player_idx(h)].capacity_slots
+                pop.players[int(h) - n_dc].capacity_slots
                 for h in pop.supernode_host_ids
             ], dtype=int)
             sn_service = make_assignment(
@@ -338,41 +406,15 @@ class GamingSession:
 
         for pid in self.online_ids:
             pid = int(pid)
-            player = pop.players[pid]
             game = self._games[pid]
-            host = player.host_id
-
-            served_by = "cloud"
-            site_host: int
-            if sn_service is not None:
-                result = sn_service.assign(host, game.latency_req_s)
-                if result.uses_supernode:
-                    served_by = "supernode"
-                    site_host = result.supernode_host_id
-                else:
-                    site_host = result.datacenter_host_id
-            elif edge_service is not None:
-                # EdgeCloud: connect to the closest server overall —
-                # edge or datacenter, whichever is nearer.
-                result = edge_service.assign(host, game.latency_req_s)
-                if result.uses_supernode:
-                    edge_lat = lat.one_way_s(host, result.supernode_host_id)
-                    dc_lat = lat.one_way_s(host, result.datacenter_host_id)
-                    if edge_lat <= dc_lat:
-                        served_by = "edge"
-                        site_host = result.supernode_host_id
-                    else:
-                        edge_service.release(host)
-                        site_host = result.datacenter_host_id
-                else:
-                    site_host = result.datacenter_host_id
-            else:
-                dc_lat = lat.one_way_matrix_s(
-                    np.array([host]), pop.datacenter_ids)[0]
-                site_host = int(pop.datacenter_ids[int(np.argmin(dc_lat))])
-
-            server = self._get_server(site_host, served_by if served_by
-                                      != "cloud" else "dc")
+            host = pop.players[pid].host_id
+            placement = place_player(pop, self.cloud, host,
+                                     game.latency_req_s, sn_service,
+                                     edge_service)
+            site_host = placement.site_host
+            server = site_server(self._servers, self.env, pop, self.variant,
+                                 cfg, self.obs, site_host,
+                                 placement.served_by)
             downstream_s = lat.one_way_s(site_host, host)
             path_rate = lat.path_throughput_bps(site_host, host)
             encoder = SegmentEncoder(
@@ -390,26 +432,14 @@ class GamingSession:
             server.attach_player(pid, encoder, deliver,
                                  downstream_s, path_rate)
             self._endpoints[pid] = endpoint
-            self._served_by[pid] = served_by
+            self._placements[pid] = placement
             self._encoders[pid] = encoder
             self._serving[pid] = server
             self._player_hosts[pid] = host
-
-            # l_r: player action -> serving site holds the game state.
-            if served_by == "supernode":
-                nearest_dc = result.datacenter_host_id
-                l_r = self.cloud.action_to_update_delay_s(
-                    lat.one_way_s(host, nearest_dc),
-                    lat.one_way_s(nearest_dc, site_host))
-            else:
-                # Cloud/edge compute locally at the serving site.
-                l_r = (lat.one_way_s(host, site_host)
-                       + self.cloud.compute_delay_s)
-            self._l_r[pid] = l_r
-            self.env.process(self._player_loop(pid))
+            self.env.call_later(0.0, self._start_player, pid)
 
         if self.variant.uses_fog:
-            self.env.process(self._cloud_update_loop())
+            self.env.call_later(0.0, self._cloud_update)
         if self.injector is not None:
             self.injector.arm()
 
@@ -456,74 +486,55 @@ class GamingSession:
         the player lands on the best *live* option or falls back to its
         nearest datacenter.
         """
-        pop = self.population
-        lat = pop.latency
         host = self._player_hosts[player_id]
-        game = self._games[player_id]
-        served_by = "cloud"
-        result = None
         if self._sn_service is not None:
             self._sn_service.release(host)
-            result = self._sn_service.assign(host, game.latency_req_s)
-            if result.uses_supernode:
-                served_by = "supernode"
-                site_host = result.supernode_host_id
-            else:
-                site_host = result.datacenter_host_id
-        else:
-            dc_lat = lat.one_way_matrix_s(
-                np.array([host]), pop.datacenter_ids)[0]
-            site_host = int(pop.datacenter_ids[int(np.argmin(dc_lat))])
-        server = self._get_server(
-            site_host, "supernode" if served_by == "supernode" else "dc")
-        if server.crashed:  # pragma: no cover - mark_failed prevents this
-            if self._sn_service is not None:
-                self._sn_service.release(host)
-            served_by = "cloud"
-            site_host = (result.datacenter_host_id if result is not None
-                         else site_host)
-            server = self._get_server(site_host, "dc")
-        self._attach_to(player_id, server, site_host)
-        if served_by == "supernode":
-            nearest_dc = result.datacenter_host_id
-            l_r = self.cloud.action_to_update_delay_s(
-                lat.one_way_s(host, nearest_dc),
-                lat.one_way_s(nearest_dc, site_host))
-        else:
-            l_r = (lat.one_way_s(host, site_host)
-                   + self.cloud.compute_delay_s)
-        self._l_r[player_id] = l_r
-        self._served_by[player_id] = served_by
-        return served_by
+        placement = place_player(
+            self.population, self.cloud, host,
+            self._games[player_id].latency_req_s, self._sn_service)
+        server = site_server(self._servers, self.env, self.population,
+                             self.variant, self.config, self.obs,
+                             placement.site_host, placement.served_by)
+        self._attach_to(player_id, server, placement.site_host)
+        self._placements[player_id] = placement
+        return placement.served_by
 
-    # -- processes ----------------------------------------------------------------
-    def _player_loop(self, player_id: int):
-        """Generate one segment per cadence tick for ``player_id``.
+    # -- segment loops ----------------------------------------------------------
+    def _start_player(self, player_id: int) -> None:
+        """Phase-shift the player's cadence so ticks interleave instead
+        of bursting."""
+        self.env.call_later(
+            float(self._rng.uniform(0, self.config.segment_interval_s)),
+            self._player_tick, player_id)
+
+    def _player_tick(self, player_id: int) -> None:
+        """Send one segment's action, then queue the next tick.
 
         The serving server and l_r are re-read from the per-player
         tables every tick, so a failover migration redirects the very
-        next segment without touching this process.
+        next segment.
         """
-        cfg = self.config
-        rng = self._rng
-        # Random phase so players' ticks interleave instead of bursting.
-        yield self.env.timeout(float(rng.uniform(0, cfg.segment_interval_s)))
-        while self.env.now < cfg.duration_s:
-            self.env.call_later(self._l_r[player_id],
-                                self._serving[player_id].render_and_send,
-                                player_id, self.env.now)
-            yield self.env.timeout(cfg.segment_interval_s)
+        env = self.env
+        if env.now >= self.config.duration_s:
+            return
+        env.call_later(self._placements[player_id].l_r,
+                       self._serving[player_id].render_and_send,
+                       player_id, env.now)
+        env.call_later(self.config.segment_interval_s, self._player_tick,
+                       player_id)
 
-    def _cloud_update_loop(self):
-        """Charge cloud egress for supernode update fan-out (Λ×m per tick)."""
+    def _cloud_update(self) -> None:
+        """Charge cloud egress for supernode update fan-out (Λ×m per
+        tick), then queue the next tick."""
         cfg = self.config
-        while self.env.now < cfg.duration_s:
-            active = sum(
-                1 for s in self._servers.values()
-                if isinstance(s, SupernodeServer) and s.n_players > 0)
-            if active:
-                self.cloud.account_update(active)
-            yield self.env.timeout(cfg.segment_interval_s)
+        if self.env.now >= cfg.duration_s:
+            return
+        active = sum(
+            1 for s in self._servers.values()
+            if isinstance(s, SupernodeServer) and s.n_players > 0)
+        if active:
+            self.cloud.account_update(active)
+        self.env.call_later(cfg.segment_interval_s, self._cloud_update)
 
     # -- run ------------------------------------------------------------------------
     def run(self) -> SessionResult:
@@ -543,7 +554,7 @@ class GamingSession:
             outcomes.append(PlayerOutcome(
                 player_id=pid,
                 game_id=endpoint.game.game_id,
-                served_by=self._served_by[pid],
+                served_by=self._placements[pid].served_by,
                 continuity=stats.continuity,
                 mean_latency_s=stats.mean_latency_s,
                 satisfied=endpoint.is_satisfied(),

@@ -119,9 +119,6 @@ class DeadlineSenderBuffer:
     uplink_rate_bps:
         λ_r — the supernode's upload rate, used for the l_q and l_t
         estimates.
-    server_receive_delay_s:
-        l_r — action-to-supernode-update delay (known to the supernode).
-        Refreshed per segment via :meth:`enqueue`'s argument if given.
     render_delay_s:
         l_s — the supernode's rendering time (known).
     params:
@@ -135,7 +132,6 @@ class DeadlineSenderBuffer:
     def __init__(
         self,
         uplink_rate_bps: float,
-        server_receive_delay_s: float = 0.0,
         render_delay_s: float = 0.0,
         params: SchedulingParams | None = None,
         obs: "Observability | None" = None,
@@ -145,7 +141,6 @@ class DeadlineSenderBuffer:
             raise ValueError("uplink rate must be positive")
         self.params = params or SchedulingParams()
         self.uplink_rate_bps = uplink_rate_bps
-        self.server_receive_delay_s = server_receive_delay_s
         self.render_delay_s = render_delay_s
         self.propagation = PropagationEstimator(self.params.propagation_window)
         # Kept sorted by (deadline, seq) via bisect: the queue is read

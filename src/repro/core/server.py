@@ -44,8 +44,6 @@ class StreamingServer:
     use_deadline_scheduling:
         Choose the deadline-driven buffer (CloudFog-schedule / CloudFog/A)
         over plain FIFO.
-    server_receive_delay_s:
-        Nominal l_r handed to the deadline scheduler's estimator.
     scheduling_params:
         Constants for the deadline scheduler.
     """
@@ -57,7 +55,6 @@ class StreamingServer:
         uplink_rate_bps: float,
         render_delay_s: float = 0.005,
         use_deadline_scheduling: bool = False,
-        server_receive_delay_s: float = 0.0,
         scheduling_params: SchedulingParams | None = None,
         obs: "Observability | None" = None,
     ):
@@ -73,7 +70,6 @@ class StreamingServer:
         if use_deadline_scheduling:
             self.buffer = DeadlineSenderBuffer(
                 uplink_rate_bps,
-                server_receive_delay_s=server_receive_delay_s,
                 render_delay_s=render_delay_s,
                 params=scheduling_params,
                 obs=obs,

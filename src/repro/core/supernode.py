@@ -39,7 +39,6 @@ class SupernodeServer(StreamingServer):
         capacity_slots: int,
         render_delay_s: float = 0.005,
         use_deadline_scheduling: bool = False,
-        server_receive_delay_s: float = 0.0,
         scheduling_params: SchedulingParams | None = None,
         uplink_rate_bps: float | None = None,
         obs=None,
@@ -55,7 +54,6 @@ class SupernodeServer(StreamingServer):
             uplink_rate_bps=rate,
             render_delay_s=render_delay_s,
             use_deadline_scheduling=use_deadline_scheduling,
-            server_receive_delay_s=server_receive_delay_s,
             scheduling_params=scheduling_params,
             obs=obs,
         )

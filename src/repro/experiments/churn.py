@@ -103,28 +103,31 @@ def simulate_churn(
                 hood.move(player_id, cloud, cfg.cloud_one_way_s,
                           cfg.cloud_path_rate_bps)
 
-    def churn_proc():
-        if departures_per_minute == 0:
-            return
-            yield  # pragma: no cover
-        while env.now < cfg.duration_s:
-            gap = rng.exponential(60.0 / departures_per_minute)
-            yield env.timeout(gap)
-            if env.now >= cfg.duration_s or len(alive) <= 1:
-                continue
-            victim_id = int(rng.choice(sorted(alive)))
-            victim = alive.pop(victim_id)
-            stats["departures"] += 1
-            # Notice period: the supernode keeps serving while its
-            # players are migrated.
-            yield env.timeout(cfg.notice_s)
-            moved = [p for p, r in enumerate(hood.players)
-                     if r.server is victim]
-            for p in moved:
-                victim.detach_player(p)
-            env.call_later(cfg.switch_delay_s, relocate, tuple(moved))
+    def next_departure() -> None:
+        if env.now < cfg.duration_s:
+            env.call_later(rng.exponential(60.0 / departures_per_minute),
+                           depart)
 
-    env.process(churn_proc())
+    def depart() -> None:
+        if env.now >= cfg.duration_s or len(alive) <= 1:
+            next_departure()
+            return
+        victim = alive.pop(int(rng.choice(sorted(alive))))
+        stats["departures"] += 1
+        # Notice period: the supernode keeps serving while its players
+        # are migrated.
+        env.call_later(cfg.notice_s, go_dark, victim)
+
+    def go_dark(victim: SupernodeServer) -> None:
+        moved = [p for p, r in enumerate(hood.players)
+                 if r.server is victim]
+        for p in moved:
+            victim.detach_player(p)
+        env.call_later(cfg.switch_delay_s, relocate, tuple(moved))
+        next_departure()
+
+    if departures_per_minute > 0:
+        env.call_later(0.0, next_departure)
     hood.run()
     qoe = hood.qoe()
     return {

@@ -95,31 +95,34 @@ def simulate_cooperation(
     def demand_bps(sn: SupernodeServer) -> float:
         return sum(enc.bitrate_bps for enc in sn.encoders.values())
 
-    def rebalance_proc():
-        while env.now < cfg.duration_s:
-            yield env.timeout(cfg.rebalance_interval_s)
-            for sn in supernodes:
-                while demand_bps(sn) > cfg.high_watermark * sn.uplink_rate_bps:
-                    # Coolest neighbour with headroom takes one player.
-                    neighbours = sorted(
-                        (n for n in supernodes if n is not sn),
-                        key=lambda n: demand_bps(n) / n.uplink_rate_bps)
-                    if not neighbours:
-                        break
-                    target = neighbours[0]
-                    headroom = (cfg.low_watermark * target.uplink_rate_bps
-                                - demand_bps(target))
-                    movable = [p for p, r in enumerate(hood.players)
-                               if r.server is sn
-                               and r.encoder.bitrate_bps <= headroom]
-                    if not movable:
-                        break
-                    pid = movable[0]
-                    hood.move(pid, target, hood.players[pid].downstream_s
-                              + cfg.offload_extra_latency_s)
-                    stats["offloads"] += 1
+    def next_rebalance() -> None:
+        if env.now < cfg.duration_s:
+            env.call_later(cfg.rebalance_interval_s, rebalance)
+
+    def rebalance() -> None:
+        for sn in supernodes:
+            while demand_bps(sn) > cfg.high_watermark * sn.uplink_rate_bps:
+                # Coolest neighbour with headroom takes one player.
+                neighbours = sorted(
+                    (n for n in supernodes if n is not sn),
+                    key=lambda n: demand_bps(n) / n.uplink_rate_bps)
+                if not neighbours:
+                    break
+                target = neighbours[0]
+                headroom = (cfg.low_watermark * target.uplink_rate_bps
+                            - demand_bps(target))
+                movable = [p for p, r in enumerate(hood.players)
+                           if r.server is sn
+                           and r.encoder.bitrate_bps <= headroom]
+                if not movable:
+                    break
+                pid = movable[0]
+                hood.move(pid, target, hood.players[pid].downstream_s
+                          + cfg.offload_extra_latency_s)
+                stats["offloads"] += 1
+        next_rebalance()
 
     if use_cooperation:
-        env.process(rebalance_proc())
+        env.call_later(0.0, next_rebalance)
     hood.run()
     return {**hood.qoe(), "offloads": float(stats["offloads"])}

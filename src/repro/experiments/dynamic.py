@@ -7,7 +7,7 @@ a static online snapshot for speed; this module runs the *dynamic*
 version end-to-end:
 
 * joins arrive from the simulation's own Poisson process
-  (``DynamicSimulation._arrival_proc``), thinned by the plan's diurnal
+  (``DynamicSimulation._arrive``), thinned by the plan's diurnal
   envelope when it has one;
 * each joining player picks a game socially, runs the §III-A-3
   assignment, streams for its session duration, then leaves and releases
@@ -28,10 +28,14 @@ import numpy as np
 import repro.obs as obs_mod
 from repro.core.assignment import SupernodeAssignment
 from repro.core.cloud import CloudCoordinator
-from repro.core.infrastructure import SessionConfig, SystemVariant
+from repro.core.infrastructure import (
+    SessionConfig,
+    SystemVariant,
+    place_player,
+    site_server,
+)
 from repro.core.player import PlayerEndpoint
 from repro.core.server import StreamingServer
-from repro.core.supernode import SupernodeServer
 from repro.dynamics.plan import DynamicsPlan
 from repro.metrics.series import FigureSeries
 from repro.sim.engine import Environment
@@ -119,12 +123,20 @@ class DynamicSimulation:
         if self.obs is not None:
             self.obs.emit(0.0, "session", "session.start",
                           variant=variant.value)
+        #: Arrival rate (the paper's 5/s scaled to the population); a
+        #: diurnal plan thins a stream at its envelope's peak rate.
+        peak_mult = self.plan.peak_rate_multiplier()
+        self._rate = (DEFAULT_ARRIVAL_RATE_PER_S
+                      * population.n_players / PAPER_POPULATION)
+        self._peak_rate = self._rate * peak_mult
+        self._thinned = peak_mult > 1.0
         self.result = DynamicResult(horizon_s=horizon_s)
         self.cloud = CloudCoordinator(self.env, population.datacenter_ids)
         self._rng = np.random.default_rng(
             population.rngs.master_seed * 0x51ED270B % (2**63))
         self._servers: dict[int, StreamingServer] = {}
         self._online: dict[int, PlayerEndpoint] = {}
+        self._served_by: dict[int, str] = {}  # player -> placement kind
         self._playing: dict[int, int] = {}  # player -> game id
         self._sn_service: SupernodeAssignment | None = None
         if variant.uses_fog:
@@ -136,80 +148,46 @@ class DynamicSimulation:
                 population.latency, population.supernode_host_ids, caps,
                 population.datacenter_ids, self.config.assignment)
 
-    # -- server factory -----------------------------------------------------
-    def _server_for(self, host_id: int, is_supernode: bool
-                    ) -> StreamingServer:
-        server = self._servers.get(host_id)
-        if server is not None:
-            return server
-        if is_supernode:
-            n_dc = self.population.datacenter_ids.size
-            slots = self.population.players[host_id - n_dc].capacity_slots
-            server = SupernodeServer(
-                self.env, host_id, capacity_slots=slots,
-                render_delay_s=self.config.render_delay_s,
-                use_deadline_scheduling=self.variant.uses_scheduling,
-                scheduling_params=self.config.scheduling, obs=self.obs)
-        else:
-            server = StreamingServer(
-                self.env, host_id,
-                uplink_rate_bps=self.config.dc_egress_bps,
-                render_delay_s=self.config.render_delay_s,
-                use_deadline_scheduling=self.variant.uses_scheduling,
-                scheduling_params=self.config.scheduling, obs=self.obs)
-        self._servers[host_id] = server
-        return server
+    # -- event loops ----------------------------------------------------------
+    def _next_arrival(self) -> None:
+        """Queue the next candidate join of the (thinned) Poisson
+        stream."""
+        self.env.call_later(float(self._rng.exponential(1.0 / max(
+            self._peak_rate, 1e-9))), self._arrive)
 
-    # -- processes ------------------------------------------------------------
-    def _arrival_proc(self):
-        pop = self.population
-        plan = self.plan
-        rate = (DEFAULT_ARRIVAL_RATE_PER_S
-                * pop.n_players / PAPER_POPULATION)
-        peak_mult = plan.peak_rate_multiplier()
-        peak = rate * peak_mult
+    def _arrive(self) -> None:
+        if self.env.now >= self.horizon_s:
+            return
         rng = self._rng
-        while True:
-            yield self.env.timeout(float(rng.exponential(1.0 / max(
-                peak, 1e-9))))
-            if self.env.now >= self.horizon_s:
+        if self._thinned:
+            # Thinning against the plan's diurnal envelope. A flat
+            # plan (peak 1.0) skips the draw entirely, keeping the
+            # RNG sequence identical to the pre-plan code path.
+            accept = (self._rate * self.plan.rate_multiplier(self.env.now)
+                      / self._peak_rate)
+            if rng.uniform() >= accept:
+                self._next_arrival()
                 return
-            if peak_mult > 1.0:
-                # Thinning against the plan's diurnal envelope. A flat
-                # plan (peak 1.0) skips the draw entirely, keeping the
-                # RNG sequence identical to the pre-plan code path.
-                accept = (rate * plan.rate_multiplier(self.env.now)
-                          / peak)
-                if rng.uniform() >= accept:
-                    continue
-            pid = int(rng.integers(pop.n_players))
-            if pid in self._online:
-                continue
+        pid = int(rng.integers(self.population.n_players))
+        if pid not in self._online:
             duration = float(rng.uniform(self.min_session_s,
                                          self.max_session_s))
-            self.env.process(self._session_proc(pid, duration))
+            # The session joins in its own entry, after the next gap
+            # is drawn.
+            self.env.call_later(0.0, self._join, pid, duration)
+        self._next_arrival()
 
-    def _session_proc(self, pid: int, duration_s: float):
+    def _join(self, pid: int, duration_s: float) -> None:
         pop = self.population
         lat = pop.latency
-        player = pop.players[pid]
         game = pop.social.choose_game(pid, self._playing, self._rng, GAMES)
-        host = player.host_id
-
-        served_by = "cloud"
-        if self._sn_service is not None:
-            res = self._sn_service.assign(host, game.latency_req_s)
-            if res.uses_supernode:
-                served_by = "supernode"
-                site = res.supernode_host_id
-            else:
-                site = res.datacenter_host_id
-        else:
-            dc_lat = lat.one_way_matrix_s(
-                np.array([host]), pop.datacenter_ids)[0]
-            site = int(pop.datacenter_ids[int(np.argmin(dc_lat))])
-
-        server = self._server_for(site, served_by == "supernode")
+        host = pop.players[pid].host_id
+        placement = place_player(pop, self.cloud, host, game.latency_req_s,
+                                 self._sn_service)
+        site = placement.site_host
+        server = site_server(self._servers, self.env, pop, self.variant,
+                             self.config, self.obs, site,
+                             placement.served_by)
         downstream = lat.one_way_s(site, host)
         path_rate = lat.path_throughput_bps(site, host)
         encoder = SegmentEncoder(pid, game.latency_req_s,
@@ -218,62 +196,59 @@ class DynamicSimulation:
             self.env, pid, game, server, feedback_delay_s=downstream,
             use_adaptation=self.variant.uses_adaptation,
             adaptation_params=self.config.adaptation, obs=self.obs)
-        endpoint.served_by = served_by  # type: ignore[attr-defined]
         server.attach_player(pid, encoder, endpoint.deliver,
                              downstream, path_rate)
         self._online[pid] = endpoint
+        self._served_by[pid] = placement.served_by
         self._playing[pid] = game.game_id
         self.result.joins += 1
-
-        if served_by == "supernode":
-            # The action goes up to the player's nearest datacenter,
-            # which pushes the state update to the supernode.
-            dc = res.datacenter_host_id
-            l_r = self.cloud.action_to_update_delay_s(
-                lat.one_way_s(host, dc), lat.one_way_s(dc, site))
-        else:
-            l_r = (lat.one_way_s(host, site) + self.cloud.compute_delay_s)
-
         end = min(self.env.now + duration_s, self.horizon_s)
-        interval = self.config.segment_interval_s
-        while self.env.now < end:
-            self.env.call_later(l_r, server.render_and_send, pid,
-                                self.env.now)
-            yield self.env.timeout(interval)
+        self._session_tick(pid, server, placement.l_r, end)
 
+    def _session_tick(self, pid: int, server: StreamingServer, l_r: float,
+                      end_s: float) -> None:
+        """Stream one segment per interval until ``end_s``, then leave."""
+        env = self.env
+        if env.now < end_s:
+            env.call_later(l_r, server.render_and_send, pid, env.now)
+            env.call_later(self.config.segment_interval_s,
+                           self._session_tick, pid, server, l_r, end_s)
+            return
         # Leave: free everything.
         server.detach_player(pid)
         if self._sn_service is not None:
-            self._sn_service.release(host)
-        self._online.pop(pid, None)
+            self._sn_service.release(self.population.players[pid].host_id)
+        endpoint = self._online.pop(pid)
+        del self._served_by[pid]
         self._playing.pop(pid, None)
         self.result.leaves += 1
         self.result.continuities.append(endpoint.stats.continuity)
         self.result.satisfied.append(endpoint.is_satisfied())
 
-    def _sampler_proc(self):
-        while self.env.now < self.horizon_s:
-            yield self.env.timeout(self.sample_interval_s)
-            n_online = len(self._online)
-            fog = (np.mean([
-                getattr(e, "served_by", "cloud") == "supernode"
-                for e in self._online.values()])
-                if self._online else 0.0)
-            if self._sn_service is not None:
-                caps = self._sn_service.capacities.sum()
-                util = (self._sn_service.load.sum() / caps
-                        if caps else 0.0)
-            else:
-                util = 0.0
-            self.result.times_s.append(self.env.now)
-            self.result.online.append(n_online)
-            self.result.fog_fraction.append(float(fog))
-            self.result.slot_utilization.append(float(util))
+    def _next_sample(self) -> None:
+        if self.env.now < self.horizon_s:
+            self.env.call_later(self.sample_interval_s, self._sample)
+
+    def _sample(self) -> None:
+        n_online = len(self._online)
+        fog = (np.mean([s == "supernode" for s in self._served_by.values()])
+               if self._served_by else 0.0)
+        if self._sn_service is not None:
+            caps = self._sn_service.capacities.sum()
+            util = (self._sn_service.load.sum() / caps
+                    if caps else 0.0)
+        else:
+            util = 0.0
+        self.result.times_s.append(self.env.now)
+        self.result.online.append(n_online)
+        self.result.fog_fraction.append(float(fog))
+        self.result.slot_utilization.append(float(util))
+        self._next_sample()
 
     def run(self) -> DynamicResult:
         """Run the dynamic simulation to the horizon and report."""
-        self.env.process(self._arrival_proc())
-        self.env.process(self._sampler_proc())
+        self.env.call_later(0.0, self._next_arrival)
+        self.env.call_later(0.0, self._next_sample)
         self.env.run(until=self.horizon_s + 2.0)
         return self.result
 

@@ -43,7 +43,7 @@ class Resident:
 
 
 class Neighbourhood:
-    """Players, their segment loops and QoE over one simulated run.
+    """Players, their segment cadence and QoE over one simulated run.
 
     ``config`` supplies ``duration_s``, ``warmup_s``,
     ``server_receive_mean_s``, ``downstream_median_s`` and
@@ -84,7 +84,7 @@ class Neighbourhood:
         server.attach_player(pid, encoder, endpoint.deliver, downstream)
         self.players.append(Resident(endpoint, encoder, server, downstream,
                                      l_r))
-        self.env.process(self._segment_loop(pid))
+        self.env.call_later(0.0, self._start_segments, pid)
         return pid
 
     def move(self, pid: int, server: StreamingServer, downstream_s: float,
@@ -116,15 +116,21 @@ class Neighbourhood:
             "latency_s": float(np.mean(latencies)) if latencies else 0.0,
         }
 
-    def _segment_loop(self, pid: int):
+    def _start_segments(self, pid: int) -> None:
+        """Phase-shift the player's segment cadence. Runs once every
+        player has joined, so the phases follow all join draws."""
+        self.env.call_later(float(
+            self.phase_rng(pid).uniform(0, SEGMENT_DURATION_S)),
+            self._segment_tick, self.players[pid])
+
+    def _segment_tick(self, p: Resident) -> None:
         """One segment per cadence tick, toward whatever server holds
         the player when its action reaches the serving site."""
-        env, p = self.env, self.players[pid]
-        yield env.timeout(float(
-            self.phase_rng(pid).uniform(0, SEGMENT_DURATION_S)))
-        while env.now < self.cfg.duration_s:
-            env.call_later(p.l_r, self._start_render, p, env.now)
-            yield env.timeout(SEGMENT_DURATION_S)
+        env = self.env
+        if env.now >= self.cfg.duration_s:
+            return
+        env.call_later(p.l_r, self._start_render, p, env.now)
+        env.call_later(SEGMENT_DURATION_S, self._segment_tick, p)
 
     def _start_render(self, p: Resident, action_time_s: float) -> None:
         pid = p.endpoint.player_id

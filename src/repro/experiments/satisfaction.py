@@ -78,7 +78,6 @@ def simulate_supernode_load(
         capacity_slots=cfg.capacity_slots,
         render_delay_s=cfg.render_delay_s,
         use_deadline_scheduling=use_scheduling,
-        server_receive_delay_s=cfg.server_receive_mean_s,
         scheduling_params=cfg.scheduling,
         obs=hood.obs,
     )

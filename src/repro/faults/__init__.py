@@ -5,8 +5,8 @@ The package splits the fault story into four independent layers:
 * :mod:`repro.faults.plan` — the declarative, seed-deterministic
   **FaultPlan DSL**: what goes wrong and when, as an immutable value;
 * :mod:`repro.faults.injector` — **compilation** of a plan onto the
-  :mod:`repro.sim.engine` event kernel (one timeout per fault edge,
-  nothing scheduled for an empty plan);
+  :mod:`repro.sim.engine` event kernel (one ``call_later`` callback per
+  fault edge, nothing scheduled for an empty plan);
 * :mod:`repro.faults.session` — the **execution adapter** binding faults
   to a live :class:`~repro.core.infrastructure.GamingSession` (crash
   servers, degrade routes, suppress stale deliveries);

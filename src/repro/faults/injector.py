@@ -1,8 +1,8 @@
 """Compile a :class:`~repro.faults.plan.FaultPlan` onto the event kernel.
 
 The injector is deliberately thin: :meth:`FaultInjector.arm` walks the
-plan once and schedules one kernel timeout per fault edge (injection,
-and — for windowed faults — clearing). *What* a fault does is delegated
+plan once and queues one ``call_later`` callback per fault edge
+(injection, and — for windowed faults — clearing). *What* a fault does is delegated
 to a handler object (:class:`~repro.faults.session.SessionChaos` in the
 full simulation, recording stubs in tests) through two methods::
 

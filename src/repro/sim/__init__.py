@@ -1,24 +1,19 @@
 """Discrete-event simulation engine.
 
-This package is CloudFog's substitute for the PeerSim simulator used in the
-paper: a small, deterministic, generator-based discrete-event kernel in the
-style of SimPy, built from scratch so the reproduction has no external
-simulator dependency. It holds what the two simulators run: the
-packet-level ``GamingSession`` (processes and callbacks on the binary
-heap) and the cohort kernel's tick driver (callbacks on the calendar
-queue).
+This package is CloudFog's substitute for PeerSim, which the paper uses
+as an event scheduler: a small, deterministic callback scheduler built
+from scratch so the reproduction has no external simulator dependency. It holds what the two simulators
+run: the packet-level ``GamingSession`` (callbacks on the binary heap)
+and the cohort kernel's tick driver (callbacks on the calendar queue).
 
 Core pieces
 -----------
 ``Environment``
     The event loop: a future event list (binary heap or calendar queue)
-    plus the simulation clock. Equal-time events fire in insertion
-    order, which makes every run deterministic for a fixed RNG seed.
-``Process``
-    Wraps a Python generator; each ``yield``ed event suspends the process
-    until the event fires.
-``Timeout`` / ``Event``
-    Waitable primitives.
+    plus the simulation clock. ``call_later(delay, fn, *args)`` is the
+    one way to schedule work; a repeating loop is a callback that queues
+    its own next call. Equal-time entries fire in insertion order, which
+    makes every run deterministic for a fixed RNG seed.
 ``RngRegistry``
     Named, independently seeded ``numpy`` random substreams so that each
     stochastic component (arrivals, capacities, jitter, ...) draws from its
@@ -27,17 +22,12 @@ Core pieces
 
 from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import QUEUE_KINDS, Environment, SimulationError
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "CalendarQueue",
     "Environment",
-    "Event",
-    "Process",
     "QUEUE_KINDS",
     "RngRegistry",
     "SimulationError",
-    "Timeout",
 ]

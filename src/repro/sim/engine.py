@@ -2,11 +2,12 @@
 
 The :class:`Environment` owns the clock and the future event list.
 Entries are ``(time, sequence, fire)`` tuples, ``fire`` a zero-argument
-callable: an event's :meth:`~repro.sim.events.Event._fire`, or a
-callback queued with :meth:`Environment.call_later`. The monotonically
+callable queued with :meth:`Environment.call_later`. The monotonically
 increasing sequence number breaks time ties in insertion order, so a
 run is a pure function of its inputs — the property PeerSim gives the
-paper's simulation and that the whole reproduction relies on.
+paper's simulation and that the whole reproduction relies on. A loop
+that repeats (a player's segment cadence, a sampler) is a callback that
+queues its own next call.
 
 Two interchangeable event structures back the list (DESIGN.md §11),
 chosen per environment with ``Environment(queue=...)``:
@@ -29,11 +30,14 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.process import Process
+
+
+class SimulationError(Exception):
+    """An error raised by the simulation kernel itself."""
+
 
 #: Recognised future-event-list implementations.
 QUEUE_KINDS = ("heap", "calendar")
@@ -53,13 +57,11 @@ class Environment:
     Examples
     --------
     >>> env = Environment()
-    >>> def proc(env):
-    ...     yield env.timeout(5)
-    ...     return env.now
-    >>> p = env.process(proc(env))
+    >>> seen = []
+    >>> env.call_later(5, lambda: seen.append(env.now))
     >>> env.run()
-    >>> p.value
-    5
+    >>> seen
+    [5.0]
     """
 
     def __init__(self, initial_time: float = 0.0, queue: str = "heap"):
@@ -75,12 +77,10 @@ class Environment:
             cal = CalendarQueue()
             self._queue: Any = cal
             self._push = lambda entry: cal.push(*entry)
-            self._pop = cal.pop
         else:
             heap: list[tuple[float, int, Callable[[], None]]] = []
             self._queue = heap
             self._push = partial(heapq.heappush, heap)
-            self._pop = partial(heapq.heappop, heap)
 
     # -- clock ------------------------------------------------------------
     @property
@@ -93,10 +93,10 @@ class Environment:
                    *args: Any) -> None:
         """Call ``fn(*args)`` ``delay`` seconds from now.
 
-        One queue entry and one sequence number, exactly what a
-        :class:`~repro.sim.events.Timeout` with one callback costs, but
-        without the event object: the callback reads :attr:`now` when it
-        needs the time.
+        One queue entry and one sequence number; the callback reads
+        :attr:`now` when it needs the time. An exception it raises
+        leaves :meth:`run` with the entry already popped, so a second
+        ``run()`` carries on with the entries still queued.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -104,32 +104,12 @@ class Environment:
         self._push((self._now + delay, self._seq,
                     partial(fn, *args) if args else fn))
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` to be processed ``delay`` seconds from now."""
-        self.call_later(delay, event._fire)
-
     @property
     def pending(self) -> int:
         """Number of events awaiting processing."""
         return len(self._queue)
 
-    # -- factories ----------------------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay`` seconds."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> Process:
-        """Spawn a new process driving ``generator``."""
-        return Process(self, generator)
-
     # -- execution ----------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event. Raises ``SimulationError`` if empty."""
-        if not self._queue:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, fire = self._pop()
-        fire()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
@@ -150,7 +130,7 @@ class Environment:
         else:
             # peek_time() caches the located bucket, so the pop does not
             # scan a second time.
-            pop = self._pop
+            pop = queue.pop
             while queue and queue.peek_time() <= stop_at:
                 self._now, _, fire = pop()
                 fire()

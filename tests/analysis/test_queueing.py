@@ -123,15 +123,14 @@ class TestDesCrossValidation:
             enc = SegmentEncoder(pid, game_req, 0.0)
             server.attach_player(pid, enc, deliver, 0.0)
 
-        def player_loop(env, pid, phase):
-            yield env.timeout(phase)
-            while env.now < duration_s:
+        def player_tick(pid):
+            if env.now < duration_s:
                 server.render_and_send(pid, env.now)
-                yield env.timeout(SEGMENT_DURATION_S)
+                env.call_later(SEGMENT_DURATION_S, player_tick, pid)
 
         for pid in range(n_players):
-            env.process(player_loop(
-                env, pid, float(rng.uniform(0, SEGMENT_DURATION_S))))
+            env.call_later(float(rng.uniform(0, SEGMENT_DURATION_S)),
+                           player_tick, pid)
         env.run(until=duration_s + 2.0)
         return float(np.mean(waits)), service
 

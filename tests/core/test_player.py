@@ -73,14 +73,14 @@ class TestFeedback:
             params=AdaptationParams(hysteresis=2, up_hysteresis=50))
         start = enc.level
 
-        def proc(env):
-            for k in range(4):
-                seg = segment_for(enc, env.now, env.now)
-                # deliver way past the deadline
-                ep.deliver(seg, env.now + game.latency_req_s + 0.05)
-                yield env.timeout(0.1)
+        def late(k):
+            seg = segment_for(enc, env.now, env.now)
+            # deliver way past the deadline
+            ep.deliver(seg, env.now + game.latency_req_s + 0.05)
+            if k < 3:
+                env.call_later(0.1, late, k + 1)
 
-        env.process(proc(env))
+        env.call_later(0.0, late, 0)
         env.run(until=2.0)
         assert enc.level < start
 
@@ -91,11 +91,8 @@ class TestFeedback:
             params=AdaptationParams(hysteresis=1, up_hysteresis=99))
         seg = segment_for(enc, 0.0, 0.0)
 
-        def proc(env):
-            ep.deliver(seg, game.latency_req_s + 1.0)  # missed
-            yield env.timeout(0.1)
-
-        env.process(proc(env))
+        env.call_later(0.0, ep.deliver, seg,
+                       game.latency_req_s + 1.0)  # missed
         env.run(until=0.3)
         level_before = enc.level
         env.run(until=2.0)
@@ -109,13 +106,13 @@ class TestFeedback:
             params=AdaptationParams(hysteresis=1, up_hysteresis=99))
         start = enc.level
 
-        def proc(env):
-            for _ in range(3):
-                seg = segment_for(enc, env.now, env.now)
-                ep.deliver(seg, env.now + game.latency_req_s + 0.05)
-                yield env.timeout(0.01)
+        def late(k):
+            seg = segment_for(enc, env.now, env.now)
+            ep.deliver(seg, env.now + game.latency_req_s + 0.05)
+            if k < 2:
+                env.call_later(0.01, late, k + 1)
 
-        env.process(proc(env))
+        env.call_later(0.0, late, 0)
         env.run(until=5.0)
         assert enc.level == start - 1
 
@@ -124,12 +121,12 @@ class TestFeedback:
         server, enc, ep = build(env, game=game, use_adaptation=False)
         start = enc.level
 
-        def proc(env):
-            for _ in range(10):
-                seg = segment_for(enc, env.now, env.now)
-                ep.deliver(seg, env.now + 1.0)
-                yield env.timeout(0.1)
+        def late(k):
+            seg = segment_for(enc, env.now, env.now)
+            ep.deliver(seg, env.now + 1.0)
+            if k < 9:
+                env.call_later(0.1, late, k + 1)
 
-        env.process(proc(env))
+        env.call_later(0.0, late, 0)
         env.run(until=5.0)
         assert enc.level == start

@@ -125,8 +125,7 @@ class TestEdfOrdering:
 class TestLatencyEstimate:
     def test_eq12_components(self):
         """L_r = l_r + l_s + l_q + l_t + l_p for a known setup."""
-        buf = DeadlineSenderBuffer(
-            RATE, server_receive_delay_s=0.0, render_delay_s=0.005)
+        buf = DeadlineSenderBuffer(RATE, render_delay_s=0.005)
         buf.propagation.record(1, 0.02)
         # Both deadlines are lax so the enqueue-time rebalance drops
         # nothing and the estimate decomposes cleanly.

@@ -54,11 +54,7 @@ class TestPipeline:
         server = StreamingServer(env, 0, RATE, render_delay_s=0.005)
         sink, _ = attach(server)
 
-        def proc(env):
-            yield env.timeout(2.0)
-            server.render_and_send(1, action_time_s=1.9)
-
-        env.process(proc(env))
+        env.call_later(2.0, server.render_and_send, 1, 1.9)
         env.run(until=5.0)
         seg, _ = sink.deliveries[0]
         assert seg.action_time_s == 1.9
@@ -116,12 +112,8 @@ class TestPipeline:
         server = StreamingServer(env, 0, RATE)
         sink, _ = attach(server, prop=0.0)
 
-        def proc(env):
-            server.render_and_send(1, 0.0)
-            yield env.timeout(3.0)  # long idle gap
-            server.render_and_send(1, 3.0)
-
-        env.process(proc(env))
+        server.render_and_send(1, 0.0)
+        env.call_later(3.0, server.render_and_send, 1, 3.0)  # long idle gap
         env.run(until=10.0)
         assert len(sink.deliveries) == 2
         assert sink.deliveries[1][1] > 3.0

@@ -20,6 +20,7 @@ from repro.core.infrastructure import (
 from repro.core.server import StreamingServer
 from repro.faults.plan import FaultPlan
 from repro.faults.session import SessionChaos
+from repro.sim.engine import QUEUE_KINDS, Environment
 from repro.streaming.encoder import SegmentEncoder
 
 
@@ -36,15 +37,15 @@ class TestMidSessionDetach:
         server.attach_player(2, enc2, lambda s, t: delivered.append(2),
                              0.01)
 
-        def scenario(env):
-            for _ in range(5):
-                server.render_and_send(1, env.now)
-                server.render_and_send(2, env.now)
-                yield env.timeout(0.01)
-            server.detach_player(1)
-            yield env.timeout(5.0)
+        def send(k):
+            if k == 5:
+                server.detach_player(1)
+                return
+            server.render_and_send(1, env.now)
+            server.render_and_send(2, env.now)
+            env.call_later(0.01, send, k + 1)
 
-        env.process(scenario(env))
+        env.call_later(0.0, send, 0)
         env.run(until=10.0)
         assert 2 in delivered
         # Player 1 may have received early segments but none after detach.
@@ -69,14 +70,14 @@ class TestServerCrash:
         server.attach_player(1, enc, lambda s, t: delivered.append(t), 0.01)
         lost = {}
 
-        def scenario(env):
-            for _ in range(8):
-                server.render_and_send(1, env.now)
-                yield env.timeout(0.01)
-            lost["n"] = server.fail()
-            yield env.timeout(5.0)
+        def send(k):
+            if k == 8:
+                lost["n"] = server.fail()
+                return
+            server.render_and_send(1, env.now)
+            env.call_later(0.01, send, k + 1)
 
-        env.process(scenario(env))
+        env.call_later(0.0, send, 0)
         env.run(until=10.0)
         assert server.crashed
         assert lost["n"] > 0
@@ -169,13 +170,8 @@ class TestDeliveryEpochs:
         endpoint = _Endpoint()
         deliver = chaos.make_deliver(1, endpoint, host_id=0)
 
-        def scenario(env):
-            deliver(_Segment(), env.now)  # arrival scheduled at t=0.5
-            yield env.timeout(0.2)
-            chaos.bump_epoch(1)           # player migrates at t=0.2
-            yield env.timeout(5.0)
-
-        env.process(scenario(env))
+        deliver(_Segment(), env.now)  # arrival scheduled at t=0.5
+        env.call_later(0.2, chaos.bump_epoch, 1)  # player migrates
         env.run(until=10.0)
         assert endpoint.received == []
         assert chaos.stale_suppressed == 1
@@ -239,21 +235,21 @@ class TestDegenerateConfigurations:
 
 
 class TestProcessCrashIsolation:
-    def test_one_crashing_process_fails_loudly(self, env):
-        """Uncaught process errors surface instead of corrupting state."""
-        def bad(env):
-            yield env.timeout(1.0)
+    def test_one_crashing_process_fails_loudly(self):
+        """Uncaught callback errors surface instead of corrupting state,
+        on either event queue."""
+        def bad():
             raise RuntimeError("injected")
 
-        def good(env):
-            yield env.timeout(5.0)
-            return "ok"
-
-        env.process(bad(env))
-        g = env.process(good(env))
-        with pytest.raises(RuntimeError, match="injected"):
+        for queue in QUEUE_KINDS:
+            env = Environment(queue=queue)
+            done = []
+            env.call_later(1.0, bad)
+            env.call_later(5.0, done.append, "ok")
+            with pytest.raises(RuntimeError, match="injected"):
+                env.run()
+            # The kernel stopped at the failure with the good entry
+            # still queued; a second run finishes it.
+            assert (env.now, env.pending, done) == (1.0, 1, []), queue
             env.run()
-        # The kernel stopped at the failure; the good process is intact
-        # and resumable.
-        env.run()
-        assert g.value == "ok"
+            assert (env.now, env.pending, done) == (5.0, 0, ["ok"]), queue

@@ -18,8 +18,7 @@ class TestEventOrdering:
         env = Environment()
         fired = []
         for d in ds:
-            ev = env.timeout(d, value=d)
-            ev.callbacks.append(lambda e: fired.append(env.now))
+            env.call_later(d, lambda: fired.append(env.now))
         env.run()
         assert fired == sorted(fired)
         assert len(fired) == len(ds)
@@ -30,16 +29,14 @@ class TestEventOrdering:
         env = Environment()
         observed = []
 
-        def watcher(env):
-            while True:
-                yield env.timeout(0.0)
-                observed.append(env.now)
-                if len(observed) > len(ds) + 1:
-                    return
+        def watcher():
+            observed.append(env.now)
+            if len(observed) <= len(ds) + 1:
+                env.call_later(0.0, watcher)
 
         for d in ds:
-            env.timeout(d)
-        env.process(watcher(env))
+            env.call_later(d, lambda: None)
+        env.call_later(0.0, watcher)
         env.run()
         assert observed == sorted(observed)
 
@@ -49,7 +46,6 @@ class TestEventOrdering:
         env = Environment()
         fired = []
         for idx, _ in enumerate(ds):
-            ev = env.timeout(5.0, value=idx)
-            ev.callbacks.append(lambda e: fired.append(e.value))
+            env.call_later(5.0, fired.append, idx)
         env.run()
         assert fired == list(range(len(ds)))

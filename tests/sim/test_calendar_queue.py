@@ -141,9 +141,7 @@ class TestEngineIntegration:
             env = Environment(queue=kind)
             order = []
             for i, d in enumerate(delays):
-                ev = env.timeout(d, value=i)
-                ev.callbacks.append(
-                    lambda e, i=i: order.append((env.now, i)))
+                env.call_later(d, lambda i=i: order.append((env.now, i)))
             env.run()
             fired[kind] = order
         assert fired["heap"] == fired["calendar"]
@@ -153,25 +151,26 @@ class TestEngineIntegration:
             env = Environment(queue=kind)
             seen = []
             for d in (1.0, 2.0, 3.0, 4.0):
-                ev = env.timeout(d)
-                ev.callbacks.append(lambda e: seen.append(env.now))
+                env.call_later(d, lambda: seen.append(env.now))
             env.run(until=2.5)
             assert seen == [1.0, 2.0], kind
             assert env.now == 2.5
             assert env.pending == 2
 
     def test_processes_identical(self):
-        def pinger(env, log, name, delay):
-            for _ in range(10):
-                yield env.timeout(delay)
-                log.append((env.now, name))
+        # Self-rescheduling loops, as the sessions' segment loops are.
+        def pinger(env, log, name, delay, n=10):
+            log.append((env.now, name))
+            if n > 1:
+                env.call_later(delay, pinger, env, log, name, delay, n - 1)
 
         logs = {}
         for kind in ("heap", "calendar"):
             env = Environment(queue=kind)
             log = []
             for name, d in (("a", 0.3), ("b", 0.7), ("c", 1.1)):
-                env.process(pinger(env, log, name, d))
+                env.call_later(d, pinger, env, log, name, d)
             env.run()
             logs[kind] = log
+        assert len(logs["heap"]) == 30
         assert logs["heap"] == logs["calendar"]

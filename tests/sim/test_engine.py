@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.engine import QUEUE_KINDS, Environment, SimulationError
-from repro.sim.events import Event
 
 
 class TestClock:
@@ -25,34 +24,26 @@ class TestClock:
 
 class TestScheduling:
     def test_negative_delay_rejected(self, env):
-        ev = Event(env)
         with pytest.raises(SimulationError):
-            env.schedule(ev, delay=-1.0)
-
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
+            env.call_later(-1.0, lambda: None)
 
     def test_events_fire_in_time_order(self, env):
         fired = []
         for delay in (5.0, 1.0, 3.0):
-            ev = env.timeout(delay, value=delay)
-            ev.callbacks.append(lambda e: fired.append(e.value))
+            env.call_later(delay, fired.append, delay)
         env.run()
         assert fired == [1.0, 3.0, 5.0]
 
     def test_equal_time_events_fire_in_insertion_order(self, env):
         fired = []
         for tag in "abc":
-            ev = env.timeout(2.0, value=tag)
-            ev.callbacks.append(lambda e: fired.append(e.value))
+            env.call_later(2.0, fired.append, tag)
         env.run()
         assert fired == ["a", "b", "c"]
 
     def test_clock_advances_to_event_times(self, env):
         seen = []
-        ev = env.timeout(7.25)
-        ev.callbacks.append(lambda e: seen.append(env.now))
+        env.call_later(7.25, lambda: seen.append(env.now))
         env.run()
         assert seen == [7.25]
 
@@ -68,15 +59,19 @@ class TestCallLater:
         env.run()
         assert fired == [(1.5, ()), (3.5, ("a", 7))]
 
-    def test_interleaves_with_timeouts_in_insertion_order(self, queue):
+    def test_nested_calls_queue_behind_equal_time_entries(self, queue):
+        # A callback that queues a zero-delay call lands behind the
+        # entries already queued for the same instant.
         env = Environment(queue=queue)
         fired = []
-        for tag in "abcd":
-            if tag in "ac":
-                env.call_later(2.0, fired.append, tag)
-            else:
-                ev = env.timeout(2.0, value=tag)
-                ev.callbacks.append(lambda e: fired.append(e.value))
+
+        def first():
+            fired.append("a")
+            env.call_later(0.0, fired.append, "d")
+
+        env.call_later(2.0, first)
+        env.call_later(2.0, fired.append, "b")
+        env.call_later(2.0, fired.append, "c")
         env.run()
         assert fired == ["a", "b", "c", "d"]
 
@@ -86,54 +81,34 @@ class TestCallLater:
             env.call_later(-0.1, lambda: None)
         assert env._seq == 0 and env.pending == 0
 
-    def test_one_sequence_number_like_a_timeout(self, queue):
+    def test_one_sequence_number_per_call(self, queue):
         env = Environment(queue=queue)
-        env.timeout(1.0)
+        env.call_later(1.0, lambda: None)
         assert env._seq == 1
         env.call_later(1.0, lambda: None)
         assert env._seq == 2
         assert env.pending == 2
+        env.run()
+        assert env._seq == 2 and env.pending == 0
 
 
 class TestErrorPropagation:
     def test_uncaught_process_exception_propagates(self, env):
-        def bad(env):
-            yield env.timeout(1.0)
-            raise ValueError("boom")
+        # A self-rescheduling loop whose callback raises: the exception
+        # leaves run() directly.
+        ticks = []
 
-        env.process(bad(env))
+        def loop():
+            ticks.append(env.now)
+            if len(ticks) == 2:
+                raise ValueError("boom")
+            env.call_later(1.0, loop)
+
+        env.call_later(1.0, loop)
         with pytest.raises(ValueError, match="boom"):
             env.run()
-
-    def test_failed_event_without_waiter_propagates(self, env):
-        # A process that raises is a failed event; with nobody waiting
-        # on it, its exception leaves run().
-        def bad(env):
-            raise RuntimeError("unhandled")
-            yield  # pragma: no cover - makes this a generator
-
-        p = env.process(bad(env))
-        with pytest.raises(RuntimeError, match="unhandled"):
-            env.run()
-        assert p.triggered and not p.ok
-
-    def test_failed_event_with_catching_waiter_is_defused(self, env):
-        def bad(env):
-            yield env.timeout(1.0)
-            raise RuntimeError("handled")
-
-        failing = env.process(bad(env))
-
-        def waiter(env, ev):
-            try:
-                yield ev
-            except RuntimeError:
-                return "caught"
-
-        p = env.process(waiter(env, failing))
-        env.run()
-        assert p.value == "caught"
-        assert failing.defused
+        assert ticks == [1.0, 2.0]
+        assert env.now == 2.0
 
 
 class TestDeterminism:
@@ -142,14 +117,14 @@ class TestDeterminism:
             env = Environment()
             trace = []
 
-            def worker(env, name, delay):
-                for i in range(3):
-                    yield env.timeout(delay)
-                    trace.append((env.now, name, i))
+            def worker(name, delay, i=0):
+                trace.append((env.now, name, i))
+                if i < 2:
+                    env.call_later(delay, worker, name, delay, i + 1)
 
-            env.process(worker(env, "a", 1.0))
-            env.process(worker(env, "b", 1.0))
-            env.process(worker(env, "c", 0.5))
+            env.call_later(1.0, worker, "a", 1.0)
+            env.call_later(1.0, worker, "b", 1.0)
+            env.call_later(0.5, worker, "c", 0.5)
             env.run()
             return trace
 
