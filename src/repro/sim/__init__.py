@@ -2,9 +2,10 @@
 
 This package is CloudFog's substitute for PeerSim, which the paper uses
 as an event scheduler: a small, deterministic callback scheduler built
-from scratch so the reproduction has no external simulator dependency. It holds what the two simulators
-run: the packet-level ``GamingSession`` (callbacks on the binary heap)
-and the cohort kernel's tick driver (callbacks on the calendar queue).
+from scratch so the reproduction has no external simulator dependency.
+It holds what the two simulators run: the packet-level
+``GamingSession`` (callbacks on the binary heap) and the cohort
+kernel's tick driver (callbacks on the calendar queue).
 
 Core pieces
 -----------
