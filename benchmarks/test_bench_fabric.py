@@ -60,10 +60,10 @@ def test_four_slot_worker_doubles_single_slot_throughput():
     params = [{"index": i, "sleep_s": sleep_s} for i in range(n_tasks)]
 
     def timed_run(slots):
-        backend = RemoteBackend(launch=1, slots=slots, compress="auto")
+        backend = RemoteBackend(launch=1, slots=slots)
         with RunConfig(backend=backend) as cfg:
-            # Warm the fabric first (worker launch + hello + codec
-            # negotiation) so the clock measures task throughput, not
+            # Warm the fabric first (worker launch, hello and the slot
+            # pool's fork) so the clock measures task throughput, not
             # interpreter startup.
             run_spec(_probe_spec([{"index": 0}]), 0.05, SEED, config=cfg)
             t0 = time.perf_counter()
@@ -99,7 +99,7 @@ def test_warm_cache_rerun_ships_under_ten_percent_of_cold_bytes(
     confirmations plus heartbeats.
     """
     params = [{"index": i, "bulk_points": 4000} for i in range(8)]
-    backend = RemoteBackend(launch=2, slots=2, compress="auto")
+    backend = RemoteBackend(launch=2, slots=2)
     with RunConfig(backend=backend,
                    cache_dir=str(tmp_path / "store")) as cfg:
         cold = run_spec(_probe_spec(params), 0.05, SEED, config=cfg)

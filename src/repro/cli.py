@@ -47,10 +47,10 @@ Examples
                                       # inline
     cloudfog fig5a --backend remote --launch 4
                                       # or spawn 4 loopback workers
-    cloudfog all --backend remote --launch 2 --slots 4 --compress auto
+    cloudfog all --backend remote --launch 2 --slots 4
                                       # throughput fabric: 2 daemons x
                                       # 4 task slots each, pipelined
-                                      # dispatch, compressed frames
+                                      # dispatch
 """
 
 from __future__ import annotations
@@ -60,11 +60,7 @@ import json
 import sys
 import time
 
-from repro.experiments.config import (
-    BACKEND_NAMES,
-    COMPRESS_NAMES,
-    RunConfig,
-)
+from repro.experiments.config import BACKEND_NAMES, RunConfig
 from repro.experiments.runner import run_experiment, run_results
 from repro.experiments.specs import SPECS
 from repro.metrics.series import print_series
@@ -140,20 +136,10 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
              "(default 2; 0 = stop-and-wait per slot — prefer that "
              "under tight --task-timeout budgets)")
     group.add_argument(
-        "--compress", nargs="?", const="auto", default="auto",
-        choices=COMPRESS_NAMES, metavar="CODEC",
-        help="wire-frame compression for the remote backend: auto "
-             "negotiates the best codec both peers support (zstd "
-             "where installed, zlib otherwise), none sends every "
-             "frame raw (default auto)")
-    group.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="content-addressed result cache directory; re-runs skip "
              "sweep points already computed for the same parameters, "
              "so re-running an interrupted sweep finishes it")
-    group.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir (force fresh execution)")
     group.add_argument(
         "--retries", type=int, default=2, metavar="N",
         help="retry a crashed/raising/hung sweep task up to N times "
@@ -763,19 +749,14 @@ def build_worker_parser() -> argparse.ArgumentParser:
              f"{DEFAULT_HEARTBEAT_S:g})")
     parser.add_argument(
         "--slots", type=int, default=1, metavar="N",
-        help="execute up to N tasks concurrently in an in-worker "
-             "process pool, streaming results as slots free up "
-             "(default 1 = sequential in the main thread)")
+        help="execute up to N tasks concurrently in a pool of N slot "
+             "processes, streaming results as slots free up "
+             "(default 1)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="local result cache keyed by task digest, in the "
              "scheduler's entry format: tasks this worker computed "
              "before replay from disk")
-    parser.add_argument(
-        "--compress", nargs="?", const="auto", default="auto",
-        choices=COMPRESS_NAMES, metavar="CODEC",
-        help="wire-frame compression policy negotiated with the "
-             "scheduler (default auto; none = raw frames)")
     parser.add_argument(
         "--scheduler-timeout", type=float,
         default=DEFAULT_SCHEDULER_TIMEOUT_S, metavar="S",
@@ -797,7 +778,6 @@ def worker_main(argv: list[str] | None = None) -> int:
                           worker_id=args.id, once=args.once,
                           heartbeat_s=args.heartbeat_interval,
                           slots=args.slots, cache_dir=args.cache_dir,
-                          compress=args.compress,
                           scheduler_timeout_s=args.scheduler_timeout,
                           reconnect=args.reconnect,
                           reconnect_max_s=args.reconnect_max)

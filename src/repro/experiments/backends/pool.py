@@ -11,9 +11,11 @@ in-flight tasks requeue without attempt penalty — salvaged instead
 when they finished first. A broken pool (a SIGKILLed process) is
 settled and rebuilt by ``PoolManager.collect``.
 
-With one effective worker (or one remaining task) it degenerates to
-the inline backend, which is also what ``backend="auto"`` with the
-default ``jobs=1`` resolves to — so tier-1 tests never pay for a pool.
+Every task runs in a slot process, even with one worker or one task
+left, so the watchdog and crash isolation hold for every sweep; the
+pool never has more processes than tasks, and a sweep with nothing
+left to run starts none. ``backend="auto"`` with the default
+``jobs=1`` resolves to the inline backend instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.experiments.backends.base import (
     SweepPlan,
     execute_task,
 )
-from repro.experiments.backends.inline import InlineBackend
 from repro.experiments.config import resolve_jobs
 from repro.experiments.resilience import PoolManager
 
@@ -40,9 +41,6 @@ class PoolBackend(ExecutionBackend):
 
     def execute(self, plan: SweepPlan) -> None:
         workers = min(resolve_jobs(self.jobs), max(1, len(plan.todo)))
-        if workers <= 1 or len(plan.todo) <= 1:
-            InlineBackend().execute(plan)
-            return
         mgr = PoolManager(workers)
         try:
             with SchedulerCore(plan) as core:

@@ -2,16 +2,12 @@
 
 One frame = one message, length-prefixed over a stream socket::
 
-    | 4-byte magic b"CFW2" | >B codec | >I body length | body |
+    | 4-byte magic b"CFW3" | >I body length | body |
 
 where the body is ``pickle((kind, payload))`` — ``kind`` a short
-string, ``payload`` a dict — run through the frame's codec (``0`` =
-raw, ``1`` = zlib, ``2`` = zstd). Small frames ship raw even on a
-compressed channel (compression below :data:`COMPRESS_MIN_BYTES` costs
-more than it saves), so heartbeats stay a handful of bytes; a
-``compress="none"`` channel sends every frame raw. There is one
-revision: a header with any other magic is a :class:`ProtocolError`,
-so a peer speaking an older framing is refused at its first frame.
+string, ``payload`` a dict. There is one revision: a header with any
+other magic is a :class:`ProtocolError`, so a peer speaking an older
+framing (CFW1, CFW2) is refused at its first frame.
 
 Two readers share one decoder. :func:`recv_frame` blocks until one
 whole frame is in (the scheduler's dial-out hello, hand-rolled test
@@ -25,12 +21,7 @@ The conversation:
 ========== =========== ====================================================
 kind       direction   payload
 ========== =========== ====================================================
-hello      worker → s  ``worker`` id, ``pid``, ``version``, ``slots``,
-                       ``codecs`` the worker can decode
-hello      s → worker  the acknowledgement: the negotiated ``codec``
-                       (both directions), the scheduler's ``codecs``,
-                       and ``heartbeat_s`` — the interval at which the
-                       scheduler pulses
+hello      worker → s  ``worker`` id, ``pid``, ``version``, ``slots``
 task       s → worker  ``tid``, ``index``, ``task`` (SweepTask), ``scale``,
                        ``seed``, ``capture``, ``digest`` (content
                        address, or None when uncached), ``have`` (the
@@ -44,9 +35,9 @@ cached     worker → s  ``tid``, ``index``, ``digest`` — the worker
                        confirms the task without shipping the blob;
                        the scheduler serves it from its own store
 error      worker → s  ``tid``, ``index``, ``kind`` (taxonomy), ``message``
-heartbeat  either      (empty) — liveness: worker → scheduler while a
-                       long task runs, scheduler → worker behind the
-                       worker's silence deadline
+heartbeat  either      (empty) — liveness: worker → scheduler while
+                       its slots run tasks, scheduler → worker behind
+                       the worker's silence deadline
 bye        either      polite close (a worker serving ``--listen`` goes
                        back to accepting; ``--once`` exits)
 ========== =========== ====================================================
@@ -65,68 +56,18 @@ import pickle
 import socket
 import struct
 import threading
-import zlib
 from typing import Any, Optional
 
-MAGIC = b"CFW2"
-_HEADER = struct.Struct(">4sBI")
+MAGIC = b"CFW3"
+_HEADER = struct.Struct(">4sI")
 
 #: Refuse frames over this size — a corrupt header read as a length
 #: must not trigger a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Frames smaller than this ship raw even on a compressed channel:
-#: zlib on a 100-byte heartbeat costs CPU to *grow* the frame.
-COMPRESS_MIN_BYTES = 512
-
 #: Largest single socket read: a header's claimed length never sizes
 #: an allocation before the bytes behind it arrive.
 _RECV_BYTES = 1 << 16
-
-try:  # pragma: no cover - exercised only where zstandard is installed
-    import zstandard as _zstd
-except ImportError:
-    _zstd = None
-
-#: codec name -> (frame codec id, compress, decompress). Order is
-#: preference order for negotiation (best first).
-_CODECS: dict[str, tuple] = {}
-if _zstd is not None:  # pragma: no cover - optional dependency
-    _CODECS["zstd"] = (2,
-                       lambda b: _zstd.ZstdCompressor().compress(b),
-                       lambda b: _zstd.ZstdDecompressor().decompress(b))
-_CODECS["zlib"] = (1, lambda b: zlib.compress(b, 6), zlib.decompress)
-
-_CODEC_BY_ID = {cid: (name, comp, decomp)
-                for name, (cid, comp, decomp) in _CODECS.items()}
-
-
-def available_codecs() -> tuple[str, ...]:
-    """Codecs this interpreter can encode/decode, best first."""
-    return tuple(_CODECS)
-
-
-def negotiate_codec(preference: Optional[str],
-                    peer_codecs) -> Optional[str]:
-    """Pick the frame codec for a channel.
-
-    ``preference`` is the local ``compress`` policy: ``"auto"`` takes
-    the best codec both sides support, an explicit codec name requires
-    exactly that codec, ``"none"``/``None`` disables compression.
-    Returns the codec name, or ``None`` when the channel stays
-    uncompressed.
-    """
-    if preference in (None, "none"):
-        return None
-    peers = tuple(peer_codecs or ())
-    if preference == "auto":
-        for name in _CODECS:
-            if name in peers:
-                return name
-        return None
-    if preference in _CODECS and preference in peers:
-        return preference
-    return None
 
 
 class ProtocolError(RuntimeError):
@@ -185,25 +126,15 @@ def _sendall_scatter(sock: socket.socket, header: bytes,
 
 
 def send_frame(sock: socket.socket, kind: str,
-               payload: Optional[dict] = None,
-               codec: Optional[str] = None) -> int:
+               payload: Optional[dict] = None) -> int:
     """Serialize and send one ``(kind, payload)`` frame.
 
-    ``codec`` names the channel's compression codec; ``None`` sends the
-    body raw (codec 0), as does a frame under
-    :data:`COMPRESS_MIN_BYTES` or one that compression fails to shrink.
     Returns the frame's size in bytes — the wire-byte accounting the
     fabric benchmarks read.
     """
     blob = pickle.dumps((kind, payload or {}),
                         protocol=pickle.HIGHEST_PROTOCOL)
-    codec_id = 0
-    if codec is not None and len(blob) >= COMPRESS_MIN_BYTES:
-        cid, compress, _decomp = _CODECS[codec]
-        packed = compress(blob)
-        if len(packed) < len(blob):
-            blob, codec_id = packed, cid
-    header = _HEADER.pack(MAGIC, codec_id, len(blob))
+    header = _HEADER.pack(MAGIC, len(blob))
     _sendall_scatter(sock, header, blob)
     return len(header) + len(blob)
 
@@ -212,37 +143,22 @@ def recv_frame(sock: socket.socket) -> tuple[str, dict[str, Any]]:
     """Block until one whole frame is in and decode it; raises
     :class:`EOFError` on a clean close at a frame boundary,
     :class:`ProtocolError` on a malformed or truncated frame."""
-    codec_id, length = _parse_header(
-        _recv_exact(sock, _HEADER.size, eof_ok=True))
-    return _decode_body(codec_id, _recv_exact(sock, length))
+    length = _parse_header(_recv_exact(sock, _HEADER.size, eof_ok=True))
+    return _decode_body(_recv_exact(sock, length))
 
 
-def _parse_header(buf) -> tuple[int, int]:
-    """``(codec id, body length)`` of the frame header that starts
-    ``buf``, checked before any body byte is read."""
-    magic, codec_id, length = _HEADER.unpack_from(buf)
+def _parse_header(buf) -> int:
+    """The body length of the frame header that starts ``buf``, checked
+    before any body byte is read."""
+    magic, length = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds limit")
-    return codec_id, length
+    return length
 
 
-def _decode_body(codec_id: int, body) -> tuple[str, dict[str, Any]]:
-    if codec_id:
-        entry = _CODEC_BY_ID.get(codec_id)
-        if entry is None:
-            raise ProtocolError(
-                f"frame compressed with unknown codec id {codec_id} "
-                f"(decodable here: {', '.join(_CODECS) or 'none'})")
-        try:
-            body = entry[2](body)
-        except Exception as exc:
-            raise ProtocolError(
-                f"undecompressable {entry[0]} frame: {exc}") from exc
-        if len(body) > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame decompressed to {len(body)} bytes, over limit")
+def _decode_body(body) -> tuple[str, dict[str, Any]]:
     try:
         kind, payload = pickle.loads(body)
     except Exception as exc:
@@ -266,23 +182,18 @@ def _recv_exact(sock: socket.socket, n: int, eof_ok: bool = False) -> bytes:
 
 
 class Channel:
-    """One peer connection: socket + negotiated codec + byte meters.
+    """One peer connection: socket + byte meters.
 
-    ``send`` is serialized by an internal lock so a worker's heartbeat
-    thread, result callbacks and main loop (or the scheduler's idle
-    heartbeat pump and select loop) can share the connection without
-    interleaving frames. ``codec`` is the *transmit* codec — every
-    frame names its own codec, so either side may switch the moment
-    negotiation completes without racing frames already in flight.
-    ``recv`` buffers a partial frame instead of waiting for the rest.
+    ``send`` is serialized by an internal lock so the scheduler's idle
+    heartbeat pump and its select loop can share the connection
+    without interleaving frames. ``recv`` buffers a partial frame
+    instead of waiting for the rest.
     """
 
-    __slots__ = ("sock", "codec", "bytes_in", "bytes_out", "_lock",
-                 "_buf")
+    __slots__ = ("sock", "bytes_in", "bytes_out", "_lock", "_buf")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.codec: Optional[str] = None
         self.bytes_in = 0
         self.bytes_out = 0
         self._lock = threading.Lock()
@@ -290,7 +201,7 @@ class Channel:
 
     def send(self, kind: str, payload: Optional[dict] = None) -> int:
         with self._lock:
-            n = send_frame(self.sock, kind, payload, codec=self.codec)
+            n = send_frame(self.sock, kind, payload)
         self.bytes_out += n
         return n
 
@@ -316,11 +227,10 @@ class Channel:
         buf += chunk
         frames = []
         while len(buf) >= _HEADER.size:
-            codec_id, length = _parse_header(buf)
-            end = _HEADER.size + length
+            end = _HEADER.size + _parse_header(buf)
             if len(buf) < end:
                 break
-            frames.append(_decode_body(codec_id, buf[_HEADER.size:end]))
+            frames.append(_decode_body(buf[_HEADER.size:end]))
             del buf[:end]
         return frames
 

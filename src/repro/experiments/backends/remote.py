@@ -13,14 +13,14 @@ up to ``slots + prefetch`` tasks, so a freed slot finds its next task
 already queued instead of one round-trip away. The loop never blocks
 on one peer: a frame arriving in pieces waits in its channel's buffer
 (:meth:`Channel.recv`), and a dial-in waits in the select set until
-its hello is complete (closed after ``connect_timeout_s``). Frames are
-compressed per channel as negotiated at hello time (see
-:mod:`~repro.experiments.backends.protocol`). Task frames carry the
+its hello is complete (closed after ``connect_timeout_s``). Task
+frames (see :mod:`~repro.experiments.backends.protocol`) carry the
 task's content-address digest; when the scheduler's store already
 holds the blob the frame says so (``have``) and the worker answers
-with a hash-only ``cached`` frame. Results are written through
-``plan.record``, the same atomic cache path every backend uses, so a
-run killed under one backend is finished by a re-run under any other.
+with a hash-only ``cached`` frame. Results are written
+through ``plan.record``, the same atomic cache path every backend
+uses, so a run killed under one backend is finished by a re-run under
+any other.
 
 Liveness: a dead worker closes its socket (EOF); a frozen one — or one
 stalled mid-frame — is dropped when no bytes at all arrive within
@@ -69,9 +69,7 @@ from repro.experiments.backends.base import (
 from repro.experiments.backends.protocol import (
     Channel,
     ProtocolError,
-    available_codecs,
     format_addr,
-    negotiate_codec,
     parse_addr,
     recv_frame,
 )
@@ -115,7 +113,6 @@ class RemoteBackend(ExecutionBackend):
                  launch: int = 0, launcher: Optional[str] = None,
                  slots: int = 1,
                  prefetch: int = DEFAULT_PREFETCH,
-                 compress: Optional[str] = "auto",
                  connect_timeout_s: float = 30.0,
                  heartbeat_timeout_s: float = 15.0,
                  heartbeat_interval_s: float = 2.0):
@@ -132,7 +129,6 @@ class RemoteBackend(ExecutionBackend):
         self.launcher = launcher
         self.slots = int(slots)
         self.prefetch = int(prefetch)
-        self.compress = compress
         self.connect_timeout_s = connect_timeout_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -378,8 +374,7 @@ class RemoteBackend(ExecutionBackend):
 
     def _register(self, channel: Channel, kind: str, hello: dict,
                   where: str) -> None:
-        """Validate a new connection's hello, acknowledge it and adopt
-        the worker."""
+        """Validate a new connection's hello and adopt the worker."""
         if kind != "hello":
             self._retire_channel(channel)
             raise RemoteFabricError(
@@ -398,21 +393,6 @@ class RemoteBackend(ExecutionBackend):
         sock = channel.sock
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The acknowledgement settles the channel codec (both
-        # directions) and promises the scheduler's heartbeat interval.
-        codec = negotiate_codec(self.compress, hello.get("codecs", ()))
-        try:
-            channel.send("hello", {
-                "codec": codec,
-                "codecs": available_codecs(),
-                "heartbeat_s": self.heartbeat_interval_s,
-            })
-        except OSError as exc:
-            self._retire_channel(channel)
-            raise RemoteFabricError(
-                f"worker at {where} dropped the connection during "
-                f"negotiation: {exc}") from exc
-        channel.codec = codec
         self._workers[sock] = _Worker(channel, hello)
 
     # ------------------------------------------------------------------

@@ -18,23 +18,20 @@ Two connection modes, mirroring the scheduler's
   connection at a time; with ``once=True`` exit after the first
   scheduler disconnects (CI smoke daemons clean themselves up).
 
-**Slots.** With ``slots=1`` (the default) tasks run strictly
-sequentially in the worker's main thread. With ``slots=N`` the worker
-runs an in-process pool of N slot processes
-(:class:`~repro.experiments.resilience.PoolManager`, the same slot
-pool the pool backend drives), advertises the count in its hello so
-the scheduler keeps N tasks in flight, and streams results back the
-moment each slot frees up. Either way every task runs through
+**Slots.** Every task runs in the worker's pool of ``slots`` slot
+processes (:class:`~repro.experiments.resilience.PoolManager`, the
+same slot pool the pool backend drives; ``slots=1`` is a one-process
+pool). The worker advertises the count in its hello so the scheduler
+keeps every slot busy, and streams results back the moment each slot
+frees up. Every task runs through
 :func:`~repro.experiments.backends.base.execute_task` — the same
 function the inline and pool backends call, which is half of the
 determinism argument (the other half is the scheduler's task-order
 merge). A slot process that dies (SIGKILL, OOM) breaks the slot pool:
 tasks that finished first are still sent back, the rest are reported
 as ``worker-crash`` error frames, and the pool is rebuilt — the
-daemon itself survives, unlike the single-slot case where a crashing
-task takes the whole worker (and its connection) with it. Slot
-processes die on SIGTERM, not through the daemon's SystemExit
-handler, so a terminated daemon reaps them.
+daemon itself survives. Slot processes die on SIGTERM, not through
+the daemon's SystemExit handler, so a terminated daemon reaps them.
 
 **Local result cache.** With ``cache_dir=`` the worker keeps a
 :class:`~repro.experiments.cache.ResultCache` keyed by the
@@ -47,10 +44,10 @@ answers with a hash-only ``cached`` frame — warm re-runs ship hashes,
 not megabytes. Trace-capturing tasks bypass both (a cached payload
 cannot carry another run's trace events).
 
-**Liveness, both directions.** A background thread heartbeats
-worker → scheduler so the scheduler can tell "busy with a long task"
-from "frozen". The scheduler pulses back (its hello acknowledgement
-names the interval), which feeds the worker's *scheduler-silence
+**Liveness, both directions.** The select loop never blocks on a task,
+so it heartbeats worker → scheduler every ``heartbeat_s`` and the
+scheduler can tell "busy with a long task" from "frozen". The
+scheduler pulses back, which feeds the worker's *scheduler-silence
 deadline*: it runs from the moment the connection opens, and if no
 bytes at all arrive within ``scheduler_timeout_s`` the worker declares
 the scheduler dead, abandons the connection and (under ``--listen``)
@@ -61,9 +58,9 @@ partial frame, so the select loop never blocks on one.
 
 A task that raises is reported as an ``error`` frame (the scheduler
 maps it onto the ``exception`` failure kind and retries elsewhere); a
-task that kills the worker process drops the connection, which the
-scheduler maps onto ``worker-crash`` and requeues — exactly the pool
-backend's taxonomy.
+task that kills its slot process is reported as ``worker-crash`` — the
+pool backend's taxonomy. A worker process that dies drops the
+connection, which the scheduler also maps onto ``worker-crash``.
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ import select
 import signal
 import socket
 import sys
-import threading
 import time
 from typing import Optional
 
@@ -83,9 +79,7 @@ from repro.experiments.backends.base import execute_task
 from repro.experiments.backends.protocol import (
     Channel,
     ProtocolError,
-    available_codecs,
     format_addr,
-    negotiate_codec,
     parse_addr,
 )
 from repro.experiments.cache import ResultCache
@@ -140,7 +134,6 @@ def serve_connection(sock: socket.socket, worker_id: str,
                      heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                      slots: int = 1,
                      cache: Optional[ResultCache] = None,
-                     compress: Optional[str] = "auto",
                      scheduler_timeout_s: float =
                      DEFAULT_SCHEDULER_TIMEOUT_S) -> str:
     """Serve one scheduler over ``sock`` until it disconnects.
@@ -150,31 +143,17 @@ def serve_connection(sock: socket.socket, worker_id: str,
     """
     slots = max(1, int(slots))
     channel = Channel(sock)
-    stop = threading.Event()
-
     channel.send("hello", {
         "worker": worker_id,
         "pid": os.getpid(),
         "version": __version__,
         "slots": slots,
-        "codecs": (available_codecs()
-                   if compress not in (None, "none") else ()),
     })
 
-    def beat() -> None:
-        while not stop.wait(heartbeat_s):
-            try:
-                channel.send("heartbeat")
-            except OSError:
-                return
-
-    thread = threading.Thread(target=beat, daemon=True,
-                              name=f"heartbeat-{worker_id}")
-    thread.start()
-
-    pool = PoolManager(slots) if slots > 1 else None
+    pool = PoolManager(slots)
     inflight: dict = {}  # future -> task frame payload
     last_heard = time.monotonic()
+    next_beat = last_heard + heartbeat_s
 
     def reply(payload: dict) -> Optional[tuple[str, dict]]:
         """Resolve a task frame without executing, if possible."""
@@ -215,16 +194,20 @@ def serve_connection(sock: socket.socket, worker_id: str,
 
     try:
         while True:
-            if pool is not None and inflight:
+            if inflight:
                 pump_pool()
-            timeout = 0.05 if inflight else 0.25
+            nowm = time.monotonic()
+            if nowm >= next_beat:
+                channel.send("heartbeat")
+                next_beat = nowm + heartbeat_s
+            timeout = min(0.05 if inflight else 0.25, next_beat - nowm)
             try:
                 readable, _, _ = select.select([sock], [], [], timeout)
             except OSError:
                 return "eof"
             if not readable:
                 # Checked only after a wait that heard nothing: bytes
-                # that queued while tasks ran are not silence.
+                # that queued while the loop was busy are not silence.
                 if (scheduler_timeout_s
                         and time.monotonic() - last_heard
                         > scheduler_timeout_s):
@@ -238,43 +221,20 @@ def serve_connection(sock: socket.socket, worker_id: str,
             for kind, payload in frames:
                 if kind == "bye":
                     return "bye"
-                if kind == "hello":
-                    # The acknowledgement: adopt the negotiated
-                    # transmit codec.
-                    channel.codec = negotiate_codec(
-                        compress, (payload.get("codec"),))
-                    continue
                 if kind != "task":
                     continue  # heartbeat / future frame kinds
                 resolved = reply(payload)
                 if resolved is not None:
                     channel.send(*resolved)
-                elif pool is not None:
+                else:
                     inflight[pool.submit(
                         execute_task, payload["task"], payload["scale"],
                         payload["seed"], payload.get("capture", False),
                     )] = payload
-                else:
-                    channel.send(*outcome(payload, *_run_task(payload)))
     except OSError:
         return "eof"
     finally:
-        stop.set()
-        if pool is not None:
-            pool.shutdown(terminate=True)
-
-
-def _run_task(payload: dict) -> tuple[Optional[str], object]:
-    """Execute one task frame in this process: ``(None, result)`` or
-    ``("exception", message)``, like a slot pool's outcomes."""
-    try:
-        return None, execute_task(payload["task"], payload["scale"],
-                                  payload["seed"],
-                                  payload.get("capture", False))
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException as exc:
-        return "exception", f"{type(exc).__name__}: {exc}"
+        pool.shutdown(terminate=True)
 
 
 def _exit_on_sigterm(signum, frame):  # pragma: no cover - signal path
@@ -300,7 +260,6 @@ def run_worker(connect: Optional[str] = None,
                dial_retry_s: float = DEFAULT_DIAL_RETRY_S,
                slots: int = 1,
                cache_dir: Optional[str] = None,
-               compress: Optional[str] = "auto",
                scheduler_timeout_s: float =
                DEFAULT_SCHEDULER_TIMEOUT_S,
                reconnect: bool = False,
@@ -310,10 +269,8 @@ def run_worker(connect: Optional[str] = None,
     """Run a worker daemon; returns a process exit code.
 
     Exactly one of ``connect`` (dial the scheduler) and ``listen``
-    (await schedulers) must be given. ``slots`` sizes the in-worker
-    slot pool (1 = sequential in the main thread); ``cache_dir``
-    enables the local result cache; ``compress`` is the wire codec
-    policy (``auto`` / ``zlib`` / ``zstd`` / ``none``);
+    (await schedulers) must be given. ``slots`` sizes the worker's
+    slot pool; ``cache_dir`` enables the local result cache;
     ``scheduler_timeout_s`` is the scheduler-silence deadline (0
     disables it). With ``reconnect=True`` a ``connect`` worker redials
     after EOF/silence under :func:`reconnect_delay_s` backoff and only
@@ -329,8 +286,8 @@ def run_worker(connect: Optional[str] = None,
     cache = ResultCache(cache_dir) if cache_dir else None
 
     # Die *through* the cleanup path on SIGTERM: the scheduler tears
-    # launched workers down with terminate(), and a multi-slot daemon
-    # killed mid-serve would otherwise orphan its slot processes —
+    # launched workers down with terminate(), and a daemon killed
+    # mid-serve would otherwise orphan its slot processes —
     # which keep inherited stdout/stderr pipes open long after the
     # sweep, wedging any pipeline the scheduler's process ran under.
     try:
@@ -342,7 +299,7 @@ def run_worker(connect: Optional[str] = None,
         sock.settimeout(None)
         return serve_connection(
             sock, worker_id, heartbeat_s, slots=slots, cache=cache,
-            compress=compress, scheduler_timeout_s=scheduler_timeout_s)
+            scheduler_timeout_s=scheduler_timeout_s)
 
     if connect:
         addr = parse_addr(connect)

@@ -41,12 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: pool otherwise).
 BACKEND_NAMES = ("auto", "inline", "pool", "remote")
 
-#: Accepted ``compress=`` policies for the remote fabric's wire
-#: frames. ``"auto"`` negotiates the best codec both peers support
-#: (zstd where installed, zlib otherwise); ``"none"`` sends every
-#: frame raw (codec 0).
-COMPRESS_NAMES = ("auto", "none", "zlib", "zstd")
-
 
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a worker-count request.
@@ -113,9 +107,6 @@ class RunConfig:
     #: (dispatch stop-and-wait per slot) — useful under tight per-task
     #: timeouts, whose clock starts at dispatch.
     prefetch: int = 2
-    #: Remote backend: wire-frame compression policy
-    #: (see :data:`COMPRESS_NAMES`; ``None`` is accepted for "none").
-    compress: Optional[str] = "auto"
 
     def __post_init__(self):
         resolve_jobs(self.jobs)  # the single jobs-validation point
@@ -139,12 +130,6 @@ class RunConfig:
         if self.prefetch < 0:
             raise ValueError(
                 f"prefetch must be >= 0, got {self.prefetch}")
-        if self.compress is None:
-            object.__setattr__(self, "compress", "none")
-        if self.compress not in COMPRESS_NAMES:
-            raise ValueError(
-                f"unknown compress policy {self.compress!r} "
-                f"(choose from {', '.join(COMPRESS_NAMES)})")
         if self.cache is None and self.cache_dir:
             object.__setattr__(self, "cache", ResultCache(self.cache_dir))
         if (name == "remote" and isinstance(self.backend, str)
@@ -203,8 +188,7 @@ class RunConfig:
             return PoolBackend(jobs=self.jobs)
         return RemoteBackend(workers=self.workers, listen=self.listen,
                              launch=self.launch, launcher=self.launcher,
-                             slots=self.slots, prefetch=self.prefetch,
-                             compress=self.compress)
+                             slots=self.slots, prefetch=self.prefetch)
 
     def close(self) -> None:
         """Tear down the memoized backend (bye frames to dial-out
@@ -230,9 +214,6 @@ class RunConfig:
         missing attributes fall back to the library defaults, so any
         namespace (even a bare ``argparse.Namespace()``) works.
         """
-        cache_dir = getattr(args, "cache_dir", None)
-        if getattr(args, "no_cache", False):
-            cache_dir = None
         resilience = ResilienceConfig(
             max_retries=getattr(args, "retries", 2),
             timeout_s=getattr(args, "task_timeout", None),
@@ -246,7 +227,7 @@ class RunConfig:
         return cls(
             backend=backend,
             jobs=getattr(args, "jobs", 1),
-            cache_dir=cache_dir,
+            cache_dir=getattr(args, "cache_dir", None),
             resilience=resilience,
             workers=getattr(args, "workers", None) or (),
             listen=getattr(args, "listen", None),
@@ -255,5 +236,4 @@ class RunConfig:
             slots=getattr(args, "slots", 1) or 1,
             prefetch=(2 if getattr(args, "prefetch", None) is None
                       else args.prefetch),
-            compress=getattr(args, "compress", "auto") or "auto",
         )

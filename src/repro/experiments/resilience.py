@@ -16,8 +16,8 @@ produces the paper's figures the same discipline. The pieces:
   tasks are pure functions of ``(task, scale, seed)``, so a task that
   fails then succeeds on a later attempt produces a byte-identical
   payload — the determinism contract survives recovery;
-* :class:`PoolManager` — the slot pool the pool backend and
-  multi-slot workers share: a
+* :class:`PoolManager` — the slot pool the pool backend and every
+  worker daemon share: a
   :class:`~concurrent.futures.ProcessPoolExecutor` wrapper that
   collects finished futures, salvages the ones that finished before a
   ``BrokenProcessPool`` (a SIGKILLed slot), reports the rest as
@@ -31,8 +31,10 @@ produces the paper's figures the same discipline. The pieces:
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
+import sys
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -130,12 +132,24 @@ class ResilienceConfig:
 DEFAULT_RESILIENCE = ResilienceConfig()
 
 
-def _default_sigterm() -> None:
-    """Slot-process initializer: let SIGTERM kill the slot. A slot
-    forked from a worker daemon would otherwise inherit the daemon's
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _init_slot() -> None:
+    """Slot-process initializer. SIGTERM kills the slot: a slot forked
+    from a worker daemon would otherwise inherit the daemon's
     SystemExit handler, and :meth:`PoolManager._reap`'s ``terminate()``
-    would unwind the slot's work loop instead of ending the process."""
+    would unwind the slot's work loop instead of ending the process.
+    On Linux the slot also dies with the process that forked it: a
+    SIGKILLed daemon would otherwise leave its slots asleep for good,
+    holding the daemon's connection open so its scheduler sees no EOF."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
 
 
 class PoolManager:
@@ -161,7 +175,7 @@ class PoolManager:
     def pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers,
-                                             initializer=_default_sigterm)
+                                             initializer=_init_slot)
         return self._pool
 
     def submit(self, fn, *args):
@@ -316,8 +330,8 @@ def flaky_probe(scale: float, seed: int, p: dict) -> dict:
             raise RuntimeError("flaky_probe: hang outlived its budget")
         if mode == "kill-parent":
             time.sleep(float(p.get("sleep_s", 0.0)))
-            # Never guess via getppid(): a cache-warmed sweep can run
-            # this task inline, where the "parent" is the test runner.
+            # Never guess via getppid(): the inline backend runs this
+            # task in the harness itself, a worker daemon in a slot.
             with open(p["pid_file"], "r", encoding="utf-8") as fp:
                 harness_pid = int(fp.read().strip())
             os.kill(harness_pid, signal.SIGKILL)

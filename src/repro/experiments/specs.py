@@ -195,8 +195,7 @@ def _run_dynamic(scale: float, seed: int, p: dict) -> dict:
     from repro.experiments.dynamic import run_dynamic
     scen = peersim_scenario(max(scale, 0.05), seed)
     pop = scen.build()
-    result = run_dynamic(pop, SystemVariant.CLOUDFOG_A, horizon_s=90.0,
-                         config=SessionConfig(duration_s=p["duration_s"]))
+    result = run_dynamic(pop, SystemVariant.CLOUDFOG_A, horizon_s=90.0)
     return _fragments(result.series())
 
 
@@ -496,8 +495,7 @@ def _decompose_gameworld(scale, seed):
 
 
 def _decompose_dynamic(scale, seed):
-    return [SweepTask("dynamic", ("run",), "dynamic",
-                      {"duration_s": _session_duration_s(scale)})]
+    return [SweepTask("dynamic", ("run",), "dynamic", {})]
 
 
 #: Fault presets swept by the chaos figure (``none`` is covered by the

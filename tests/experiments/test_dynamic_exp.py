@@ -123,3 +123,11 @@ class TestDynamicRun:
         diurnal = sim.run()
         # Thinning preserves the daily average rate (Poisson noise aside).
         assert diurnal.joins == pytest.approx(flat.joins, rel=0.5)
+
+
+def test_dynamic_task_carries_no_parameter():
+    # DynamicSimulation reads no session duration, so the spec's one
+    # task has nothing to pass and its cache key holds no dead knob.
+    from repro.experiments.specs import get_spec
+    (task,) = get_spec("dynamic").decompose(0.02, 11)
+    assert task.params == {}

@@ -10,6 +10,7 @@ results versus inline execution, and recovery (requeue through the
 import os
 import pickle
 import re
+import signal
 import socket
 import struct
 import subprocess
@@ -23,12 +24,10 @@ from repro import __version__
 from repro.experiments import RunConfig, run_named
 from repro.experiments.api import ExperimentSpec, SweepTask
 from repro.experiments.backends.protocol import (
-    COMPRESS_MIN_BYTES,
+    MAGIC,
     Channel,
     ProtocolError,
-    available_codecs,
     format_addr,
-    negotiate_codec,
     parse_addr,
     recv_frame,
     send_frame,
@@ -108,6 +107,15 @@ class _CountingCache(ResultCache):
         return super().put(digest, entry)
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fp:
+            return fp.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def listening_worker(*args):
     """Start a ``cloudfog worker --listen`` daemon on an ephemeral port;
     returns the process and the address it printed."""
@@ -144,64 +152,14 @@ class TestProtocol:
         with pytest.raises(ValueError, match="empty bracketed"):
             parse_addr("[]:9000")
 
-    def test_negotiate_codec(self):
-        assert "zlib" in available_codecs()
-        assert negotiate_codec("auto", ("zlib",)) == "zlib"
-        assert negotiate_codec("auto", ()) is None  # peer sends raw
-        assert negotiate_codec("none", ("zlib",)) is None
-        assert negotiate_codec(None, ("zlib",)) is None
-        assert negotiate_codec("zlib", ("zstd", "zlib")) == "zlib"
-        # an explicit codec the peer lacks falls back to uncompressed
-        assert negotiate_codec("zlib", ()) is None
-
-    def test_compressed_frame_roundtrip(self):
-        a, b = socket.socketpair()
-        try:
-            payload = {"blob": "x" * (COMPRESS_MIN_BYTES * 8)}
-            n2 = send_frame(a, "result", payload, codec="zlib")
-            n1 = send_frame(a, "result", payload)  # raw (codec 0)
-            assert n2 < n1  # the compressible payload actually shrank
-            assert recv_frame(b) == ("result", payload)
-            assert recv_frame(b) == ("result", payload)
-        finally:
-            a.close()
-            b.close()
-
-    def test_small_frames_ship_raw_on_compressed_channel(self):
-        a, b = socket.socketpair()
-        try:
-            # Below COMPRESS_MIN_BYTES a frame on a compressed channel
-            # is raw: byte for byte the frame an uncompressed one sends.
-            n2 = send_frame(a, "heartbeat", codec="zlib")
-            n1 = send_frame(a, "heartbeat")
-            assert n2 == n1
-            assert recv_frame(b) == ("heartbeat", {})
-            assert recv_frame(b) == ("heartbeat", {})
-        finally:
-            a.close()
-            b.close()
-
-    def test_incompressible_payload_ships_raw(self):
-        a, b = socket.socketpair()
-        try:
-            payload = {"noise": os.urandom(COMPRESS_MIN_BYTES * 4)}
-            send_frame(a, "result", payload, codec="zlib")
-            kind, got = recv_frame(b)
-            assert kind == "result"
-            assert got["noise"] == payload["noise"]
-        finally:
-            a.close()
-            b.close()
-
     def test_channel_meters_both_directions(self):
         a, b = socket.socketpair()
         tx, rx = Channel(a), Channel(b)
         try:
-            tx.codec = "zlib"
             sent = tx.send("task", {"data": "y" * 4096})
             assert rx.recv() == [("task", {"data": "y" * 4096})]
             assert tx.bytes_out == sent == rx.bytes_in
-            assert sent < 4096  # compressed on the wire
+            assert sent > 4096  # raw on the wire: header + pickle
         finally:
             tx.close()
             rx.close()
@@ -308,22 +266,48 @@ class TestDialOutWorkers:
 
 
 class TestWorkerLoss:
-    def test_killed_worker_requeues_onto_survivor(self, tmp_path):
-        # Task 2 SIGKILLs its worker daemon on the first attempt; the
-        # sweep must finish on the surviving worker with a digest
-        # byte-identical to a run that never crashed.
-        params = clean_params()
-        params[2].update({"mode": "crash", "fail_attempts": 1,
-                          "state_dir": str(tmp_path / "state")})
-        clean = run_spec(probe_spec(clean_params()), SCALE, SEED)
-        with RunConfig(
-                backend="remote", launch=2, launcher=FAST_LAUNCHER,
-                resilience=ResilienceConfig(max_retries=2,
-                                            backoff_base_s=0.01)) as cfg:
-            result = run_spec(probe_spec(params), SCALE, SEED, config=cfg)
+    def test_killed_worker_requeues_onto_survivor(self):
+        # One of two launched worker daemons is SIGKILLed mid-sweep with
+        # tasks in flight on it: they requeue onto the survivor, and the
+        # digest is byte-identical to a run that never lost a worker.
+        # Its slot process dies with it instead of holding the dead
+        # daemon's connection open.
+        backend = RemoteBackend(launch=2, launcher=FAST_LAUNCHER)
+        # sleep_s shapes timing only; the payloads match the clean run.
+        params = [dict(p, sleep_s=0.3) for p in clean_params(8)]
+        clean = run_spec(probe_spec(clean_params(8)), SCALE, SEED)
+        obs = Observability()
+        slots = []
+
+        def kill_one_worker():
+            victim = backend._procs[0]
+            deadline = time.monotonic() + 10
+            while not slots and time.monotonic() < deadline:
+                slots.extend(int(pid) for pid in subprocess.run(
+                    ["pgrep", "-P", str(victim.pid)],
+                    capture_output=True, text=True).stdout.split())
+            victim.kill()
+
+        with RunConfig(backend=backend, resilience=ResilienceConfig(
+                max_retries=2, backoff_base_s=0.01)) as cfg:
+            backend.start()
+            timer = threading.Timer(0.6, kill_one_worker)
+            timer.start()
+            try:
+                result = run_bounded(lambda: run_spec(
+                    probe_spec(params), SCALE, SEED, config=cfg, obs=obs))
+            finally:
+                timer.join(5)
+        orphans = [pid for pid in slots if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert slots, "the killed worker had no slot process"
+        assert not orphans, "a slot process outlived its daemon"
         assert result.ok
         assert result.tasks_retried >= 1
         assert result.digest == clean.digest
+        snap = obs.metrics.snapshot()
+        assert snap["harness.workers_lost"]["value"] >= 1
 
     def test_silent_worker_is_dropped_on_heartbeat_timeout(self):
         # A connected-but-frozen peer: says hello, accepts tasks, then
@@ -332,7 +316,7 @@ class TestWorkerLoss:
         self._assert_frozen_peer_dropped(mid_frame=False)
 
     def test_mid_frame_worker_is_dropped_on_heartbeat_timeout(self):
-        # The same, but the peer writes 6 of a frame header's 9 bytes
+        # The same, but the peer writes 6 of a frame header's 8 bytes
         # after its first task and stops: the scheduler must not block
         # on the half-sent frame.
         self._assert_frozen_peer_dropped(mid_frame=True)
@@ -354,7 +338,7 @@ class TestWorkerLoss:
                     while recv_frame(sock)[0] != "task":
                         pass
                     if mid_frame:
-                        sock.sendall(b"CFW2\x00\x00")  # 6 of 9 bytes
+                        sock.sendall(MAGIC + b"\x00\x00")  # 6 of 8 bytes
                         release.wait(60)
                         return
                     while recv_frame(sock):
@@ -417,31 +401,34 @@ class TestWorkerLoss:
         assert "harness.workers_lost" not in obs.metrics.snapshot()
 
     def test_slot_crash_requeues_without_losing_daemon(self, tmp_path):
-        # Task 2 SIGKILLs its *slot process* inside a 2-slot worker.
-        # The daemon must survive (pool rebuild), report the in-flight
-        # tasks as worker-crash error frames, and the requeued retries
-        # must land a digest byte-identical to a crash-free run —
-        # without the scheduler ever counting a lost worker.
-        params = clean_params()
-        params[2].update({"mode": "crash", "fail_attempts": 1,
-                          "state_dir": str(tmp_path / "state")})
+        # Task 2 SIGKILLs its *slot process* inside a one-slot and a
+        # two-slot worker. The daemon must survive (pool rebuild),
+        # report the in-flight tasks as worker-crash error frames, and
+        # the requeued retries must land a digest byte-identical to a
+        # crash-free run — without the scheduler ever counting a lost
+        # worker.
         clean = run_spec(probe_spec(clean_params()), SCALE, SEED)
-        launcher = (f"{sys.executable} -m repro.cli worker "
-                    "--connect {addr} --slots 2 --heartbeat-interval 0.2")
-        obs = Observability()
-        with RunConfig(
-                backend="remote", launch=1, launcher=launcher,
-                resilience=ResilienceConfig(max_retries=3,
-                                            backoff_base_s=0.01)) as cfg:
-            result = run_spec(probe_spec(params), SCALE, SEED,
-                              config=cfg, obs=obs)
-        assert result.ok
-        assert result.tasks_retried >= 1
-        assert result.digest == clean.digest
-        snap = obs.metrics.snapshot()
-        assert snap["harness.worker_crashes"]["value"] >= 1
-        # the daemon itself never died — only a slot inside it
-        assert "harness.workers_lost" not in snap
+        for slots in (1, 2):
+            params = clean_params()
+            params[2].update({"mode": "crash", "fail_attempts": 1,
+                              "state_dir": str(tmp_path / f"state{slots}")})
+            launcher = (f"{sys.executable} -m repro.cli worker "
+                        f"--connect {{addr}} --slots {slots} "
+                        "--heartbeat-interval 0.2")
+            obs = Observability()
+            with RunConfig(
+                    backend="remote", launch=1, launcher=launcher,
+                    resilience=ResilienceConfig(max_retries=3,
+                                                backoff_base_s=0.01)) as cfg:
+                result = run_spec(probe_spec(params), SCALE, SEED,
+                                  config=cfg, obs=obs)
+            assert result.ok
+            assert result.tasks_retried >= 1
+            assert result.digest == clean.digest
+            snap = obs.metrics.snapshot()
+            assert snap["harness.worker_crashes"]["value"] >= 1
+            # the daemon itself never died — only a slot inside it
+            assert "harness.workers_lost" not in snap, f"slots={slots}"
 
     def test_version_skewed_worker_is_rejected(self):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -486,11 +473,11 @@ def _ipv6_loopback_available() -> bool:
 
 
 class TestThroughputFabric:
-    """CFW2: multi-slot workers, pipelining, compression, cached frames."""
+    """Multi-slot workers, pipelining, cached frames."""
 
     def test_multislot_compressed_matches_inline(self):
         inline = run_named("fig5a", SCALE, SEED)
-        backend = RemoteBackend(launch=2, slots=2, compress="zlib")
+        backend = RemoteBackend(launch=2, slots=2)
         with RunConfig(backend=backend) as cfg:
             remote = run_named("fig5a", SCALE, SEED, config=cfg)
         assert remote.digest == inline.digest
@@ -506,83 +493,80 @@ class TestThroughputFabric:
             run_named("fig5a", SCALE, SEED, obs=obs, config=cfg)
             return obs.digest()
 
-        with RunConfig(backend="remote", launch=2, slots=2,
-                       compress="auto") as cfg:
+        with RunConfig(backend="remote", launch=2, slots=2) as cfg:
             remote_digest = traced(cfg)
         assert remote_digest == traced()
 
     def test_prefetch_zero_matches_inline(self):
         inline = run_named("fig5a", SCALE, SEED)
-        with RunConfig(backend="remote", launch=2, prefetch=0,
-                       compress="auto") as cfg:
+        with RunConfig(backend="remote", launch=2, prefetch=0) as cfg:
             remote = run_named("fig5a", SCALE, SEED, config=cfg)
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
 
     def test_cfw1_peer_is_refused_at_its_first_frame(self):
-        # A worker from before the single-revision protocol opens with
-        # a CFW1 frame (b"CFW1" + >I length + pickle). Its version
-        # string matches, so only the framing can turn it away.
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-        addr = format_addr(srv.getsockname()[:2])
+        # Workers from before the current framing open with a CFW1
+        # frame (b"CFW1" + >I length + pickle) or a CFW2 one (b"CFW2" +
+        # >B codec + >I length + pickle). Their version string matches,
+        # so only the framing can turn them away.
+        blob = pickle.dumps(("hello", {"worker": "legacy", "pid": 0,
+                                       "version": __version__}))
+        for frame in (b"CFW1" + struct.pack(">I", len(blob)) + blob,
+                      b"CFW2" + struct.pack(">BI", 0, len(blob)) + blob):
+            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            srv.bind(("127.0.0.1", 0))
+            srv.listen(1)
+            addr = format_addr(srv.getsockname()[:2])
 
-        def legacy_peer():
-            sock, _ = srv.accept()
-            with sock:
-                sock.settimeout(10)
-                blob = pickle.dumps(("hello", {"worker": "legacy",
-                                               "pid": 0,
-                                               "version": __version__}))
-                sock.sendall(b"CFW1" + struct.pack(">I", len(blob)) + blob)
-                try:
-                    sock.recv(1)  # until the scheduler hangs up
-                except OSError:
-                    pass
+            def legacy_peer(frame=frame, srv=srv):
+                sock, _ = srv.accept()
+                with sock:
+                    sock.settimeout(10)
+                    sock.sendall(frame)
+                    try:
+                        sock.recv(1)  # until the scheduler hangs up
+                    except OSError:
+                        pass
 
-        thread = threading.Thread(target=legacy_peer, daemon=True)
-        thread.start()
-        backend = RemoteBackend(workers=(addr,))
-        try:
-            with pytest.raises(RemoteFabricError,
-                               match="bad frame magic b'CFW1'"):
-                backend.start()
-        finally:
-            backend.close()
-            srv.close()
-        thread.join(10)
-        assert not thread.is_alive()
+            thread = threading.Thread(target=legacy_peer, daemon=True)
+            thread.start()
+            backend = RemoteBackend(workers=(addr,))
+            try:
+                with pytest.raises(RemoteFabricError,
+                                   match=f"bad frame magic {frame[:4]!r}"):
+                    backend.start()
+            finally:
+                backend.close()
+                srv.close()
+            thread.join(10)
+            assert not thread.is_alive()
 
-    def test_mixed_codec_fabric_matches_inline(self, tmp_path):
-        # A raw-framed daemon (--compress none) dialed beside a launched
-        # compressing worker under a compress="auto" scheduler: each
-        # channel keeps its own codec, and the merged run must stay
-        # byte-identical to inline. Each worker banks what it computed
-        # in its own --cache-dir, which shows both served tasks.
-        raw_cache, auto_cache = tmp_path / "raw", tmp_path / "auto"
-        proc, addr = listening_worker("--id", "raw", "--compress", "none",
-                                      "--cache-dir", str(raw_cache))
+    def test_dialed_and_launched_workers_match_inline(self, tmp_path):
+        # A dialed --listen daemon beside a launched worker: the merged
+        # run must stay byte-identical to inline. Each worker banks
+        # what it computed in its own --cache-dir, which shows both
+        # served tasks.
+        dialed_cache = tmp_path / "dialed"
+        launched_cache = tmp_path / "launched"
+        proc, addr = listening_worker("--id", "dialed",
+                                      "--cache-dir", str(dialed_cache))
         try:
             inline = run_named("fig5a", SCALE, SEED)
             backend = RemoteBackend(
-                workers=(addr,), launch=1, compress="auto",
+                workers=(addr,), launch=1,
                 launcher=(f"{sys.executable} -m repro.cli worker "
-                          f"--connect {{addr}} --cache-dir {auto_cache}"))
+                          f"--connect {{addr}} --cache-dir {launched_cache}"))
             with RunConfig(backend=backend,
                            cache_dir=str(tmp_path / "store")) as cfg:
                 remote = run_named("fig5a", SCALE, SEED, config=cfg)
-                codecs = sorted(str(w.channel.codec)
-                                for w in backend._workers.values())
         finally:
-            proc.kill()
+            proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
-        assert codecs[0] == "None" and codecs[1] in ("zlib", "zstd")
         banked = [len(ResultCache(str(root)))
-                  for root in (raw_cache, auto_cache)]
+                  for root in (dialed_cache, launched_cache)]
         assert min(banked) >= 1
         assert sum(banked) == remote.tasks_total
 
@@ -591,7 +575,7 @@ class TestThroughputFabric:
         # metrics-only obs context (cache reads bypassed) dispatches
         # every task with ``have`` set, so workers answer with
         # hash-only cached frames and the response bytes collapse.
-        backend = RemoteBackend(launch=2, slots=2, compress="zlib")
+        backend = RemoteBackend(launch=2, slots=2)
         with RunConfig(backend=backend,
                        cache_dir=str(tmp_path / "store")) as cfg:
             cold = run_named("fig5a", SCALE, SEED, config=cfg)
@@ -658,12 +642,12 @@ class TestThroughputFabric:
             assert second.metrics == first.metrics
             assert tree_bytes(tmp_path / "s2") == banked
         finally:
-            proc.kill()
+            proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
 
     def test_scheduler_silence_returns_worker_to_accepting(self):
-        # A fake scheduler acks the worker's hello, then goes mute
+        # A fake scheduler reads the worker's hello, then goes mute
         # without closing the socket. The worker must abandon the
         # connection on its own and return to accepting, where a real
         # scheduler then gets a full sweep.
@@ -671,7 +655,7 @@ class TestThroughputFabric:
 
     def test_half_frame_scheduler_returns_worker_to_accepting(self):
         # The same, but the fake scheduler first writes 6 of a frame
-        # header's 9 bytes: the worker must not block on the rest.
+        # header's 8 bytes: the worker must not block on the rest.
         self._assert_worker_abandons_stalled_scheduler(half_frame=True)
 
     def _assert_worker_abandons_stalled_scheduler(self, half_frame):
@@ -683,10 +667,8 @@ class TestThroughputFabric:
             fake.settimeout(10)
             kind, _hello = recv_frame(fake)
             assert kind == "hello"
-            send_frame(fake, "hello", {"codec": None, "codecs": (),
-                                       "heartbeat_s": 0.2})
             if half_frame:
-                fake.sendall(b"CFW2\x00\x00")
+                fake.sendall(MAGIC + b"\x00\x00")
             t0 = time.monotonic()
             dropped = False
             try:
@@ -707,7 +689,7 @@ class TestThroughputFabric:
                 remote = run_named("fig5a", SCALE, SEED, config=cfg)
             assert remote.digest == inline.digest
         finally:
-            proc.kill()
+            proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
 
@@ -728,8 +710,6 @@ class TestThroughputFabric:
             # on the daemon so the slot pool actually spawns children.
             fake = socket.create_connection(parse_addr(addr), timeout=10)
             recv_frame(fake)  # the worker's hello
-            send_frame(fake, "hello", {"codec": None, "codecs": (),
-                                       "heartbeat_s": 2.0})
             send_frame(fake, "task", {
                 "tid": 1, "index": 0,
                 "task": SweepTask("doom", (0,), "flaky_probe",

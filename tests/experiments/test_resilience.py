@@ -134,8 +134,8 @@ class TestRetryOnException:
 
 
 class TestWorkerCrashRecovery:
-    # One slot: the crash kills the only launched worker, which the
-    # scheduler must replace; two slots: it kills a slot, not the daemon.
+    # The crash kills a slot process — of the pool, or inside the
+    # launched worker at one slot and at two — never the daemon.
     @pytest.mark.parametrize("backend, slots", [
         ("pool", 1), ("remote", 2), ("remote", 1)],
         ids=["pool", "remote", "remote-1slot"])
@@ -192,17 +192,20 @@ class TestTimeoutWatchdog:
 
     @pytest.mark.parametrize("backend", PARALLEL)
     def test_hang_beyond_budget_fails_as_timeout(self, tmp_path, backend):
-        spec = flaky_spec(
-            tmp_path / "state", n=2,
-            modes={0: {"mode": "hang", "fail_attempts": 99,
-                       "hang_s": 60.0}})
-        with pytest.raises(SweepFailure) as exc_info:
-            run_spec(spec, SCALE, SEED, **PARALLEL[backend],
-                     resilience=fast_cfg(max_retries=0, timeout_s=0.5))
-        (failure,) = [f for f in exc_info.value.failures
-                      if f.kind == "timeout"]
-        assert failure.key == (0,)
-        assert "0.5" in failure.message
+        # A one-task sweep too: the lone task still runs in a process
+        # the watchdog can terminate.
+        for n in (2, 1):
+            spec = flaky_spec(
+                tmp_path / f"state{n}", n=n,
+                modes={0: {"mode": "hang", "fail_attempts": 99,
+                           "hang_s": 60.0}})
+            with pytest.raises(SweepFailure) as exc_info:
+                run_spec(spec, SCALE, SEED, **PARALLEL[backend],
+                         resilience=fast_cfg(max_retries=0, timeout_s=0.5))
+            (failure,) = [f for f in exc_info.value.failures
+                          if f.kind == "timeout"]
+            assert failure.key == (0,)
+            assert "0.5" in failure.message
 
 
 class TestPoolManager:

@@ -80,7 +80,6 @@ class TestRunConfigValidation:
         cfg = RunConfig()
         assert cfg.slots == 1
         assert cfg.prefetch == 2
-        assert cfg.compress == "auto"
 
     def test_bad_slots_rejected(self):
         with pytest.raises(ValueError, match="slots must be >= 1"):
@@ -89,13 +88,6 @@ class TestRunConfigValidation:
     def test_negative_prefetch_rejected(self):
         with pytest.raises(ValueError, match="prefetch must be >= 0"):
             RunConfig(prefetch=-1)
-
-    def test_unknown_compress_rejected(self):
-        with pytest.raises(ValueError, match="unknown compress policy"):
-            RunConfig(compress="brotli")
-
-    def test_compress_none_literal_coerced(self):
-        assert RunConfig(compress=None).compress == "none"
 
 
 class TestBackendSelection:
@@ -138,7 +130,7 @@ class TestBackendSelection:
 
 class TestFromArgs:
     def _namespace(self, **kw):
-        base = dict(backend="auto", jobs=1, cache_dir=None, no_cache=False,
+        base = dict(backend="auto", jobs=1, cache_dir=None,
                     retries=2, task_timeout=None, keep_going=False,
                     workers="", listen=None, launch=0, launcher=None)
         base.update(kw)
@@ -161,11 +153,6 @@ class TestFromArgs:
         assert cfg.resolved_resilience.timeout_s == 7.0
         assert cfg.resolved_resilience.keep_going is True
 
-    def test_no_cache_clears_cache_dir(self, tmp_path):
-        cfg = RunConfig.from_args(self._namespace(
-            cache_dir=str(tmp_path), no_cache=True))
-        assert cfg.cache is None
-
     def test_workers_imply_remote(self):
         cfg = RunConfig.from_args(self._namespace(workers="h:1,h:2"))
         assert cfg.backend_name == "remote"
@@ -181,33 +168,22 @@ class TestFromArgs:
 
     def test_throughput_knobs_map_through(self):
         cfg = RunConfig.from_args(self._namespace(
-            launch=2, slots=4, prefetch=0, compress="zlib"))
+            launch=2, slots=4, prefetch=0))
         assert cfg.slots == 4
         assert cfg.prefetch == 0
-        assert cfg.compress == "zlib"
 
     def test_throughput_knob_defaults_on_bare_namespace(self):
         cfg = RunConfig.from_args(argparse.Namespace())
         assert cfg.slots == 1
         assert cfg.prefetch == 2
-        assert cfg.compress == "auto"
 
     def test_cli_flags_parse_into_config(self):
         from repro.cli import add_execution_args
         parser = argparse.ArgumentParser()
         add_execution_args(parser)
         args = parser.parse_args(
-            ["--launch", "2", "--slots", "4", "--prefetch", "1",
-             "--compress"])  # bare --compress means "auto"
+            ["--launch", "2", "--slots", "4", "--prefetch", "1"])
         cfg = RunConfig.from_args(args)
         assert cfg.backend_name == "remote"
         assert cfg.slots == 4
         assert cfg.prefetch == 1
-        assert cfg.compress == "auto"
-
-    def test_cli_compress_explicit_codec(self):
-        from repro.cli import add_execution_args
-        parser = argparse.ArgumentParser()
-        add_execution_args(parser)
-        args = parser.parse_args(["--compress", "none"])
-        assert RunConfig.from_args(args).compress == "none"

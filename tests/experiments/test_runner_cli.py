@@ -154,15 +154,13 @@ class TestCliParallelFlags:
         args = build_parser().parse_args(["fig5a"])
         assert args.jobs == 1
         assert args.cache_dir is None
-        assert args.no_cache is False
         assert args.json is None
 
     def test_jobs_and_cache_flags(self):
         args = build_parser().parse_args(
-            ["all", "--jobs", "4", "--cache-dir", "/tmp/cf", "--no-cache"])
+            ["all", "--jobs", "4", "--cache-dir", "/tmp/cf"])
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/cf"
-        assert args.no_cache is True
 
     def test_json_optional_path(self):
         assert build_parser().parse_args(["fig5a", "--json"]).json == "-"
@@ -193,12 +191,6 @@ class TestCliParallelFlags:
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "[cache] 5 hits, 0 misses" in warm
-
-    def test_no_cache_disables_cache(self, tmp_path, capsys):
-        argv = ["fig5a", "--scale", "0.01",
-                "--cache-dir", str(tmp_path), "--no-cache"]
-        assert main(argv) == 0
-        assert "[cache]" not in capsys.readouterr().out
 
     def test_negative_jobs_rejected_at_parser(self, capsys):
         # A clear argparse error, not a ValueError traceback out of
