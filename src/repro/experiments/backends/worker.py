@@ -22,9 +22,12 @@ Two connection modes, mirroring the scheduler's
 processes (:class:`~repro.experiments.resilience.PoolManager`, the
 same slot pool the pool backend drives; ``slots=1`` is a one-process
 pool). The worker advertises the count in its hello so the scheduler
-keeps every slot busy, and streams results back the moment each slot
-frees up. Every task runs through
-:func:`~repro.experiments.backends.base.execute_task` — the same
+keeps every slot busy, and sends each result back the moment its slot
+finishes: every slot future writes a byte to a socket pair that the
+select loop waits on beside the scheduler's socket. The connection
+runs with ``TCP_NODELAY``, as on the scheduler's side, so a reply sent
+right after another does not wait for a delayed ACK. Every task runs
+through :func:`~repro.experiments.backends.base.execute_task` — the same
 function the inline and pool backends call, which is half of the
 determinism argument (the other half is the scheduler's task-order
 merge). A slot process that dies (SIGKILL, OOM) breaks the slot pool:
@@ -44,8 +47,9 @@ answers with a hash-only ``cached`` frame — warm re-runs ship hashes,
 not megabytes. Trace-capturing tasks bypass both (a cached payload
 cannot carry another run's trace events).
 
-**Liveness, both directions.** The select loop never blocks on a task,
-so it heartbeats worker → scheduler every ``heartbeat_s`` and the
+**Liveness, both directions.** The select loop never blocks on a task:
+it blocks until a frame arrives, a slot finishes or a heartbeat is
+due. So it heartbeats worker → scheduler every ``heartbeat_s`` and the
 scheduler can tell "busy with a long task" from "frozen". The
 scheduler pulses back, which feeds the worker's *scheduler-silence
 deadline*: it runs from the moment the connection opens, and if no
@@ -142,6 +146,9 @@ def serve_connection(sock: socket.socket, worker_id: str,
     ``"silent"``).
     """
     slots = max(1, int(slots))
+    # Small frames leave at once: without this a reply sent right after
+    # another waits for the scheduler's delayed ACK (Nagle).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     channel = Channel(sock)
     channel.send("hello", {
         "worker": worker_id,
@@ -152,6 +159,11 @@ def serve_connection(sock: socket.socket, worker_id: str,
 
     pool = PoolManager(slots)
     inflight: dict = {}  # future -> task frame payload
+    # Every slot future writes a byte to ``waker`` as it finishes, so
+    # the select loop wakes the moment a result exists.
+    wake, waker = socket.socketpair()
+    wake.setblocking(False)
+    waker.setblocking(False)
     last_heard = time.monotonic()
     next_beat = last_heard + heartbeat_s
 
@@ -183,6 +195,12 @@ def serve_connection(sock: socket.socket, worker_id: str,
             cache.put_payload(digest, value)
         return "result", {**head, "payload": value}
 
+    def ring(_future) -> None:
+        try:
+            waker.send(b"\0")
+        except OSError:  # full: a wake is already pending
+            pass
+
     def pump_pool() -> None:
         """Stream finished slot results back. A dead slot process breaks
         the pool: ``collect`` salvages what finished, reports the rest as
@@ -200,14 +218,17 @@ def serve_connection(sock: socket.socket, worker_id: str,
             if nowm >= next_beat:
                 channel.send("heartbeat")
                 next_beat = nowm + heartbeat_s
-            timeout = min(0.05 if inflight else 0.25, next_beat - nowm)
             try:
-                readable, _, _ = select.select([sock], [], [], timeout)
+                readable, _, _ = select.select(
+                    [sock, wake], [], [], min(0.25, next_beat - nowm))
             except OSError:
                 return "eof"
-            if not readable:
-                # Checked only after a wait that heard nothing: bytes
-                # that queued while the loop was busy are not silence.
+            if wake in readable:
+                wake.recv(4096)  # a slot finished: pump it next pass
+            if sock not in readable:
+                # Checked only after a wait the scheduler was quiet
+                # through: bytes that queued while the loop was busy
+                # are not silence.
                 if (scheduler_timeout_s
                         and time.monotonic() - last_heard
                         > scheduler_timeout_s):
@@ -227,14 +248,19 @@ def serve_connection(sock: socket.socket, worker_id: str,
                 if resolved is not None:
                     channel.send(*resolved)
                 else:
-                    inflight[pool.submit(
+                    future = pool.submit(
                         execute_task, payload["task"], payload["scale"],
-                        payload["seed"], payload.get("capture", False),
-                    )] = payload
+                        payload["seed"], payload.get("capture", False))
+                    future.add_done_callback(ring)
+                    inflight[future] = payload
     except OSError:
         return "eof"
     finally:
+        # The shutdown joins the executor's thread, which runs ``ring``:
+        # no callback can write to the pair once it is closed.
         pool.shutdown(terminate=True)
+        wake.close()
+        waker.close()
 
 
 def _exit_on_sigterm(signum, frame):  # pragma: no cover - signal path

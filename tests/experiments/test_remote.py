@@ -36,6 +36,7 @@ from repro.experiments.backends.remote import (
     RemoteBackend,
     RemoteFabricError,
 )
+from repro.experiments.backends.worker import serve_connection
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import run_spec
 from repro.experiments.resilience import ResilienceConfig
@@ -475,7 +476,7 @@ def _ipv6_loopback_available() -> bool:
 class TestThroughputFabric:
     """Multi-slot workers, pipelining, cached frames."""
 
-    def test_multislot_compressed_matches_inline(self):
+    def test_multislot_matches_inline(self):
         inline = run_named("fig5a", SCALE, SEED)
         backend = RemoteBackend(launch=2, slots=2)
         with RunConfig(backend=backend) as cfg:
@@ -503,6 +504,63 @@ class TestThroughputFabric:
             remote = run_named("fig5a", SCALE, SEED, config=cfg)
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
+
+    def test_results_return_when_the_slot_frees(self):
+        # One slot and no prefetch: the scheduler sends each task only
+        # once the last result is back, so a result that waits in the
+        # worker for a poll costs that poll on every task.
+        with RunConfig(backend="remote", launch=1, slots=1,
+                       prefetch=0) as cfg:
+            run_spec(probe_spec(clean_params(2)), SCALE, SEED, config=cfg)
+            t0 = time.perf_counter()
+            result = run_spec(probe_spec(clean_params(20)), SCALE, SEED,
+                              config=cfg)
+            elapsed = time.perf_counter() - t0
+        assert result.ok
+        assert elapsed < 0.5, f"20 no-op tasks took {elapsed:.3f}s"
+
+    def test_back_to_back_replies_are_not_delayed(self):
+        # Two ``have`` frames in one segment get two hash-only replies
+        # sent back to back. With Nagle on the worker's side, the second
+        # reply waits for the scheduler's delayed ACK of the first.
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        sched = socket.create_connection(srv.getsockname()[:2], timeout=10)
+        conn, _ = srv.accept()
+        srv.close()
+        sched.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        worker = threading.Thread(target=serve_connection,
+                                  args=(conn, "prompt"), daemon=True)
+        worker.start()
+
+        def have(index):
+            blob = pickle.dumps(("task", {
+                "tid": index, "index": index, "task": None,
+                "scale": SCALE, "seed": SEED, "capture": False,
+                "digest": f"{index:064x}", "have": True}))
+            return MAGIC + struct.pack(">I", len(blob)) + blob
+
+        try:
+            assert recv_frame(sched)[0] == "hello"
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            cached = []
+            t0 = time.perf_counter()
+            for first in range(0, 50, 2):
+                sched.sendall(have(first) + have(first + 1))
+                while len(cached) < first + 2:
+                    kind, payload = recv_frame(sched)
+                    if kind == "cached":
+                        cached.append(payload["index"])
+            elapsed = time.perf_counter() - t0
+            send_frame(sched, "bye")
+        finally:
+            sched.close()
+            worker.join(10)
+            conn.close()
+        assert not worker.is_alive()
+        assert cached == list(range(50))
+        assert elapsed < 0.5, f"50 cached replies took {elapsed:.3f}s"
 
     def test_cfw1_peer_is_refused_at_its_first_frame(self):
         # Workers from before the current framing open with a CFW1

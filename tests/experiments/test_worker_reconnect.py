@@ -7,6 +7,8 @@ connection, exit only on a clean ``bye`` — against a hand-rolled
 scheduler on 127.0.0.1 real sockets.
 """
 
+import gc
+import os
 import socket
 import threading
 
@@ -19,6 +21,14 @@ from repro.experiments.backends.worker import (
     reconnect_delay_s,
     run_worker,
 )
+
+
+def _open_fds():
+    """How many descriptors this process holds; None without /proc."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
 
 
 class TestReconnectDelay:
@@ -81,6 +91,8 @@ class TestReconnectLoop:
         assert len(seen) == 1
 
     def test_redials_after_eof_until_bye(self):
+        gc.collect()  # no stray socket gets finalised mid-count
+        fds = _open_fds()
         addr, thread, seen = self._scheduler(["eof", "eof", "bye"])
         sleeps = []
         rc = run_worker(connect=addr, worker_id="w1", heartbeat_s=30.0,
@@ -93,6 +105,9 @@ class TestReconnectLoop:
         # so the curve reset and every delay sits on the first rung.
         assert len(sleeps) == 2
         assert all(0.005 <= d <= 0.01 for d in sleeps)
+        # Each of the three connections closed every descriptor it
+        # opened, its wake pair included.
+        assert _open_fds() == fds
 
     def test_unreachable_scheduler_fails_fast_without_reconnect(self):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
