@@ -515,11 +515,12 @@ class GamingSession:
         next segment.
         """
         env = self.env
-        if env.now >= self.config.duration_s:
+        now = env.now
+        if now >= self.config.duration_s:
             return
-        env.call_later(self._placements[player_id].l_r,
-                       self._serving[player_id].render_and_send,
-                       player_id, env.now)
+        # The action's state reaches the server l_r from now.
+        self._serving[player_id].render_and_send(
+            player_id, now, now + self._placements[player_id].l_r)
         env.call_later(self.config.segment_interval_s, self._player_tick,
                        player_id)
 

@@ -8,6 +8,12 @@ cloud gaming baseline. The differences between system variants reduce to
 * which queue discipline the sender buffer uses (FIFO vs deadline-driven);
 * whether per-player encoders accept rate-adaptation feedback;
 * how large the uplink is (supernode slots vs datacenter egress).
+
+On the event kernel a segment costs one queue entry per real hop: its
+render finishing (queued as soon as the caller knows when the game
+state reaches the server), its last byte leaving the uplink, and its
+arrival at the player. A segment that finds the uplink idle starts it in
+place, unless other entries are due the same instant.
 """
 
 from __future__ import annotations
@@ -80,18 +86,18 @@ class StreamingServer:
                 obs=obs, component=self.component)
         #: encoders keyed by player id.
         self.encoders: dict[int, SegmentEncoder] = {}
-        #: per-player delivery callbacks and propagation delays.
-        self._routes: dict[int, tuple[DeliverFn, float]] = {}
+        #: per-player routes: delivery callback, propagation delay,
+        #: path rate and the instant the player attached.
+        self._routes: dict[int, tuple[DeliverFn, float, float, float]] = {}
         registry = obs.metrics if obs is not None else MetricsRegistry()
         self._c_bytes_sent = registry.counter("server.bytes_sent")
         self._c_segments_sent = registry.counter("server.segments_sent")
         #: Set by the fault injector; a crashed server has no encoders or
         #: routes, so rendering and sending degrade to no-ops.
         self.crashed = False
-        #: True while the uplink waits for a segment; the next enqueue
-        #: wakes it with one zero-delay call.
-        self._idle = False
-        env.call_later(0.0, self._send_next)
+        #: True while the uplink waits for a segment, as it does from the
+        #: start; the next rendered segment starts it (see _rendered).
+        self._idle = True
 
     @property
     def bytes_sent(self) -> float:
@@ -122,7 +128,8 @@ class StreamingServer:
         if path_rate_bps <= 0:
             raise ValueError("path rate must be positive")
         self.encoders[player_id] = encoder
-        self._routes[player_id] = (deliver, propagation_s, path_rate_bps)
+        self._routes[player_id] = (deliver, propagation_s, path_rate_bps,
+                                   self.env.now)
         if self.use_deadline_scheduling:
             # Seed the Eq. 13 estimator so the first segments already
             # schedule against a sane downstream estimate.
@@ -169,29 +176,45 @@ class StreamingServer:
             self._emit(self.env.now, self.component, "server.recover")
 
     # -- pipeline --------------------------------------------------------------
-    def render_and_send(self, player_id: int, action_time_s: float) -> None:
+    def render_and_send(self, player_id: int, action_time_s: float,
+                        state_ready_s: float | None = None) -> None:
         """Render one segment for ``player_id`` and queue it for sending.
 
-        The segment enters the sender buffer after the render delay.
+        ``state_ready_s`` is the instant the action's game state reaches
+        this server (default: now). Rendering starts then, and the
+        segment enters the sender buffer ``render_delay_s`` later: one
+        queue entry, even when the state is still on its way. Only a
+        player attached when its state arrives, and still attached when
+        the render finishes, gets the segment.
         """
-        if player_id not in self.encoders:
-            return
-        self.env.call_later(self.render_delay_s, self._rendered, player_id,
-                            action_time_s, self.env.now)
+        if state_ready_s is None:
+            if player_id not in self.encoders:
+                return
+            state_ready_s = self.env.now
+        self.env.call_at(state_ready_s + self.render_delay_s, self._rendered,
+                         player_id, action_time_s, state_ready_s)
 
     def _rendered(self, player_id: int, action_time_s: float,
                   state_ready_s: float) -> None:
-        """Encode the rendered segment, queue it, wake an idle uplink."""
-        encoder = self.encoders.get(player_id)
-        if encoder is None:
+        """Encode the rendered segment, queue it, start an idle uplink."""
+        route = self._routes.get(player_id)
+        if route is None or route[3] > state_ready_s:
+            # Detached now, or (re)attached only after the state arrived.
             return
-        now = self.env.now
-        segment = encoder.encode_segment(
+        env = self.env
+        now = env.now
+        segment = self.encoders[player_id].encode_segment(
             action_time_s, now, state_ready_s=state_ready_s)
         self.buffer.enqueue(segment, now)
         if self._idle:
             self._idle = False
-            self.env.call_later(0.0, self._send_next)
+            if env.peek() > now:
+                self._send_next()
+            else:
+                # Other entries are due this instant (renders among them):
+                # start after them, so the buffer picks among every
+                # segment rendered now.
+                env.call_later(0.0, self._send_next)
 
     def _send_next(self) -> None:
         """Start serialising the next queued segment, or go idle."""
@@ -208,7 +231,7 @@ class StreamingServer:
 
             if (self.use_deadline_scheduling and route is not None
                     and segment.remaining_packets > 0):
-                _, prop_s, rate_bps = route
+                _, prop_s, rate_bps, _ = route
                 size = segment.remaining_bytes
                 tx = 8.0 * size / self.uplink_rate_bps
                 pipe = (8.0 * size / rate_bps
@@ -241,7 +264,7 @@ class StreamingServer:
         """Hand ``segment`` to its player's downstream path."""
         if route is None:
             return  # player left while the segment queued
-        deliver, propagation_s, path_rate_bps = route
+        deliver, propagation_s, path_rate_bps, _ = route
         # Downstream delay: the path pipes the segment at its
         # window-limited rate, then the last packet propagates.
         path_transfer_s = (8.0 * size / path_rate_bps
@@ -250,8 +273,6 @@ class StreamingServer:
         downstream_s = path_transfer_s + propagation_s
         if self.use_deadline_scheduling:
             self.buffer.propagation.record(segment.player_id, downstream_s)
-        self.env.call_later(downstream_s, self._arrive, deliver, segment)
-
-    def _arrive(self, deliver: DeliverFn, segment: VideoSegment) -> None:
-        """The segment's last packet reached the player."""
-        deliver(segment, self.env.now)
+        # The last packet reaches the player at ``arrival``.
+        arrival = self.env.now + downstream_s
+        self.env.call_at(arrival, deliver, segment, arrival)

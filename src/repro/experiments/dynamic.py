@@ -209,8 +209,9 @@ class DynamicSimulation:
                       end_s: float) -> None:
         """Stream one segment per interval until ``end_s``, then leave."""
         env = self.env
-        if env.now < end_s:
-            env.call_later(l_r, server.render_and_send, pid, env.now)
+        now = env.now
+        if now < end_s:
+            server.render_and_send(pid, now, now + l_r)
             env.call_later(self.config.segment_interval_s,
                            self._session_tick, pid, server, l_r, end_s)
             return

@@ -11,10 +11,12 @@ Core pieces
 -----------
 ``Environment``
     The event loop: a future event list (binary heap or calendar queue)
-    plus the simulation clock. ``call_later(delay, fn, *args)`` is the
-    one way to schedule work; a repeating loop is a callback that queues
-    its own next call. Equal-time entries fire in insertion order, which
-    makes every run deterministic for a fixed RNG seed.
+    plus the simulation clock. ``call_later(delay, fn, *args)`` and
+    ``call_at(when, fn, *args)`` queue ``fn(*args)`` as one entry;
+    ``peek()`` reads the earliest queued time. A repeating loop is a
+    callback that queues its own next call. Equal-time entries fire in
+    insertion order, which makes every run deterministic for a fixed
+    RNG seed.
 ``RngRegistry``
     Named, independently seeded ``numpy`` random substreams so that each
     stochastic component (arrivals, capacities, jitter, ...) draws from its

@@ -1,13 +1,14 @@
 """The discrete-event simulation kernel.
 
 The :class:`Environment` owns the clock and the future event list.
-Entries are ``(time, sequence, fire)`` tuples, ``fire`` a zero-argument
-callable queued with :meth:`Environment.call_later`. The monotonically
-increasing sequence number breaks time ties in insertion order, so a
-run is a pure function of its inputs — the property PeerSim gives the
-paper's simulation and that the whole reproduction relies on. A loop
-that repeats (a player's segment cadence, a sampler) is a callback that
-queues its own next call.
+Entries are ``(time, sequence, fn, args)`` tuples, queued with
+:meth:`Environment.call_later` (a delay from now) or
+:meth:`Environment.call_at` (an absolute time); the loop calls
+``fn(*args)``. The monotonically increasing sequence number breaks time
+ties in insertion order, so a run is a pure function of its inputs —
+the property PeerSim gives the paper's simulation and that the whole
+reproduction relies on. A loop that repeats (a player's segment
+cadence, a sampler) is a callback that queues its own next call.
 
 Two interchangeable event structures back the list (DESIGN.md §11),
 chosen per environment with ``Environment(queue=...)``:
@@ -23,7 +24,8 @@ chosen per environment with ``Environment(queue=...)``:
     are byte-identical.
 
 Scheduling has one body for both kinds; the kind picks only how an
-entry is pushed, peeked at and popped.
+entry is pushed, peeked at and popped. The calendar queue keys its
+opaque item, ``(fn, args)``, by the same ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class SimulationError(Exception):
 
 #: Recognised future-event-list implementations.
 QUEUE_KINDS = ("heap", "calendar")
+
+_INF = float("inf")
 
 
 class Environment:
@@ -76,9 +80,10 @@ class Environment:
         if queue == "calendar":
             cal = CalendarQueue()
             self._queue: Any = cal
-            self._push = lambda entry: cal.push(*entry)
+            self._push = lambda entry: cal.push(entry[0], entry[1], entry[2:])
         else:
-            heap: list[tuple[float, int, Callable[[], None]]] = []
+            heap: list[tuple[float, int, Callable[..., None],
+                             tuple[Any, ...]]] = []
             self._queue = heap
             self._push = partial(heapq.heappush, heap)
 
@@ -101,8 +106,29 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        self._push((self._now + delay, self._seq,
-                    partial(fn, *args) if args else fn))
+        self._push((self._now + delay, self._seq, fn, args))
+
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> None:
+        """Call ``fn(*args)`` at simulation time ``when``.
+
+        :meth:`call_later` for a caller that already holds the instant:
+        the entry fires at exactly ``when``, with no ``now + delay``
+        round trip. A ``when`` before :attr:`now` raises
+        :class:`SimulationError` and queues nothing.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule in the past (when={when}, now={self._now})")
+        self._seq += 1
+        self._push((when, self._seq, fn, args))
+
+    def peek(self) -> float:
+        """Time of the earliest queued entry, or ``inf`` when none is."""
+        queue = self._queue
+        if self.queue_kind == "heap":
+            return queue[0][0] if queue else _INF
+        return queue.peek_time()
 
     @property
     def pending(self) -> int:
@@ -125,15 +151,15 @@ class Environment:
         if self.queue_kind == "heap":
             pop = heapq.heappop
             while queue and queue[0][0] <= stop_at:
-                self._now, _, fire = pop(queue)
-                fire()
+                self._now, _, fn, args = pop(queue)
+                fn(*args)
         else:
             # peek_time() caches the located bucket, so the pop does not
             # scan a second time.
             pop = queue.pop
             while queue and queue.peek_time() <= stop_at:
-                self._now, _, fire = pop()
-                fire()
+                self._now, _, (fn, args) = pop()
+                fn(*args)
         if until is not None:
             self._now = stop_at
 

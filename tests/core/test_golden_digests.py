@@ -45,14 +45,14 @@ GOLDEN_CHAOS_TRACE = (
     "af985d367de4b7038f9f6500e4f11ee856d44bf4ac0b7197ad55fe0a393c1c09")
 
 #: Kernel events that session schedules (and processes).
-GOLDEN_SIM_EVENTS = 82_998
+GOLDEN_SIM_EVENTS = 55_572
 
 #: SHA-256 of that session's whole metrics snapshot
 #: (``json.dumps(snapshot, sort_keys=True)``), so a counter increment or
 #: histogram observation that goes missing fails as surely as a changed
 #: event count.
 GOLDEN_SESSION_METRICS_SHA256 = (
-    "ad748078602193ea4493c46e2abe9456b323d4a0d5b199ccfd108f0a8e4bbf3a")
+    "7ad07647b02494ac13ab6c36421fd3292e01471226f3f2bb3ec71f6043bc499b")
 
 #: SessionResult aggregates of a CloudFog/A session (peersim scale=0.05,
 #: seed=42, duration 15 s, warmup 2 s) — captured pre-refactor.

@@ -141,3 +141,65 @@ class TestDeadlineMode:
         assert server.bytes_sent == 0
         seg, _ = sink.deliveries[0]
         assert seg.remaining_packets == 0
+
+
+class TestRenderTiming:
+    """What queueing the render from the action's tick must not change."""
+
+    def test_same_instant_renders_compete_under_edf(self, env):
+        # The 60 ms player is rendered second but due first: the idle
+        # uplink may start only once both renders have finished.
+        server = StreamingServer(env, 0, RATE, use_deadline_scheduling=True)
+        loose, _ = attach(server, player_id=1, req=0.110, prop=0.0)
+        tight, _ = attach(server, player_id=2, req=0.060, prop=0.0)
+        server.render_and_send(1, 0.0)
+        server.render_and_send(2, 0.0)
+        env.run(until=1.0)
+        (seg1, t1), = loose.deliveries
+        (seg2, t2), = tight.deliveries
+        assert seg1.remaining_packets > 0 and seg2.remaining_packets > 0
+        assert t2 < t1
+
+    @staticmethod
+    def _detached_then_reattached(env, server, reattach_at):
+        sink, enc = attach(server)
+        server.detach_player(1)
+        env.call_later(reattach_at, server.attach_player, 1, enc,
+                       sink.deliver, 0.01)
+        return sink
+
+    @pytest.mark.parametrize("reattach_at, delivered",
+                             [(0.012, 0), (0.008, 1)])
+    def test_render_needs_the_player_when_its_state_arrives(
+            self, env, reattach_at, delivered):
+        server = StreamingServer(env, 0, RATE, render_delay_s=0.005)
+        sink = self._detached_then_reattached(env, server, reattach_at)
+        env.call_later(0.010, server.render_and_send, 1, 0.0)
+        env.run(until=1.0)
+        assert len(sink.deliveries) == delivered
+
+    @pytest.mark.parametrize("reattach_at, delivered",
+                             [(0.012, 0), (0.008, 1)])
+    def test_ahead_of_time_render_needs_the_player_when_its_state_arrives(
+            self, env, reattach_at, delivered):
+        # Queued at the action's instant, with the state due at 0.010:
+        # a re-attach inside the render window (0.010-0.015) is too late.
+        server = StreamingServer(env, 0, RATE, render_delay_s=0.005)
+        sink = self._detached_then_reattached(env, server, reattach_at)
+        server.render_and_send(1, 0.0, 0.010)
+        env.run(until=1.0)
+        assert len(sink.deliveries) == delivered
+        if delivered:
+            assert sink.deliveries[0][0].state_ready_s == 0.010
+
+    def test_ahead_of_time_render_stamps_exact_instants(self, env):
+        t, l_r = 0.1, 0.023
+        env.run(until=t)
+        server = StreamingServer(env, 0, RATE, render_delay_s=0.005)
+        sink, _ = attach(server)
+        server.render_and_send(1, t, t + l_r)
+        env.run(until=1.0)
+        (seg, _), = sink.deliveries
+        assert seg.action_time_s == t
+        assert seg.state_ready_s == t + l_r
+        assert seg.created_at_s == (t + l_r) + 0.005

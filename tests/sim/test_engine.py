@@ -92,6 +92,45 @@ class TestCallLater:
         assert env._seq == 2 and env.pending == 0
 
 
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
+class TestCallAt:
+    def test_fires_at_exactly_when_with_its_arguments(self, queue):
+        env = Environment(initial_time=0.1, queue=queue)
+        when = 0.1 + 0.023 + 0.005
+        fired = []
+        env.call_at(when, lambda *args: fired.append((env.now, args)),
+                    "a", 7)
+        env.run()
+        assert fired == [(when, ("a", 7))]
+
+    def test_past_instant_rejected(self, queue):
+        env = Environment(initial_time=2.0, queue=queue)
+        with pytest.raises(SimulationError):
+            env.call_at(1.5, lambda: None)
+        assert env._seq == 0 and env.pending == 0
+
+    def test_equal_instant_entries_fire_in_call_order(self, queue):
+        env = Environment(initial_time=1.0, queue=queue)
+        fired = []
+        env.call_at(3.0, fired.append, "a")
+        env.call_later(2.0, fired.append, "b")
+        env.call_at(3.0, fired.append, "c")
+        env.call_later(2.0, fired.append, "d")
+        env.run()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_peek_reads_the_earliest_queued_time(self, queue):
+        env = Environment(queue=queue)
+        assert env.peek() == float("inf")
+        env.call_later(3.0, lambda: None)
+        env.call_at(1.5, lambda: None)
+        assert env.peek() == 1.5
+        env.run(until=2.0)
+        assert env.peek() == 3.0
+        env.run()
+        assert env.peek() == float("inf")
+
+
 class TestErrorPropagation:
     def test_uncaught_process_exception_propagates(self, env):
         # A self-rescheduling loop whose callback raises: the exception
