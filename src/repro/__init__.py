@@ -18,45 +18,46 @@ Quick start::
     print(result.mean_continuity, result.satisfied_fraction)
 """
 
-from repro.core.adaptation import AdaptationParams, RateAdaptationController
-from repro.core.assignment import AssignmentParams, SupernodeAssignment
-from repro.core.infrastructure import (
-    SessionConfig,
-    SessionResult,
-    SystemVariant,
-    simulate_sessions,
-)
-from repro.core.scheduling import DeadlineSenderBuffer, SchedulingParams
-from repro.experiments.scenarios import (
-    Scenario,
-    peersim_scenario,
-    planetlab_scenario,
-)
-from repro.sim.rng import RngRegistry
-from repro.streaming.video import QUALITY_LADDER
-from repro.workload.games import GAMES
-from repro.workload.players import Population, build_population
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AdaptationParams",
-    "AssignmentParams",
-    "DeadlineSenderBuffer",
-    "GAMES",
-    "Population",
-    "QUALITY_LADDER",
-    "RateAdaptationController",
-    "RngRegistry",
-    "Scenario",
-    "SchedulingParams",
-    "SessionConfig",
-    "SessionResult",
-    "SupernodeAssignment",
-    "SystemVariant",
-    "__version__",
-    "build_population",
-    "peersim_scenario",
-    "planetlab_scenario",
-    "simulate_sessions",
-]
+#: Public names, resolved on first use: name -> defining module. A
+#: process that imports one subpackage (a cohort run imports
+#: ``repro.core.cohort``) loads only what that subpackage needs.
+_EXPORTS = {
+    "AdaptationParams": "repro.core.adaptation",
+    "RateAdaptationController": "repro.core.adaptation",
+    "AssignmentParams": "repro.core.assignment",
+    "SupernodeAssignment": "repro.core.assignment",
+    "SessionConfig": "repro.core.infrastructure",
+    "SessionResult": "repro.core.infrastructure",
+    "SystemVariant": "repro.core.infrastructure",
+    "simulate_sessions": "repro.core.infrastructure",
+    "DeadlineSenderBuffer": "repro.core.scheduling",
+    "SchedulingParams": "repro.core.scheduling",
+    "Scenario": "repro.experiments.scenarios",
+    "peersim_scenario": "repro.experiments.scenarios",
+    "planetlab_scenario": "repro.experiments.scenarios",
+    "RngRegistry": "repro.sim.rng",
+    "QUALITY_LADDER": "repro.streaming.video",
+    "GAMES": "repro.workload.games",
+    "Population": "repro.workload.players",
+    "build_population": "repro.workload.players",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -13,43 +13,46 @@
   packet-level session simulation that drives Figures 8–11.
 """
 
-from repro.core.adaptation import AdaptationParams, RateAdaptationController
-from repro.core.assignment import (
-    AssignmentParams,
-    AssignmentStrategy,
-    STRATEGY_NAMES,
-    SupernodeAssignment,
-    assign_players,
-    make_assignment,
-)
-from repro.core.cohort import CohortKernel, ScaleReport, ScaleSpec, run_scale
-from repro.core.orchestration import DistributedAssignment, OrchestrationParams
-from repro.core.infrastructure import (
-    GamingSession,
-    SessionConfig,
-    SystemVariant,
-    simulate_sessions,
-)
-from repro.core.scheduling import DeadlineSenderBuffer, SchedulingParams
+import importlib
 
-__all__ = [
-    "AdaptationParams",
-    "AssignmentParams",
-    "AssignmentStrategy",
-    "CohortKernel",
-    "DeadlineSenderBuffer",
-    "DistributedAssignment",
-    "GamingSession",
-    "OrchestrationParams",
-    "RateAdaptationController",
-    "STRATEGY_NAMES",
-    "ScaleReport",
-    "ScaleSpec",
-    "SchedulingParams",
-    "SessionConfig",
-    "SupernodeAssignment",
-    "SystemVariant",
-    "assign_players",
-    "run_scale",
-    "simulate_sessions",
-]
+#: Public names, resolved on first use: name -> defining module, so
+#: ``import repro.core.cohort`` does not load the packet-level session
+#: stack.
+_EXPORTS = {
+    "AdaptationParams": "repro.core.adaptation",
+    "RateAdaptationController": "repro.core.adaptation",
+    "AssignmentParams": "repro.core.assignment",
+    "AssignmentStrategy": "repro.core.assignment",
+    "STRATEGY_NAMES": "repro.core.assignment",
+    "SupernodeAssignment": "repro.core.assignment",
+    "assign_players": "repro.core.assignment",
+    "make_assignment": "repro.core.assignment",
+    "CohortKernel": "repro.core.cohort",
+    "ScaleReport": "repro.core.cohort",
+    "ScaleSpec": "repro.core.cohort",
+    "run_scale": "repro.core.cohort",
+    "DistributedAssignment": "repro.core.orchestration",
+    "OrchestrationParams": "repro.core.orchestration",
+    "GamingSession": "repro.core.infrastructure",
+    "SessionConfig": "repro.core.infrastructure",
+    "SystemVariant": "repro.core.infrastructure",
+    "simulate_sessions": "repro.core.infrastructure",
+    "DeadlineSenderBuffer": "repro.core.scheduling",
+    "SchedulingParams": "repro.core.scheduling",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

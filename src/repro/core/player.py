@@ -309,6 +309,15 @@ class PlayerCohort:
         self.lat_hist = np.zeros(
             n_regions * params.n_latency_bins, dtype=np.int64)
 
+        # -- per-tick scratch: advance writes every intermediate into
+        # these arrays, so a tick allocates nothing the size of the
+        # batch. Two float and four int arrays hold the batch's copies of
+        # state arrays, touched only when some player is pooled.
+        self._scratch = (
+            [np.empty(n, dtype=np.float64) for _ in range(4)]
+            + [np.empty(n, dtype=np.int64) for _ in range(6)]
+            + [np.empty(n, dtype=bool) for _ in range(6)])
+
     # -- the one state-transition kernel ------------------------------------
     def advance(self, idx: np.ndarray, tick: int) -> None:
         """Advance the players in ``idx`` (distinct indices) through
@@ -316,50 +325,82 @@ class PlayerCohort:
 
         Restricted to IEEE-exact elementwise operations — see
         :class:`CohortParams` — so the result for each index is
-        bit-identical to what :meth:`_advance_one` writes for it.
+        bit-identical to what :meth:`_advance_one` writes for it. Every
+        intermediate lands in the cohort's scratch rows through a
+        ufunc ``out=``, so a tick allocates nothing proportional to the
+        population; two rewrites keep each element's operations exact:
+        ``a + b == b + a``, and ``where(ok, c, 0.0) == ok * c`` for a
+        finite ``c >= 0``.
         """
         p = self.params
+        k = idx.size
         # Every player active (every static run, every dynamics tick
-        # with nobody pooled): a basic slice makes each read below a
-        # view and each ``+=`` an in-place update, where ``idx`` would
-        # copy every array out and back. The player id is the index.
-        full = idx.size == self.n_players
-        sel = slice(None) if full else idx
-        region = self.region[sel]
-        served = self.served_by[sel]
-        pid = self.player_id if full else idx
+        # with nobody pooled): ``load`` hands out the state array itself,
+        # which the steps below then update in place, and ``store`` has
+        # nothing to do. Otherwise ``load`` copies the batch's entries
+        # into a scratch array and ``store`` writes them back.
+        full = k == self.n_players
+        (lat, tmp, buf_s, pos_s,
+         work, flat, region_s, served_s, tier_s, last_s,
+         flag, on_time, playing, can, down, up) = (
+            self._scratch if full else [a[:k] for a in self._scratch])
+
+        # ``idx`` holds valid indices: "clip" takes straight into
+        # ``out``, where "raise" would copy through a temporary.
+        def load(state, scratch):
+            if full:
+                return state
+            return state.take(idx, out=scratch, mode="clip")
+
+        def store(state, values):
+            if not full:
+                state[idx] = values
+
+        region = load(self.region, region_s)
+        served = load(self.served_by, served_s)
+        pid = self.player_id if full else idx  # the player id is the index
 
         # 1) This tick's frame latency: access + propagation + congestion
-        #    + uniform jitter from the counter generator.
-        u_jit = counter_u01(pid, tick, self._salt_jitter)
-        lat = (self.access_s[sel]
-               + self.latency.gather_s(served, region)
-               + self.congestion_s[served]
-               + (2.0 * p.jitter_scale_s) * u_jit)
+        #    + uniform jitter from the counter generator, summed in that
+        #    order (IEEE addition commutes, so propagation + access is
+        #    access + propagation).
+        self.latency.gather_s(served, region, out=lat)
+        lat += load(self.access_s, tmp)
+        lat += self.congestion_s.take(served, out=tmp, mode="clip")
+        jitter = counter_u01(pid, tick, self._salt_jitter, out=tmp)
+        jitter *= 2.0 * p.jitter_scale_s
+        lat += jitter
 
         # 2) Crash draw (independent counter stream), kept as the
         #    positions that crashed. A draw in [0, 1) is never below a
         #    zero rate, so a crash-free run skips the stream.
         if p.crash_rate_per_tick > 0.0:
-            hit = np.flatnonzero(counter_u01(pid, tick, self._salt_crash)
-                                 < p.crash_rate_per_tick)
+            hit = np.flatnonzero(np.less(
+                counter_u01(pid, tick, self._salt_crash, out=tmp),
+                p.crash_rate_per_tick, out=flag))
         else:
             hit = np.empty(0, dtype=np.int64)
 
         # 3) Delivery against the tier-dependent deadline.
-        tier = self.tier[sel]
-        on_time = lat <= self._deadline_s[tier]
+        tier = load(self.tier, tier_s)
+        np.less_equal(lat, self._deadline_s.take(tier, out=tmp, mode="clip"),
+                      out=on_time)
         ok = on_time
         if hit.size:
-            ok = on_time.copy()
+            ok = flag
+            np.copyto(ok, on_time)
             ok[hit] = False
 
         # 4) Playback buffer: fill on delivery, drain by playing.
-        buf = self.buffer_s[sel] + np.where(ok, self._fill_s, 0.0)
-        playing = buf >= p.tick_s
-        consumed = np.where(playing, p.tick_s, 0.0)
-        self.position_s[sel] += consumed
-        buf = np.minimum(buf - consumed, p.max_buffer_s)
+        buf = load(self.buffer_s, buf_s)
+        buf += np.multiply(ok, self._fill_s, out=tmp)
+        np.greater_equal(buf, p.tick_s, out=playing)
+        consumed = np.multiply(playing, p.tick_s, out=tmp)
+        position = load(self.position_s, pos_s)
+        position += consumed
+        store(self.position_s, position)
+        buf -= consumed
+        np.minimum(buf, p.max_buffer_s, out=buf)
 
         # 5) Adaptation: down on a missed deadline, up on a full buffer —
         #    both rate-limited by the cooldown. An upgrade additionally
@@ -367,31 +408,48 @@ class PlayerCohort:
         #    tighter deadline, otherwise a player whose latency sits
         #    between two tier deadlines would oscillate up and down
         #    forever.
-        can = tick - self.last_switch[sel] >= p.switch_cooldown_ticks
-        down = can & ~on_time & (tier > 0)
-        up = (can & (lat <= self._up_limit_s[tier])
-              & (buf > p.up_buffer_s) & (tier < self._top_tier))
-        new_tier = tier + up.astype(np.int64) - down.astype(np.int64)
-        switched = new_tier != tier
+        last = load(self.last_switch, last_s)
+        np.greater_equal(np.subtract(tick, last, out=work),
+                         p.switch_cooldown_ticks, out=can)
+        np.greater(tier, 0, out=down)
+        down &= can
+        down &= np.logical_not(on_time, out=flag)
+        np.less_equal(lat, self._up_limit_s.take(tier, out=tmp, mode="clip"),
+                      out=up)
+        up &= can
+        up &= np.greater(buf, p.up_buffer_s, out=flag)
+        up &= np.less(tier, self._top_tier, out=flag)
+        # new tier = tier + up - down, which differs from tier exactly
+        # when one of the two holds.
+        switched = np.not_equal(up, down, out=can)
+        tier += up
+        tier -= down
 
         # 6) Write back the crash-free outcome.
-        self.buffer_s[sel] = buf
-        self.tier[sel] = new_tier
-        self.last_switch[sel] = np.where(switched, tick,
-                                         self.last_switch[sel])
-        self.rebuffer_ticks[sel] += ~playing
-        self.switches[sel] += switched
-        self.on_time_frames[sel] += on_time
-        self.frames[sel] += 1
+        store(self.buffer_s, buf)
+        store(self.tier, tier)
+        np.copyto(last, tick, where=switched)
+        store(self.last_switch, last)
+        for state, inc in ((self.rebuffer_ticks,
+                            np.logical_not(playing, out=flag)),
+                           (self.switches, switched),
+                           (self.on_time_frames, on_time),
+                           (self.frames, 1)):
+            count = load(state, work)
+            count += inc
+            store(state, count)
 
         # 7) Order-free integer aggregates: integer addition commutes
         #    exactly, so these counters match the scalar mirror's
         #    one-at-a-time increments in any order. They read ``served``
-        #    (a view of ``served_by`` on the full path) before any
+        #    (``served_by`` itself on the full path) before any
         #    reconnect below overwrites it.
-        bins = np.minimum((lat * self._inv_bin).astype(np.int64),
-                          p.n_latency_bins - 1)
-        flat = region * p.n_latency_bins + bins
+        # bins: the truncating float -> int64 cast ``astype`` makes.
+        np.copyto(work, np.multiply(lat, self._inv_bin, out=tmp),
+                  casting="unsafe")
+        np.minimum(work, p.n_latency_bins - 1, out=work)
+        np.multiply(region, p.n_latency_bins, out=flat)
+        flat += work
         self.tick_load += np.bincount(served, minlength=self.n_regions)
         self.lat_hist += np.bincount(flat, minlength=self.lat_hist.shape[0])
 

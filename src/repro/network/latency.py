@@ -36,6 +36,10 @@ from repro.network.geometry import pairwise_distances_km
 #: Propagation speed of light in fibre, km per second.
 FIBRE_KM_PER_S = 200_000.0
 
+#: Elements :meth:`RegionalLatency.gather_s` indexes per pass (its flat
+#: index temporary is one chunk, whatever the batch size).
+_GATHER_CHUNK = 8192
+
 
 @dataclass(frozen=True, slots=True)
 class LatencyParams:
@@ -278,6 +282,8 @@ class RegionalLatency:
             raise ValueError("centers_km must be (n_regions, 2)")
         n = self.n_regions
         self._table = np.zeros((n, n), dtype=np.float64)
+        #: Flat alias of the table: ``gather_s`` reads ``src * n + dst``.
+        self._flat = self._table.reshape(-1)
         #: Read-only alias of the table: the rows handed out.
         self._rows = self._table.view()
         self._rows.flags.writeable = False
@@ -312,23 +318,53 @@ class RegionalLatency:
         """Propagation delay between two regions."""
         return float(self.propagation_row_s(int(i))[int(j)])
 
-    def gather_s(self, src_regions: np.ndarray,
-                 dst_regions: np.ndarray) -> np.ndarray:
+    def gather_s(self, src_regions: np.ndarray, dst_regions: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Elementwise propagation ``src[i] → dst[i]`` for aligned arrays.
 
         Computes only the rows of regions present in ``src_regions``,
-        then answers with one table lookup; cost is O(len + regions),
-        independent of the population size. A negative source raises
-        ``ValueError``; a region ``>= n_regions`` on either side raises
-        ``IndexError``.
+        then answers from the flat table, chunk by chunk; cost is
+        O(len + regions), independent of the population size. A
+        negative source raises ``ValueError``; a destination outside
+        ``[0, n_regions)`` or a source ``>= n_regions`` raises
+        ``IndexError``. Both ranges are checked up front, because a flat
+        ``src * n + dst`` with a bad destination would silently read
+        another row. ``out``, an optional float64 array shaped like the
+        inputs, receives the result (and is returned); a call with
+        ``out`` allocates nothing the size of the inputs.
         """
         src = np.asarray(src_regions)
         dst = np.asarray(dst_regions)
-        present = np.flatnonzero(
-            np.bincount(src, minlength=self.n_regions))
+        if src.shape != dst.shape:
+            raise ValueError("source and destination must align")
+        n = self.n_regions
+        counts = np.bincount(src, minlength=n)  # ValueError if negative
+        if counts.size > n:
+            raise IndexError(f"source region {counts.size - 1} out of range")
+        # Viewed as unsigned, a negative destination exceeds every
+        # region, so one maximum bounds both ends of the range.
+        if dst.size and dst.view(dst.dtype.str.replace("i", "u")).max() >= n:
+            raise IndexError("destination region out of range")
+        present = np.flatnonzero(counts)
         for r in present[~self._cached[present]]:
             self._compute_row(int(r))
-        return self._table[src, dst]
+        if out is None:
+            out = np.empty(src.shape, dtype=np.float64)
+        elif (out.dtype != np.float64 or out.shape != src.shape
+              or not out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array "
+                             "shaped like the regions")
+        src, dst, dest = src.reshape(-1), dst.reshape(-1), out.reshape(-1)
+        flat = np.empty(min(src.size, _GATHER_CHUNK), dtype=np.intp)
+        for lo in range(0, src.size, _GATHER_CHUNK):
+            s = src[lo:lo + _GATHER_CHUNK]
+            f = np.multiply(s, n, flat[:s.size])
+            f += dst[lo:lo + _GATHER_CHUNK]
+            # Indices are in range (checked above): "clip" takes
+            # straight into ``out``, where "raise" would copy through a
+            # temporary.
+            self._flat.take(f, out=dest[lo:lo + _GATHER_CHUNK], mode="clip")
+        return out
 
     def full_matrix_s(self) -> np.ndarray:
         """All-pairs region propagation (O(regions²); reporting only)."""

@@ -15,8 +15,8 @@ The topology model:
 * datacenters are placed at the centres of the most populous metros
   (mirroring where commercial clouds build regions).
 
-A :class:`networkx.Graph` view is available for structural analysis and
-visualisation, but the latency model works directly on coordinates.
+The topology is coordinates and metro labels only, with no graph
+structure: the latency model works directly on the coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.network.geometry import (
@@ -111,21 +110,6 @@ class Topology:
         self.positions_km = np.vstack(
             [self.positions_km, np.array([position_km])])
         return host
-
-    def graph(self) -> nx.Graph:
-        """A networkx view: hosts as nodes, metro co-location as edges."""
-        g = nx.Graph()
-        for h in self.hosts:
-            g.add_node(h.host_id, kind=h.kind.value, metro=h.metro_id,
-                       pos=h.position_km)
-        by_metro: dict[int, list[int]] = {}
-        for h in self.hosts:
-            by_metro.setdefault(h.metro_id, []).append(h.host_id)
-        for members in by_metro.values():
-            hub = members[0]
-            for other in members[1:]:
-                g.add_edge(hub, other)
-        return g
 
 
 def make_metros(

@@ -84,12 +84,20 @@ _U64 = np.uint64
 _SPLITMIX_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = _U64(0xBF58476D1CE4E5B9)
 _SPLITMIX_M2 = _U64(0x94D049BB133111EB)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (_U64(11), _U64(27), _U64(30),
+                                              _U64(31))
 #: 2**-53 as an exact float — the uniform conversion is a single exact
 #: division, never a libm call.
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 
-def counter_u01(ids: np.ndarray, step: int, salt: int) -> np.ndarray:
+#: Elements :func:`counter_u01` mixes per pass. Its shift temporary is
+#: one chunk (64 KiB), whatever the batch size.
+_CHUNK = 8192
+
+
+def counter_u01(ids: np.ndarray, step: int, salt: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic uniforms in ``[0, 1)`` keyed by ``(id, step, salt)``.
 
     A counter-based generator (splitmix64 finalizer over a mixed key):
@@ -109,18 +117,41 @@ def counter_u01(ids: np.ndarray, step: int, salt: int) -> np.ndarray:
         Time-like counter (e.g. tick number).
     salt:
         Stream separator (mix the run seed and a per-purpose constant).
+    out:
+        Optional C-contiguous float64 array shaped like ``ids`` to write
+        the uniforms into (and return). The mixing runs in ``out``'s
+        own bytes viewed as uint64, chunk by chunk, so a call with
+        ``out`` allocates nothing the size of ``ids``.
     """
     mask = (1 << 64) - 1
-    x = ids.astype(np.uint64, copy=True)
-    x ^= _U64((step * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) & mask)
-    x *= _SPLITMIX_GAMMA
-    x ^= _U64((salt * 0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7) & mask)
-    x ^= x >> _U64(30)
-    x *= _SPLITMIX_M1
-    x ^= x >> _U64(27)
-    x *= _SPLITMIX_M2
-    x ^= x >> _U64(31)
-    return (x >> _U64(11)).astype(np.float64) * _INV_2_53
+    key_step = _U64((step * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) & mask)
+    key_salt = _U64((salt * 0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7) & mask)
+    ids = np.asarray(ids)
+    if out is None:
+        out = np.empty(ids.shape, dtype=np.float64)
+    elif (out.dtype != np.float64 or out.shape != ids.shape
+          or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array "
+                         "shaped like ids")
+    src, dst = ids.reshape(-1), out.reshape(-1)
+    shifted = np.empty(min(dst.size, _CHUNK), dtype=np.uint64)
+    for lo in range(0, dst.size, _CHUNK):
+        u = dst[lo:lo + _CHUNK]
+        x = u.view(np.uint64)
+        t = shifted[:x.size]
+        x[...] = src[lo:lo + _CHUNK]  # the wrapping cast to uint64
+        x ^= key_step
+        x *= _SPLITMIX_GAMMA
+        x ^= key_salt
+        x ^= np.right_shift(x, _SHIFT_30, t)
+        x *= _SPLITMIX_M1
+        x ^= np.right_shift(x, _SHIFT_27, t)
+        x *= _SPLITMIX_M2
+        x ^= np.right_shift(x, _SHIFT_31, t)
+        # Exact uint64 -> float64 (values < 2⁵³), then an exact product.
+        u[...] = np.right_shift(x, _SHIFT_11, t)
+        u *= _INV_2_53
+    return out
 
 
 def counter_u01_one(ident: int, step: int, salt: int) -> float:

@@ -3,8 +3,10 @@
 "The number of friends for each player follows power-law distribution with
 skew factor of 0.5" (§IV, citing the Facebook measurement study). We draw a
 power-law degree sequence with exponent derived from the skew factor and
-realize it with a configuration-model graph (self-loops and multi-edges
-removed), via networkx.
+realize it with a configuration-model graph, self-loops and multi-edges
+removed. :func:`build_social_graph` pairs the stubs exactly as
+``networkx.configuration_model`` does for an integer seed, so the graph
+is the one networkx would build, without importing it.
 
 The social graph drives game selection: "when a player joins the system,
 if none of its friends is playing, it randomly chooses a game to play;
@@ -14,36 +16,38 @@ playing."
 
 from __future__ import annotations
 
+import random
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.workload.games import GAMES, Game
 
 
 class SocialGraph:
-    """Friendship structure over player ids ``0..n-1``."""
+    """Friendship structure over player ids ``0..n-1``.
 
-    def __init__(self, graph: nx.Graph, n_players: int):
-        self._graph = graph
-        self.n_players = n_players
+    ``friends[i]`` is the set of player ``i``'s friends; the relation is
+    symmetric and irreflexive.
+    """
+
+    def __init__(self, friends: list[set[int]]):
+        self._friends = friends
+        self.n_players = len(friends)
 
     def friends_of(self, player_id: int) -> list[int]:
-        """Friend ids of ``player_id`` (empty for isolated players)."""
-        if player_id not in self._graph:
+        """Friend ids of ``player_id`` (empty for isolated or unknown
+        players)."""
+        if not 0 <= player_id < self.n_players:
             return []
-        return list(self._graph.neighbors(player_id))
+        return list(self._friends[player_id])
 
     def degree(self, player_id: int) -> int:
-        """Number of friends of ``player_id``."""
-        return self._graph.degree(player_id) if player_id in self._graph else 0
-
-    @property
-    def nx_graph(self) -> nx.Graph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._graph
+        """Number of friends of ``player_id`` (0 for unknown players)."""
+        if not 0 <= player_id < self.n_players:
+            return 0
+        return len(self._friends[player_id])
 
     def choose_game(
         self,
@@ -108,10 +112,24 @@ def build_social_graph(
     n_players: int,
     skew: float = 0.5,
 ) -> SocialGraph:
-    """Realize the power-law friendship graph for ``n_players`` players."""
+    """Realize the power-law friendship graph for ``n_players`` players.
+
+    A configuration model: every player contributes one stub per unit of
+    degree, in player order; ``random.Random(seed)`` shuffles the stubs
+    and the first half of the list is paired with the second.
+    Self-loops are dropped and repeated pairs collapse into one
+    friendship. These are ``networkx.configuration_model``'s steps for
+    an integer seed, so the friend sets equal networkx's (pinned by the
+    workload tests).
+    """
     degrees = powerlaw_degree_sequence(rng, n_players, skew)
     seed = int(rng.integers(2**31 - 1))
-    multigraph = nx.configuration_model(degrees.tolist(), seed=seed)
-    graph = nx.Graph(multigraph)  # collapse multi-edges
-    graph.remove_edges_from(nx.selfloop_edges(graph))
-    return SocialGraph(graph, n_players)
+    stubs = np.repeat(np.arange(n_players), degrees).tolist()
+    random.Random(seed).shuffle(stubs)
+    half = len(stubs) // 2
+    friends: list[set[int]] = [set() for _ in range(n_players)]
+    for u, v in zip(stubs[:half], stubs[half:]):
+        if u != v:
+            friends[u].add(v)
+            friends[v].add(u)
+    return SocialGraph(friends)

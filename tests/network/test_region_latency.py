@@ -98,22 +98,35 @@ class TestCorrectness:
             # bitwise, not approx
             assert batch.tobytes() == singles.tobytes(), warm
 
+    def test_gather_into_out_matches_returned_array(self):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 7, size=20_000).astype(np.int64)
+        dst = rng.integers(0, 7, size=20_000).astype(np.int64)
+        expected = make_model(n_regions=7).gather_s(src, dst)
+        out = np.full(src.size, np.nan)
+        got = make_model(n_regions=7).gather_s(src, dst, out=out)
+        assert got is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("use_out", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("src,dst,error", [
         ([0, -1], [0, 1], ValueError),
         ([0, 4], [0, 1], IndexError),
         ([0, 1], [0, 4], IndexError),
+        ([0, 1], [0, -1], IndexError),
         ([4], [0], IndexError),
         ([0], [9], IndexError),
     ])
     def test_gather_rejects_out_of_range_regions(self, warm, src, dst,
-                                                 error):
+                                                 error, use_out):
         model = make_model(n_regions=4)
         if warm:
             model.full_matrix_s()
+        out = np.zeros(len(src)) if use_out else None
         with pytest.raises(error):
             model.gather_s(np.array(src, dtype=np.int64),
-                           np.array(dst, dtype=np.int64))
+                           np.array(dst, dtype=np.int64), out=out)
 
     def test_full_matrix_matches_rows(self):
         model = make_model(n_regions=5)
@@ -178,6 +191,24 @@ class TestCounterRng:
             vec = counter_u01(ids, step, salt)
             for i in (0, 1, 499, 4999):
                 assert counter_u01_one(int(ids[i]), step, salt) == vec[i]
+
+    def test_out_matches_vector_and_scalar_bitwise(self):
+        # Longer than one mixing chunk, with a ragged last chunk.
+        ids = np.arange(20_000, dtype=np.int64) * 7919 - 3
+        for step, salt in [(0, 1), (17, 2), (123456, 987654321)]:
+            vec = counter_u01(ids, step, salt)
+            out = np.full(ids.size, np.nan)
+            assert counter_u01(ids, step, salt, out=out) is out
+            assert out.tobytes() == vec.tobytes()
+            for i in (0, 1, 8191, 8192, 19_999):
+                assert counter_u01_one(int(ids[i]), step, salt) == out[i]
+
+    def test_out_must_fit(self):
+        ids = np.arange(10, dtype=np.int64)
+        for bad in (np.zeros(9), np.zeros(10, dtype=np.float32),
+                    np.zeros(20)[::2]):
+            with pytest.raises(ValueError):
+                counter_u01(ids, 1, 2, out=bad)
 
     def test_range_and_spread(self):
         u = counter_u01(np.arange(100_000, dtype=np.int64), 7, 3)

@@ -147,20 +147,3 @@ class TestEdgeServers:
         ids = place_edge_servers(topo, rng, 3)
         for i in ids:
             assert topo.hosts[int(i)].kind is HostKind.EDGE_SERVER
-
-
-class TestTopologyGraph:
-    def test_graph_nodes(self, rng):
-        topo = build_topology(rng, n_players=30, n_datacenters=2)
-        g = topo.graph()
-        assert g.number_of_nodes() == 32
-
-    def test_graph_metro_edges(self, rng):
-        topo = build_topology(rng, n_players=30, n_datacenters=2)
-        g = topo.graph()
-        # Hub-and-spoke per metro: edges = members - 1 per metro group.
-        by_metro = {}
-        for h in topo.hosts:
-            by_metro.setdefault(h.metro_id, []).append(h.host_id)
-        expected = sum(len(m) - 1 for m in by_metro.values())
-        assert g.number_of_edges() == expected

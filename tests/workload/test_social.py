@@ -1,5 +1,7 @@
 """Unit tests for the social graph and game choice."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,33 @@ class TestSocialGraph:
     def test_reproducible(self):
         g1 = build_social_graph(np.random.default_rng(3), 100)
         g2 = build_social_graph(np.random.default_rng(3), 100)
-        assert sorted(g1.nx_graph.edges) == sorted(g2.nx_graph.edges)
+        for node in range(100):
+            assert sorted(g1.friends_of(node)) == sorted(g2.friends_of(node))
+
+    def test_unknown_player_degree_zero(self, rng):
+        graph = build_social_graph(rng, 10)
+        assert graph.degree(10) == 0
+        assert graph.degree(-1) == 0
+        assert graph.friends_of(-1) == []
+
+    # Edge lists of the configuration model as networkx 3.6.1 builds it
+    # (``nx.configuration_model(degrees, seed)``, multi-edges collapsed,
+    # self-loops removed), from the same degree sequence and seed.
+    @pytest.mark.parametrize("seed,n,n_edges,sha256", [
+        (3, 100, 116,
+         "4a7efbcad7179e4be0421b643a665242b935139179bac5053c8a25c6454620ca"),
+        (11, 2_000, 4_764,
+         "256cdb4d103bdbd4878277bd605d00e228923dd7efc128ea98a338217f18404f"),
+        (42, 20_000, 91_066,
+         "98a6d55a030e74206849744a7933a23ad3d56457ee829ad6471993508e4b8732"),
+    ])
+    def test_edges_match_networkx_configuration_model(self, seed, n,
+                                                      n_edges, sha256):
+        graph = build_social_graph(np.random.default_rng(seed), n)
+        edges = sorted((u, v) for u in range(n)
+                       for v in graph.friends_of(u) if u < v)
+        assert len(edges) == n_edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == sha256
 
 
 class TestGameChoice:
